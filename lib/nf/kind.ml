@@ -20,6 +20,22 @@ let all =
     Url_filter; Monitor; Nat; Lb; Bpf; Acl;
   ]
 
+let index = function
+  | Encrypt -> 0
+  | Decrypt -> 1
+  | Fast_encrypt -> 2
+  | Dedup -> 3
+  | Tunnel -> 4
+  | Detunnel -> 5
+  | Ipv4_fwd -> 6
+  | Limiter -> 7
+  | Url_filter -> 8
+  | Monitor -> 9
+  | Nat -> 10
+  | Lb -> 11
+  | Bpf -> 12
+  | Acl -> 13
+
 let name = function
   | Encrypt -> "Encrypt"
   | Decrypt -> "Decrypt"

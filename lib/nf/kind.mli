@@ -23,6 +23,9 @@ type t =
 
 val all : t list
 
+val index : t -> int
+(** Position of the kind in {!all}, in O(1). *)
+
 val name : t -> string
 (** Canonical name as written in chain specifications (e.g. ["ACL"],
     ["IPv4Fwd"], ["BPF"]). *)

@@ -115,6 +115,34 @@ let path_segments locs path_nodes =
   in
   (server_segments, of_segments)
 
+(* ToR bounces of the worst path: its server plus OpenFlow segments. *)
+let max_path_bounces locs paths =
+  List.fold_left
+    (fun acc p ->
+      let srv, ofl = path_segments locs p.Graph.path_nodes in
+      max acc (srv + ofl))
+    0 paths
+
+(* OpenFlow fixed-table-order feasibility: on every path, the NFs
+   placed on the OpenFlow switch must respect its table order. *)
+let of_order_compatible config graph locs paths =
+  match config.topology.Lemur_topology.Topology.ofswitch with
+  | None -> true
+  | Some sw ->
+      List.for_all
+        (fun p ->
+          let of_kinds =
+            List.filter_map
+              (fun id ->
+                if locs.(id) = Ofswitch then
+                  Some (Graph.node graph id).Graph.instance.Instance.kind
+                else None)
+              p.Graph.path_nodes
+          in
+          of_kinds = []
+          || Lemur_platform.Ofswitch.order_compatible sw of_kinds)
+        paths
+
 let node_cycles config graph id =
   instance_cycles config (Graph.node graph id).Graph.instance
 
@@ -238,26 +266,8 @@ let elaborate config input locs =
           input.id)
     (Graph.nodes graph);
   let paths = Graph.linearize graph in
-  (* OpenFlow fixed-table-order feasibility, per path. *)
-  (match config.topology.Lemur_topology.Topology.ofswitch with
-  | None -> ()
-  | Some sw ->
-      List.iter
-        (fun p ->
-          let of_kinds =
-            List.filter_map
-              (fun id ->
-                if locs.(id) = Ofswitch then
-                  Some (Graph.node graph id).Graph.instance.Instance.kind
-                else None)
-              p.Graph.path_nodes
-          in
-          if
-            of_kinds <> []
-            && not (Lemur_platform.Ofswitch.order_compatible sw of_kinds)
-          then
-            invalid "chain %s violates the OpenFlow table order" input.id)
-        paths);
+  if not (of_order_compatible config graph locs paths) then
+    invalid "chain %s violates the OpenFlow table order" input.id;
   let subgroups = form_subgroups config input locs in
   let seg_stats = List.map (fun p -> path_segments locs p.Graph.path_nodes) paths in
   let segment_ids =
@@ -294,9 +304,7 @@ let elaborate config input locs =
       (fun acc p (_, ofl) -> acc +. (p.Graph.fraction *. float_of_int ofl))
       0.0 paths seg_stats
   in
-  let max_path_bounces =
-    List.fold_left (fun acc (srv, ofl) -> max acc (srv + ofl)) 0 seg_stats
-  in
+  let max_path_bounces = max_path_bounces locs paths in
   let segments = List.length segment_ids in
   let select loc =
     List.filter_map
@@ -342,6 +350,7 @@ let capacity config plan ~cores =
     match config.topology.Lemur_topology.Topology.smartnics with
     | [] -> infinity
     | nic :: _ ->
+        let paths = Graph.linearize plan.input.graph in
         List.fold_left
           (fun acc id ->
             let node = Graph.node plan.input.graph id in
@@ -355,7 +364,7 @@ let capacity config plan ~cores =
               Lemur_util.Listx.sum_by
                 (fun p ->
                   if List.mem id p.Graph.path_nodes then p.Graph.fraction else 0.0)
-                (Graph.linearize plan.input.graph)
+                paths
             in
             if frac <= 0.0 then acc else Float.min acc (rate /. frac))
           infinity plan.smartnic_nodes

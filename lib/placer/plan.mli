@@ -89,6 +89,20 @@ val elaborate : config -> chain_input -> location array -> plan
     @raise Invalid_pattern if an NF is placed somewhere it cannot run,
     or OpenFlow table order is violated. *)
 
+val max_path_bounces :
+  location array -> Lemur_spec.Graph.path list -> int
+(** The worst path's ToR bounce count (server plus OpenFlow segments)
+    under a pattern — what {!elaborate} stores as [max_path_bounces],
+    computable without elaborating. *)
+
+val of_order_compatible :
+  config -> Lemur_spec.Graph.t -> location array -> Lemur_spec.Graph.path list ->
+  bool
+(** Whether, on every path, the NFs a pattern puts on the OpenFlow
+    switch respect its fixed table order (always [true] without an
+    OpenFlow switch) — the check behind {!elaborate}'s table-order
+    rejection. *)
+
 val capacity : config -> plan -> cores:(int list) -> float
 (** Estimated chain throughput (§3.2): the minimum over subgroups of
     [rate(sg, cores) / fraction(sg)] and over SmartNIC NFs of their NIC

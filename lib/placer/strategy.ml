@@ -405,27 +405,26 @@ let apply_coalescing config variant plan =
       go plan
 
 (* Fewest ToR bounces, hardware-richest on ties — the Min Bounce
-   baseline's pattern rule, also used to seed one of Lemur's variants. *)
+   baseline's pattern rule, also used to seed one of Lemur's variants.
+   Both score terms read off the location array, and an enumerated
+   pattern only ever places NFs where [allowed_locations] lets them, so
+   the OpenFlow table order is the one way [Plan.elaborate] could
+   reject it: patterns are filtered and scored without elaborating, and
+   only the winner is elaborated. *)
 let min_bounce_pattern config input =
-  let patterns = all_patterns config input ~limit:4096 in
-  let plans =
-    List.filter_map
-      (fun locs ->
-        match elaborate config input locs with
-        | plan -> Some plan
-        | exception Plan.Invalid_pattern _ -> None)
-      patterns
-  in
-  let hw_count plan =
+  let graph = input.Plan.graph in
+  let paths = Graph.linearize graph in
+  let hw_count locs =
     Array.fold_left
       (fun acc loc -> if loc <> Plan.Server then acc + 1 else acc)
-      0 plan.Plan.locs
+      0 locs
   in
-  Lemur_util.Listx.min_by
-    (fun plan ->
-      (float_of_int plan.Plan.max_path_bounces *. 1000.0)
-      -. float_of_int (hw_count plan))
-    plans
+  all_patterns config input ~limit:4096
+  |> List.filter (fun locs -> Plan.of_order_compatible config graph locs paths)
+  |> Lemur_util.Listx.min_by (fun locs ->
+         (float_of_int (Plan.max_path_bounces locs paths) *. 1000.0)
+         -. float_of_int (hw_count locs))
+  |> Option.map (elaborate config input)
 
 (* ------------------------------------------------------------------ *)
 (* The variant cache: incremental re-placement's warm start.
@@ -558,8 +557,8 @@ let lemur_placement ?policy strategy config inputs start =
   | None -> Infeasible { reason = "no switch-feasible placement exists" }
   | Some variants ->
       (* Step 3: core allocations + LP per candidate placement. When no
-         policy is forced (ablations force one), try both spare-core
-         orders and keep the better. *)
+         policy is forced (ablations force one), try every spare-core
+         policy and keep the best. *)
       let policies =
         match policy with
         | Some p -> [ p ]

@@ -74,6 +74,22 @@ val lemur_variants :
     pattern search, while any chain whose graph or [t_min] changed
     misses by key construction. *)
 
+val all_patterns :
+  Plan.config -> Plan.chain_input -> limit:int -> Plan.location array list
+(** Every assignment of an {!Plan.allowed_locations} platform to each
+    NF, in enumeration order; when there are more than [limit], only
+    the hardware- and software-preferred corners, single-NF flips of the
+    hardware corner, and an eviction ladder toward the server. Every
+    pattern places each NF on an allowed platform. Exposed for tests.
+    @raise Plan.Invalid_pattern if some NF has no platform. *)
+
+val min_bounce_pattern : Plan.config -> Plan.chain_input -> Plan.plan option
+(** The Min Bounce pattern rule: among {!all_patterns} (limit 4096)
+    that pass {!Plan.of_order_compatible}, the first minimizing
+    [1000 * max_path_bounces - hardware NFs], elaborated. Patterns are
+    scored from their location arrays; only the winner is elaborated.
+    [None] if every pattern violates the OpenFlow table order. *)
+
 val set_variant_cache : bool -> unit
 (** Enable/disable the variant cache process-wide (on by default). The
     runtime engine turns it off for from-scratch baselines. *)

@@ -3,13 +3,24 @@ open Lemur_util
 
 type traffic_mode = Long_lived | Short_flows
 
+(* Worst-case costs keyed by (kind index, NUMA index, size): the hit
+   path hashes three ints, with no string formatting. *)
+module Worst_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((k1, n1, s1) : t) (k2, n2, s2) = k1 = k2 && n1 = n2 && s1 = s2
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   seed : int;
   runs : int;
   error : float;
   uniform_cycles : float option;
+  lock : Mutex.t;
   cache : (string, float list) Hashtbl.t;
-  acl_cache : (string, float) Hashtbl.t;
+  acl_cache : (Lemur_classifier.Classifier.algo * int * int, float) Hashtbl.t;
+  worst : float Worst_tbl.t;
 }
 
 let create ?(seed = 0xC0FFEE) ?(runs = 500) ?(error = 0.0)
@@ -20,14 +31,16 @@ let create ?(seed = 0xC0FFEE) ?(runs = 500) ?(error = 0.0)
     runs;
     error;
     uniform_cycles;
+    lock = Mutex.create ();
     cache = Hashtbl.create 64;
     acl_cache = Hashtbl.create 16;
+    worst = Worst_tbl.create 64;
   }
 
 let runs t = t.runs
 
 (* Everything [cycles]/[samples] ever returns is a pure function of
-   these four fields (the cache is derived state, rebuilt on demand),
+   these four fields (the caches are derived state, rebuilt on demand),
    so this string is a sound memoization key for any value computed
    through this registry. [%h] prints floats exactly. *)
 let signature t =
@@ -36,16 +49,29 @@ let signature t =
     | None -> "-"
     | Some c -> Printf.sprintf "%h" c)
 
-let kind_index kind =
-  match Listx.index_of (Kind.equal kind) Kind.all with
-  | Some i -> i
-  | None -> assert false
+(* A registry is shared by every domain holding its config, so each
+   table is read and written only under [t.lock]. The value is computed
+   outside the lock: a miss never blocks other domains' hits, and a
+   nested miss ([worst_case] filling [samples]) cannot self-deadlock.
+   Two domains missing on one key both compute it and the first insert
+   wins; values are pure, so both copies are equal. *)
+let memoized t find add key compute =
+  match Mutex.protect t.lock (fun () -> find key) with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Mutex.protect t.lock (fun () ->
+          match find key with
+          | Some first -> first
+          | None ->
+              add key v;
+              v)
 
 let mode_index = function Long_lived -> 0 | Short_flows -> 1
 let numa_index = function Datasheet.Same -> 0 | Datasheet.Diff -> 1
 
 let cache_key kind numa size mode =
-  Printf.sprintf "%d/%d/%d/%d" (kind_index kind) (numa_index numa) size
+  Printf.sprintf "%d/%d/%d/%d" (Kind.index kind) (numa_index numa) size
     (mode_index mode)
 
 (* Short-lived flow churn stresses stateful NFs: slightly higher mean
@@ -69,10 +95,8 @@ let samples t kind numa ?size mode =
     | None, Some r -> r
     | None, None -> 0
   in
-  let key = cache_key kind numa size mode in
-  match Hashtbl.find_opt t.cache key with
-  | Some xs -> xs
-  | None ->
+  memoized t (Hashtbl.find_opt t.cache) (Hashtbl.replace t.cache)
+    (cache_key kind numa size mode) (fun () ->
       let cost =
         mode_adjust kind mode (Datasheet.cycle_cost_sized kind numa ~size)
       in
@@ -80,19 +104,15 @@ let samples t kind numa ?size mode =
         Prng.create
           ~seed:
             (t.seed
-            + (1_000_003 * kind_index kind)
+            + (1_000_003 * Kind.index kind)
             + (7919 * numa_index numa)
             + (104729 * mode_index mode)
             + size)
       in
       let sigma = (cost.Datasheet.max -. cost.Datasheet.min) /. 5.0 in
-      let xs =
-        List.init t.runs (fun _ ->
-            Prng.truncated_gaussian prng ~mu:cost.Datasheet.mean ~sigma
-              ~lo:cost.Datasheet.min ~hi:cost.Datasheet.max)
-      in
-      Hashtbl.replace t.cache key xs;
-      xs
+      List.init t.runs (fun _ ->
+          Prng.truncated_gaussian prng ~mu:cost.Datasheet.mean ~sigma
+            ~lo:cost.Datasheet.min ~hi:cost.Datasheet.max))
 
 let summary t kind numa ?size mode = Stats.summarize (samples t kind numa ?size mode)
 
@@ -100,11 +120,14 @@ let worst_case t kind numa ~size =
   match t.uniform_cycles with
   | Some c -> c
   | None ->
-      let worst_of mode =
-        List.fold_left Float.max neg_infinity (samples t kind numa ~size mode)
-      in
-      let worst = Float.max (worst_of Long_lived) (worst_of Short_flows) in
-      worst *. (1.0 -. t.error)
+      memoized t (Worst_tbl.find_opt t.worst) (Worst_tbl.replace t.worst)
+        (Kind.index kind, numa_index numa, size) (fun () ->
+          let worst_of mode =
+            List.fold_left Float.max neg_infinity
+              (samples t kind numa ~size mode)
+          in
+          let worst = Float.max (worst_of Long_lived) (worst_of Short_flows) in
+          worst *. (1.0 -. t.error))
 
 (* Algorithm-aware ACL profiling: build the canonical ruleset for this
    size, replay the dataplane's 40-flow header corpus through the
@@ -119,25 +142,15 @@ let acl_cycles t ~algo ~size numa =
   match t.uniform_cycles with
   | Some c -> c
   | None ->
-      let key =
-        Printf.sprintf "%s/%d/%d"
-          (Lemur_classifier.Classifier.algo_name algo)
-          size (numa_index numa)
-      in
-      (match Hashtbl.find_opt t.acl_cache key with
-      | Some c -> c
-      | None ->
+      memoized t (Hashtbl.find_opt t.acl_cache) (Hashtbl.replace t.acl_cache)
+        (algo, size, numa_index numa) (fun () ->
           let rs = Lemur_classifier.Ruleset.generate ~size () in
           let cls = Lemur_classifier.Classifier.build algo rs in
           let headers =
             Lemur_classifier.Ruleset.headers rs ~flows:dataplane_flows
           in
           let worst = Lemur_classifier.Classifier.worst_cycles cls headers in
-          let c =
-            worst *. Datasheet.numa_factor numa *. (1.0 -. t.error)
-          in
-          Hashtbl.replace t.acl_cache key c;
-          c)
+          worst *. Datasheet.numa_factor numa *. (1.0 -. t.error))
 
 let cycles t instance numa =
   let kind = instance.Instance.kind in

@@ -50,7 +50,19 @@ val summary :
 val cycles : t -> Lemur_nf.Instance.t -> Lemur_nf.Datasheet.numa -> float
 (** Worst-case cycles/packet for this instance (max over runs and
     traffic modes, at the instance's declared state size), scaled down
-    by the registry's [error]. This is the number the Placer uses. *)
+    by the registry's [error]. This is the number the Placer uses.
+
+    Memoized per registry: the first query for a (kind, NUMA, size)
+    folds the sample lists once and stores the float; later queries are
+    a table lookup on three ints, with no string formatting and no walk
+    over the samples. The stored value is the same float the fold
+    returns, so memoization never changes a result.
+
+    Domain-safe: a registry may be shared by every domain holding its
+    config (e.g. [Pool.map] workers of one placement). Every profiler
+    table — samples, worst-case costs, {!acl_cycles} — is read and
+    written under the registry's lock, and misses are computed outside
+    it, so concurrent callers get the same floats as a sequential run. *)
 
 val cycles_kind : t -> Lemur_nf.Kind.t -> Lemur_nf.Datasheet.numa -> float
 (** {!cycles} at the kind's reference state size. *)
@@ -65,6 +77,10 @@ val acl_cycles :
     [uniform_cycles] — so the ablation knobs hit classifier-aware
     predictions exactly like datasheet ones. Deterministic and
     memoized; a pure function of {!signature} and the arguments. *)
+
+val size_ladder : Lemur_nf.Kind.t -> int list
+(** The state sizes {!fit_size_model} profiles at: 1/4 to 2x the kind's
+    reference size. Empty for kinds without one. *)
 
 val fit_size_model :
   t -> Lemur_nf.Kind.t -> Lemur_nf.Datasheet.numa -> (float * float) option

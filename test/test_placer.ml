@@ -409,6 +409,126 @@ let render_outcome = function
                     (List.map string_of_int (Array.to_list r.Strategy.cores))))
              p.Strategy.chain_reports)
 
+(* The pre-table Min Bounce search, kept here as the reference: elaborate
+   every enumerated pattern, drop the ones elaboration rejects, and take
+   the first minimum of the same score. *)
+let reference_min_bounce config input =
+  let plans =
+    List.filter_map
+      (fun locs ->
+        match Plan.elaborate config input locs with
+        | plan -> Some plan
+        | exception Plan.Invalid_pattern _ -> None)
+      (Strategy.all_patterns config input ~limit:4096)
+  in
+  let hw_count plan =
+    Array.fold_left
+      (fun acc loc -> if loc <> Plan.Server then acc + 1 else acc)
+      0 plan.Plan.locs
+  in
+  Lemur_util.Listx.min_by
+    (fun plan ->
+      (float_of_int plan.Plan.max_path_bounces *. 1000.0)
+      -. float_of_int (hw_count plan))
+    plans
+
+let reference_min_bounce_outcome config inputs =
+  match List.map (reference_min_bounce config) inputs with
+  | plans when List.exists Option.is_none plans ->
+      Strategy.Infeasible { reason = "a chain has no valid pattern" }
+  | plans ->
+      Strategy.evaluate_plans Strategy.Min_bounce config Alloc.Slo_driven
+        (List.filter_map Fun.id plans)
+  | exception Plan.Invalid_pattern reason -> Strategy.Infeasible { reason }
+
+let render_locs search =
+  match search () with
+  | None -> "none"
+  | Some plan ->
+      String.concat ","
+        (Array.to_list
+           (Array.map (Format.asprintf "%a" Plan.pp_location) plan.Plan.locs))
+  | exception Plan.Invalid_pattern reason -> "invalid: " ^ reason
+
+(* Table-order rejections the reference sees, and inputs whose pattern
+   count exceeds the enumeration limit — the corpus must reach both. *)
+let of_rejections config input =
+  match Strategy.all_patterns config input ~limit:4096 with
+  | patterns ->
+      List.length
+        (List.filter
+           (fun locs ->
+             match Plan.elaborate config input locs with
+             | _ -> false
+             | exception Plan.Invalid_pattern _ -> true)
+           patterns)
+  | exception Plan.Invalid_pattern _ -> 0
+
+let over_limit config input =
+  List.fold_left
+    (fun acc node ->
+      acc * List.length (Plan.allowed_locations config node.Graph.instance))
+    1
+    (Graph.nodes input.Plan.graph)
+  > 4096
+
+let check_min_bounce_agrees label config inputs =
+  List.iter
+    (fun input ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s: min-bounce locs" label input.Plan.id)
+        (render_locs (fun () -> reference_min_bounce config input))
+        (render_locs (fun () -> Strategy.min_bounce_pattern config input)))
+    inputs;
+  Alcotest.(check string)
+    (label ^ ": Min Bounce outcome")
+    (render_outcome (reference_min_bounce_outcome config inputs))
+    (render_outcome (Strategy.place Strategy.Min_bounce config inputs))
+
+let test_min_bounce_table2 () =
+  let c = config () in
+  List.iter
+    (fun n ->
+      check_min_bounce_agrees (Printf.sprintf "chain %d" n) c
+        [ Lemur.Chains.chain_input n ])
+    [ 1; 2; 3; 4; 5 ];
+  check_min_bounce_agrees "chains 1-5" c
+    (Lemur.Chains.inputs_for_delta c ~delta:0.5 [ 1; 2; 3; 4; 5 ]);
+  (* 2^13 switch-or-server patterns: the flips/ladder fallback *)
+  let long =
+    input ~id:"long"
+      (String.concat " -> "
+         (List.init 13 (fun i -> if i mod 2 = 0 then "ACL" else "NAT")))
+  in
+  Alcotest.(check bool) "long chain exceeds the enumeration limit" true
+    (over_limit c long);
+  check_min_bounce_agrees "long" c [ long ];
+  (* the full rack: SmartNIC and OpenFlow switch choices too *)
+  let rack =
+    Plan.default_config
+      (Lemur_topology.Topology.testbed ~smartnic:true ~ofswitch:true ())
+  in
+  List.iter
+    (fun n ->
+      check_min_bounce_agrees (Printf.sprintf "rack chain %d" n) rack
+        [ Lemur.Chains.chain_input n ])
+    [ 1; 2; 3; 4; 5 ];
+  check_min_bounce_agrees "rack long" rack [ long ]
+
+let test_min_bounce_scenarios () =
+  let rejections = ref 0 and of_scenarios = ref 0 in
+  for seed = 1 to 220 do
+    let sc = Lemur_check.Scenario.generate ~seed () in
+    let c = Lemur_check.Scenario.config sc in
+    let inputs = Lemur_check.Scenario.inputs sc in
+    if sc.Lemur_check.Scenario.sc_ofswitch then incr of_scenarios;
+    List.iter (fun i -> rejections := !rejections + of_rejections c i) inputs;
+    check_min_bounce_agrees (Printf.sprintf "seed %d" seed) c inputs
+  done;
+  Alcotest.(check bool) "OpenFlow scenarios drawn" true (!of_scenarios > 0);
+  Alcotest.(check bool) "table-order rejections exercised" true
+    (!rejections > 0)
+
 let test_config_sig_structural () =
   (* Two configs built independently from equal topologies are distinct
      values but must share a signature — that is what lets the runtime
@@ -596,5 +716,9 @@ let suite =
     Alcotest.test_case "latency constrains placement" `Quick test_latency_constrains_placement;
     Alcotest.test_case "config signature is structural" `Quick test_config_sig_structural;
     Alcotest.test_case "variant cache exact under demand shift" `Quick test_variant_cache_demand_shift;
+    Alcotest.test_case "min bounce matches full elaboration (Table 2)" `Quick
+      test_min_bounce_table2;
+    Alcotest.test_case "min bounce matches full elaboration (scenarios)" `Quick
+      test_min_bounce_scenarios;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases

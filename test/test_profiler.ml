@@ -121,6 +121,126 @@ let test_sized_instance () =
   Alcotest.(check bool) "bigger ACL costs more" true
     (Profiler.cycles p big Datasheet.Same > Profiler.cycles p small Datasheet.Same)
 
+(* The worst case spelled out as the fold [cycles] memoizes: max over
+   both traffic modes' samples, shaved by [error]. *)
+let folded_worst p ~error kind numa ~size =
+  let worst_of mode =
+    List.fold_left Float.max neg_infinity
+      (Profiler.samples p kind numa ~size mode)
+  in
+  Float.max (worst_of Profiler.Long_lived) (worst_of Profiler.Short_flows)
+  *. (1.0 -. error)
+
+let size_key = function
+  | Kind.Acl -> Some "rules"
+  | Kind.Nat -> Some "entries"
+  | Kind.Monitor -> Some "flows"
+  | _ -> None
+
+let sized kind size =
+  match size_key kind with
+  | Some key -> Lemur_nf.Instance.make ~params:[ (key, Params.Int size) ] kind
+  | None -> Lemur_nf.Instance.make kind
+
+let same_bits msg expected got =
+  if Int64.bits_of_float expected <> Int64.bits_of_float got then
+    Alcotest.failf "%s: expected %h, got %h" msg expected got
+
+let numas = [ Datasheet.Same; Datasheet.Diff ]
+
+let test_kind_index () =
+  List.iteri
+    (fun i kind -> Alcotest.(check int) (Kind.name kind) i (Kind.index kind))
+    Kind.all
+
+let test_cycles_exact () =
+  List.iter
+    (fun error ->
+      let p = Profiler.create ~error () in
+      List.iter
+        (fun kind ->
+          let reference =
+            Option.value (Datasheet.reference_size kind) ~default:0
+          in
+          List.iter
+            (fun numa ->
+              let msg size =
+                Printf.sprintf "%s numa=%s size=%d error=%g" (Kind.name kind)
+                  (if numa = Datasheet.Same then "Same" else "Diff")
+                  size error
+              in
+              let expected = folded_worst p ~error kind numa ~size:reference in
+              (* twice: the first call fills the table, the second hits *)
+              for _ = 1 to 2 do
+                same_bits (msg reference) expected
+                  (Profiler.cycles_kind p kind numa);
+                same_bits (msg reference) expected
+                  (Profiler.cycles p (Lemur_nf.Instance.make kind) numa)
+              done;
+              List.iter
+                (fun size ->
+                  let expected = folded_worst p ~error kind numa ~size in
+                  for _ = 1 to 2 do
+                    same_bits (msg size) expected
+                      (Profiler.cycles p (sized kind size) numa)
+                  done)
+                (Profiler.size_ladder kind))
+            numas)
+        Kind.all)
+    [ 0.0; 0.05 ];
+  let p = Profiler.create ~uniform_cycles:(Some 4321.5) () in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun numa ->
+          same_bits "uniform" 4321.5 (Profiler.cycles_kind p kind numa);
+          List.iter
+            (fun size ->
+              same_bits "uniform sized" 4321.5
+                (Profiler.cycles p (sized kind size) numa))
+            (Profiler.size_ladder kind))
+        numas)
+    Kind.all
+
+(* Every cost query a placement can make of one registry, repeated so
+   several domains miss on the same key at once. *)
+let queries =
+  let one =
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun numa ->
+            (`Kind (kind, numa)
+            :: List.map (fun size -> `Sized (kind, size, numa))
+                 (Profiler.size_ladder kind)))
+          numas)
+      Kind.all
+    @ List.concat_map
+        (fun algo ->
+          List.map (fun numa -> `Acl (algo, 256, numa)) numas)
+        Lemur_classifier.Classifier.all_algos
+  in
+  List.concat (List.init 4 (fun _ -> one))
+
+let answer p = function
+  | `Kind (kind, numa) -> Profiler.cycles_kind p kind numa
+  | `Sized (kind, size, numa) -> Profiler.cycles p (sized kind size) numa
+  | `Acl (algo, size, numa) -> Profiler.acl_cycles p ~algo ~size numa
+
+let test_concurrent_registry () =
+  let sequential =
+    let p = Profiler.create ~seed:77 () in
+    List.map (answer p) queries
+  in
+  let shared = Profiler.create ~seed:77 () in
+  match Lemur_util.Pool.(all (map ~domains:4 (answer shared) queries)) with
+  | Error e -> Alcotest.fail (Lemur_util.Pool.error_to_string e)
+  | Ok parallel ->
+      List.iter2 (same_bits "4-domain query") sequential parallel;
+      (* the shared registry's tables now hold exactly those floats *)
+      List.iter2 (fun q v -> same_bits "after fill" v (answer shared q))
+        queries sequential
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -133,4 +253,9 @@ let suite =
     Alcotest.test_case "short-flow traffic mode" `Quick test_short_flow_mode;
     Alcotest.test_case "linear size model" `Quick test_linear_size_model;
     Alcotest.test_case "sized instances" `Quick test_sized_instance;
+    Alcotest.test_case "kind index is position in all" `Quick test_kind_index;
+    Alcotest.test_case "cycles equal the sample fold, bit for bit" `Quick
+      test_cycles_exact;
+    Alcotest.test_case "shared registry under 4 domains" `Quick
+      test_concurrent_registry;
   ]
