@@ -676,7 +676,8 @@ let run_ablation_coalescing () =
             List.map
               (fun plans ->
                 match
-                  Strategy.evaluate_plans Strategy.Lemur config Alloc.Slo_driven plans
+                  Strategy.evaluate_plans ~policy:Alloc.Slo_driven
+                    Strategy.Lemur config plans
                 with
                 | Strategy.Placed p -> gbps p.Strategy.total_marginal
                 | Strategy.Infeasible _ -> "-")

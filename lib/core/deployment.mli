@@ -31,8 +31,9 @@ val of_placement :
   (t, string) result
 (** The meta-compiler half of {!deploy}: compile and routing-check an
     already-evaluated placement. For callers that choose plans
-    themselves (e.g. the runtime engine's move-budgeted hybrid
-    re-placement through {!Lemur_placer.Strategy.evaluate_plans}). *)
+    themselves (e.g. the runtime engine's move-budgeted hybrid, which
+    evaluates its mixed plan set with
+    {!Lemur_placer.Strategy.evaluate_plans}'s spare-policy sweep). *)
 
 val of_spec :
   ?strategy:Lemur_placer.Strategy.t ->

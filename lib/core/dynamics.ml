@@ -11,7 +11,8 @@ let inputs_of (d : Deployment.t) =
     d.Deployment.placement.Strategy.chain_reports
 
 (* Pure chain-set edit — the validation half of [apply], shared with the
-   batched path so both report the same per-event errors. *)
+   batched path and the runtime engine so all report the same per-event
+   errors. *)
 let update_inputs inputs event =
   let known id = List.exists (fun i -> String.equal i.Plan.id id) inputs in
   match event with
@@ -57,8 +58,6 @@ let apply_batch d events =
       (List.mapi (fun i ev -> (i + 1, ev)) events)
   in
   Result.bind final (fun inputs -> Deployment.deploy d.Deployment.config inputs)
-
-let apply_all = apply_batch
 
 module Schedule = struct
   type window = { label : string; slos : (string * Lemur_slo.Slo.t) list }

@@ -18,6 +18,16 @@ type event =
 val inputs_of : Deployment.t -> Lemur_placer.Plan.chain_input list
 (** The deployment's current chain inputs. *)
 
+val update_inputs :
+  Lemur_placer.Plan.chain_input list ->
+  event ->
+  (Lemur_placer.Plan.chain_input list, string) result
+(** The chain-set edit alone, without re-placing — the validation every
+    other entry point shares (the runtime engine included). Unknown
+    chain ids in [Slo_changed] / [Chain_removed] are an [Error]; so are
+    adding a chain id already present and removing the last chain. An
+    added chain goes last; the others keep their order. *)
+
 val apply : Deployment.t -> event -> (Deployment.t, string) result
 (** Recompute the placement and regenerate the coordination code for the
     updated chain set. Unknown chain ids in [Slo_changed] /
@@ -30,9 +40,6 @@ val apply_batch : Deployment.t -> event list -> (Deployment.t, string) result
     the final set. [n] events cost one placer run instead of [n], and a
     sequence whose intermediate chain sets are infeasible but whose
     final set is feasible now succeeds. *)
-
-val apply_all : Deployment.t -> event list -> (Deployment.t, string) result
-(** Alias of {!apply_batch}. *)
 
 (** Precomputed placements for time-varying SLOs. *)
 module Schedule : sig

@@ -552,41 +552,46 @@ let lemur_variants config inputs =
             Some variants)
   end
 
+(* Step 3 over candidate plan sets: core allocation + LP for every set
+   under every spare-core policy, or under [policy] alone when one is
+   forced (ablations force one). The best feasible outcome by marginal
+   wins, the first in sweep order on ties; with none feasible, the first
+   outcome surfaces its reason. *)
+let best_allocation ?policy strategy config variants ~start =
+  let policies =
+    match policy with
+    | Some p -> [ p ]
+    | None -> [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even ]
+  in
+  let outcomes =
+    List.concat_map
+      (fun plans ->
+        List.map
+          (fun p -> finalize strategy config p plans ~elapsed_start:start)
+          policies)
+      variants
+  in
+  let best =
+    Lemur_util.Listx.max_by
+      (function Placed p -> p.total_marginal | Infeasible _ -> neg_infinity)
+      (List.filter is_feasible outcomes)
+  in
+  match best with
+  | Some o -> o
+  | None -> (
+      match outcomes with
+      | o :: _ -> o (* surface the baseline's reason *)
+      | [] -> Infeasible { reason = "no variants" })
+
 let lemur_placement ?policy strategy config inputs start =
   match lemur_variants config inputs with
   | None -> Infeasible { reason = "no switch-feasible placement exists" }
-  | Some variants ->
-      (* Step 3: core allocations + LP per candidate placement. When no
-         policy is forced (ablations force one), try every spare-core
-         policy and keep the best. *)
-      let policies =
-        match policy with
-        | Some p -> [ p ]
-        | None -> [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even ]
-      in
-      let outcomes =
-        List.concat_map
-          (fun plans ->
-            List.map
-              (fun p -> finalize strategy config p plans ~elapsed_start:start)
-              policies)
-          variants
-      in
-      let best =
-        Lemur_util.Listx.max_by
-          (fun o -> match o with Placed p -> p.total_marginal | Infeasible _ -> neg_infinity)
-          (List.filter is_feasible outcomes)
-      in
-      (match best with
-      | Some o -> o
-      | None -> (
-          match outcomes with
-          | o :: _ -> o (* surface the baseline's reason *)
-          | [] -> Infeasible { reason = "no variants" }))
+  | Some variants -> best_allocation ?policy strategy config variants ~start
 
-let evaluate_plans strategy config policy plans =
+let evaluate_plans ?policy strategy config plans =
   Memo.ensure config;
-  finalize strategy config policy plans ~elapsed_start:(Lemur_util.Timing.now ())
+  best_allocation ?policy strategy config [ plans ]
+    ~start:(Lemur_util.Timing.now ())
 
 (* ------------------------------------------------------------------ *)
 (* Brute-force Optimal                                                  *)

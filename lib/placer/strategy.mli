@@ -103,10 +103,14 @@ val clear_variant_cache : unit -> unit
 (** Drop the calling domain's cached variant entries. *)
 
 val evaluate_plans :
-  t -> Plan.config -> Alloc.spare_policy -> Plan.plan list -> outcome
+  ?policy:Alloc.spare_policy -> t -> Plan.config -> Plan.plan list -> outcome
 (** Step 3 in isolation (core allocation + rate LP + stage and latency
-    checks) for externally chosen plans — used by the coalescing
-    ablation bench and tests. *)
+    checks) for externally chosen plans — used by the runtime engine's
+    move-budgeted hybrid, the coalescing ablation bench and tests.
+    Without [policy] it sweeps the spare-core policies [Slo_driven],
+    [By_index], [Even] exactly as {!place} does for [Lemur], keeping the
+    best feasible outcome by marginal (the first in that order on ties)
+    or, with none feasible, the [Slo_driven] outcome's reason. *)
 
 val is_feasible : outcome -> bool
 

@@ -26,11 +26,10 @@
 
     {2 Demand-aware placement}
 
-    With [demand_aware] on (the default), a chain with recorded demand
-    [r] is placed with effective burst ceiling
-    [min (t_max, max r t_min)] — the Placer stops reserving capacity
-    for bursts nobody is sending, which is what frees resources to
-    absorb traffic shifts. The contract [t_min] is never relaxed.
+    A chain with recorded demand [r] is placed with effective burst
+    ceiling [min (t_max, max r t_min)] — the Placer stops reserving
+    capacity for bursts nobody is sending, which is what frees resources
+    to absorb traffic shifts. The contract [t_min] is never relaxed.
 
     {2 Mandatory vs deferrable}
 
@@ -68,8 +67,10 @@
     (structurally dirty chains first, then the largest allocation
     swings), freezes every other mover at its old locations
     re-elaborated under the current config and SLOs, and re-runs core
-    allocation + rate LP ({!Lemur_placer.Strategy.evaluate_plans},
-    best feasible spare policy by marginal) over the mixed plan set.
+    allocation + rate LP over the mixed plan set through
+    {!Lemur_placer.Strategy.evaluate_plans}, which sweeps the spare-core
+    policies exactly as the Lemur placer does and keeps the best
+    feasible one by marginal.
     If even the hybrid cannot respect the budget the event journals
     [Infeasible] and the old deployment stays. Mandatory triggers and
     scheduled window installs are exempt. Counters
@@ -84,7 +85,6 @@ type config = {
       (** oracle hook, run on every intermediate deployment; a failure
           is {!Oracle_rejected} — the differential-testing signal.
           Typically [Lemur_check.Oracle] via [Runtime_check.checker]. *)
-  demand_aware : bool;
   incremental : bool;
       (** Keep the placer's structural memo tables and variant cache
           warm across re-placements (the default). Each event derives a
@@ -108,13 +108,12 @@ val default_config :
   ?seed:int ->
   ?sample:float ->
   ?check:(Lemur.Deployment.t -> (unit, string) result) ->
-  ?demand_aware:bool ->
   ?incremental:bool ->
   ?move_budget:int ->
   unit ->
   config
 (** Defaults: [Immediate], seed 11, 10 ms sample, no oracle,
-    demand-aware, incremental, no move budget. *)
+    incremental, no move budget. *)
 
 type error =
   | Trace_invalid of string  (** initial chain set does not parse *)

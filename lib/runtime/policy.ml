@@ -13,7 +13,7 @@ let default_debounced = Debounced { budget_s = 0.030; cooldown_s = 0.020 }
 let default_proactive =
   Proactive { horizon_s = 0.020; model = Forecast.default_model; headroom = 0.1 }
 
-type trigger = Mandatory | Structural | Traffic_shift | Violations | Forecast
+type trigger = Mandatory | Structural | Traffic_shift | Forecast
 
 (* The debounce accumulator forgets: violations decay with this
    half-life, so a burst of violation-seconds long past cannot trip the
@@ -48,12 +48,12 @@ let decide t state ~now trigger =
   match (t, trigger) with
   | _, Mandatory -> true
   | Immediate, _ -> true
-  | Debounced { budget_s; cooldown_s }, (Structural | Traffic_shift | Violations | Forecast)
+  | Debounced { budget_s; cooldown_s }, (Structural | Traffic_shift | Forecast)
     ->
       decayed_violation state ~now > budget_s
       && now -. state.last_reconfig >= cooldown_s
   | Proactive _, (Structural | Forecast) -> true
-  | Proactive _, (Traffic_shift | Violations) -> false
+  | Proactive _, Traffic_shift -> false
   | Scheduled, _ -> false
 
 let name = function
@@ -80,9 +80,7 @@ let duration_of_token tok =
   let len = String.length tok in
   let seconds =
     if len > 1 && tok.[len - 1] = 's' then
-      Option.map
-        (fun v -> v)
-        (float_of_string_opt (String.sub tok 0 (len - 1)))
+      float_of_string_opt (String.sub tok 0 (len - 1))
     else Option.map (fun v -> v /. 1000.0) (float_of_string_opt tok)
   in
   match seconds with
@@ -201,5 +199,4 @@ let trigger_name = function
   | Mandatory -> "mandatory"
   | Structural -> "structural"
   | Traffic_shift -> "traffic"
-  | Violations -> "violations"
   | Forecast -> "forecast"

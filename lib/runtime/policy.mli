@@ -6,8 +6,8 @@
     state, reprogram the switch, and drain cores — so the controller
     trades reconfiguration count against SLO violation time:
 
-    - [Immediate] reacts to everything: every structural event, every
-      traffic shift, every violating epoch triggers a re-placement.
+    - [Immediate] reacts to everything: every structural event and
+      every traffic shift triggers a re-placement.
       Minimum violation-seconds, maximum churn.
     - [Debounced] applies hysteresis: a configurable budget of
       violation-seconds must accumulate (and a cooldown elapse since
@@ -24,8 +24,8 @@
       reconfigures when the forecast predicts an SLO breach within
       [horizon_s] — {e before} the monitor observes one. It also acts
       on structural edits immediately (they will bite eventually), but
-      ignores raw traffic shifts and observed-violation triggers: the
-      forecast alarm is its only reactive channel.
+      ignores raw traffic shifts: the forecast alarm is its only
+      reactive channel.
 
     Mandatory triggers are always honoured regardless of policy — the
     controller never keeps serving a chain set or rack that no longer
@@ -55,7 +55,6 @@ type trigger =
   | Mandatory  (** chain set or used hardware changed; never deferrable *)
   | Structural  (** placement inputs changed, old deployment still valid *)
   | Traffic_shift  (** offered load moved; placement inputs unchanged *)
-  | Violations  (** the last epoch violated at least one SLO *)
   | Forecast  (** a demand forecast predicts an SLO breach in-horizon *)
 
 val violation_half_life_s : float

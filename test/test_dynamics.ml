@@ -469,7 +469,7 @@ let prop_dynamics_oracle =
              [ Lemur.Dynamics.Chain_removed "extra" ]
            else [])
       in
-      match Lemur.Dynamics.apply_all d events with
+      match Lemur.Dynamics.apply_batch d events with
       | Error _ -> true (* infeasibility is a legal answer, not a bug *)
       | Ok d' -> oracle_ok d')
 

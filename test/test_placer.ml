@@ -409,6 +409,40 @@ let render_outcome = function
                     (List.map string_of_int (Array.to_list r.Strategy.cores))))
              p.Strategy.chain_reports)
 
+let test_evaluate_plans_sweep () =
+  (* Without a forced policy, evaluate_plans sweeps Slo_driven, By_index
+     and Even over the same plans and returns the first best feasible
+     outcome by marginal — what the runtime's move-budgeted hybrid
+     relies on. *)
+  let c = config () in
+  let inputs = canonical_inputs 0.5 [ 1; 2; 3 ] in
+  match Strategy.lemur_variants c inputs with
+  | None -> Alcotest.fail "no variants"
+  | Some variants ->
+      List.iter
+        (fun plans ->
+          let forced =
+            List.map
+              (fun policy ->
+                Strategy.evaluate_plans ~policy Strategy.Lemur c plans)
+              [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even ]
+          in
+          let expected =
+            List.fold_left
+              (fun best o ->
+                match (best, o) with
+                | Strategy.Placed b, Strategy.Placed p
+                  when p.Strategy.total_marginal > b.Strategy.total_marginal ->
+                    o
+                | Strategy.Infeasible _, Strategy.Placed _ -> o
+                | _ -> best)
+              (List.hd forced) (List.tl forced)
+          in
+          Alcotest.(check string) "sweep keeps the first best policy"
+            (render_outcome expected)
+            (render_outcome (Strategy.evaluate_plans Strategy.Lemur c plans)))
+        variants
+
 (* The pre-table Min Bounce search, kept here as the reference: elaborate
    every enumerated pattern, drop the ones elaboration rejects, and take
    the first minimum of the same score. *)
@@ -437,8 +471,8 @@ let reference_min_bounce_outcome config inputs =
   | plans when List.exists Option.is_none plans ->
       Strategy.Infeasible { reason = "a chain has no valid pattern" }
   | plans ->
-      Strategy.evaluate_plans Strategy.Min_bounce config Alloc.Slo_driven
-        (List.filter_map Fun.id plans)
+      Strategy.evaluate_plans ~policy:Alloc.Slo_driven Strategy.Min_bounce
+        config (List.filter_map Fun.id plans)
   | exception Plan.Invalid_pattern reason -> Strategy.Infeasible { reason }
 
 let render_locs search =
@@ -716,6 +750,8 @@ let suite =
     Alcotest.test_case "latency constrains placement" `Quick test_latency_constrains_placement;
     Alcotest.test_case "config signature is structural" `Quick test_config_sig_structural;
     Alcotest.test_case "variant cache exact under demand shift" `Quick test_variant_cache_demand_shift;
+    Alcotest.test_case "evaluate_plans sweeps spare policies" `Quick
+      test_evaluate_plans_sweep;
     Alcotest.test_case "min bounce matches full elaboration (Table 2)" `Quick
       test_min_bounce_table2;
     Alcotest.test_case "min bounce matches full elaboration (scenarios)" `Quick

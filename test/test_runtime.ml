@@ -123,18 +123,18 @@ let test_debounce_decay () =
   let dense = Policy.initial_state () in
   Policy.note_violation dense ~now:0.0 0.05;
   Alcotest.(check bool) "dense violations trip the budget" true
-    (Policy.decide policy dense ~now:0.005 Policy.Violations);
+    (Policy.decide policy dense ~now:0.005 Policy.Traffic_shift);
   let stale = Policy.initial_state () in
   Policy.note_violation stale ~now:0.0 0.05;
   Alcotest.(check bool) "stale violations decayed away" false
-    (Policy.decide policy stale ~now:2.0 Policy.Violations);
+    (Policy.decide policy stale ~now:2.0 Policy.Traffic_shift);
   (* the same 0.05 total spread over 10 s of gaps never accumulates *)
   let sparse = Policy.initial_state () in
   for i = 0 to 4 do
     Policy.note_violation sparse ~now:(float_of_int i *. 2.0) 0.01
   done;
   Alcotest.(check bool) "gap-heavy trace stays under budget" false
-    (Policy.decide policy sparse ~now:8.005 Policy.Violations)
+    (Policy.decide policy sparse ~now:8.005 Policy.Traffic_shift)
 
 let test_monitor_starved_chain () =
   (* A chain that delivered no batches at all is the worst latency
@@ -535,6 +535,79 @@ let test_incremental_digest_parity () =
   Alcotest.(check string) "incremental digest equals from-scratch"
     (drive false) (drive true)
 
+(* Report digests pinned byte-for-byte: one fixed seed per trace kind
+   under every policy, plus a move-budgeted and a from-scratch run. Any
+   change to the engine's event handling, journaling or accounting shows
+   up here as a digest mismatch. *)
+let golden_digests =
+  [
+    ("churn/immediate", "8cccf9ef0b1983aaa2e3be5640d725ed");
+    ("churn/debounced", "8eaa2f15792e629e6e75db763e09f4c4");
+    ("churn/scheduled", "019ac6bf0d9c58ac556c1b72336da202");
+    ("churn/proactive", "e3fe35149394d4913f563c9b2aba7f47");
+    ("diurnal/immediate", "92d79b872e2c8628a3d7fb93add89327");
+    ("diurnal/debounced", "fdd5f21450b8563f40f803f8c306a49d");
+    ("diurnal/scheduled", "802327f9b895f31c6d85cd5f338c95ea");
+    ("diurnal/proactive", "57068c7de90881285ef69334b1c9a967");
+    ("flash-crowd/immediate", "b9e1a763b7d54b81df7047c494a2645c");
+    ("flash-crowd/debounced", "353ac2f9ade939255acab92e83738e8f");
+    ("flash-crowd/scheduled", "a0c3663340b837b9040df43d111e17e0");
+    ("flash-crowd/proactive", "e369e0d7888b6b7a3f7859e749e7694d");
+    ("failure-burst/immediate", "ef2384669a71f4c679b3990bb2bc9765");
+    ("failure-burst/debounced", "4175724cb589073b2f2917109598f119");
+    ("failure-burst/scheduled", "9cc929150aa1cf60c8fb272d3fa9e370");
+    ("failure-burst/proactive", "1c79e8ea63fd9d77db8050eee39a14d8");
+    ("tenant-churn/immediate", "45a2d276fbc475be492a828fe143cc3d");
+    ("tenant-churn/debounced", "75f103a16509124888fbc85072685da4");
+    ("tenant-churn/scheduled", "732beb94b44e05bb224da4441ee7bf08");
+    ("tenant-churn/proactive", "5a8890f2c9b1fdc676a9c4c47cb7e22f");
+    ("failure-burst/immediate/budget-1", "38076a648d2d9798d8b99b2e35ff6d52");
+    ("churn/immediate/from-scratch", "8cccf9ef0b1983aaa2e3be5640d725ed");
+  ]
+
+let test_golden_digests () =
+  let policies =
+    [
+      Policy.Immediate; Policy.default_debounced; Policy.Scheduled;
+      Policy.default_proactive;
+    ]
+  in
+  let digest ?(seed = 5) ?(events = 16) ?move_budget ?(incremental = true)
+      policy kind =
+    let trace = Trace.generate ~events ~kind ~seed () in
+    let cfg =
+      Engine.default_config ~policy ~seed:11 ~incremental ?move_budget ()
+    in
+    match Engine.run cfg trace with
+    | Ok (report, _) -> Report.digest report
+    | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_to_string e)
+  in
+  let runs =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun policy ->
+            ( Trace.kind_to_string kind ^ "/" ^ Policy.name policy,
+              fun () -> digest policy kind ))
+          policies)
+      Trace.all_kinds
+    @ [
+        (* the one seed here whose hybrid actually caps a move *)
+        ( "failure-burst/immediate/budget-1",
+          fun () ->
+            digest ~seed:10 ~events:24 ~move_budget:1 Policy.Immediate
+              Trace.Failure_burst );
+        ( "churn/immediate/from-scratch",
+          fun () -> digest ~incremental:false Policy.Immediate Trace.Churn );
+      ]
+  in
+  List.iter
+    (fun (label, run) ->
+      Alcotest.(check string) label
+        (Option.value ~default:"" (List.assoc_opt label golden_digests))
+        (run ()))
+    runs
+
 let test_report_json_shape () =
   let trace = Trace.generate ~events:12 ~seed:3 () in
   let report, _ = run_ok trace in
@@ -587,5 +660,6 @@ let suite =
     Alcotest.test_case "proactive forecasting engine" `Quick
       test_proactive_engine;
     Alcotest.test_case "move budget caps re-homing" `Quick test_move_budget;
+    Alcotest.test_case "golden report digests" `Quick test_golden_digests;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
