@@ -137,16 +137,7 @@ let time_passes ~reps f =
 
 type solver_outcome = Opt of float | Infeas | Unbound
 
-let baseline_pass () =
-  List.map
-    (fun (c, a, b) ->
-      match Baseline_simplex.solve ~c ~a ~b with
-      | Baseline_simplex.Optimal { objective; _ } -> Opt objective
-      | Baseline_simplex.Infeasible -> Infeas
-      | Baseline_simplex.Unbounded -> Unbound)
-    corpus
-
-let optimized_pass pricing () =
+let solve_corpus pricing () =
   List.map
     (fun (c, a, b) ->
       match fst (Simplex.solve_basis ~pricing ~c ~a ~b ()) with
@@ -165,26 +156,23 @@ let outcomes_agree xs ys =
       | _ -> false)
     xs ys
 
+(* Dantzig's rule (the default) against Bland's lowest-index rule, the
+   textbook pricing the solver started from: same corpus, outcomes must
+   agree. *)
 let bench_simplex ~reps =
-  let baseline_outcomes = ref [] in
-  Baseline_simplex.pivots := 0;
-  baseline_outcomes := baseline_pass ();
-  let baseline_pivots = !Baseline_simplex.pivots in
-  let bland_outcomes, bland_tm = with_registry (optimized_pass Simplex.Bland) in
+  let bland_outcomes, bland_tm = with_registry (solve_corpus Simplex.Bland) in
   let bland_pivots = total_simplex_pivots bland_tm in
   let dantzig_outcomes, dantzig_tm =
-    with_registry (optimized_pass Simplex.Dantzig)
+    with_registry (solve_corpus Simplex.Dantzig)
   in
   let dantzig_pivots = total_simplex_pivots dantzig_tm in
   let fallbacks = counter_value dantzig_tm "lp.simplex.bland_fallbacks" in
-  let agree =
-    outcomes_agree !baseline_outcomes bland_outcomes
-    && outcomes_agree !baseline_outcomes dantzig_outcomes
+  let agree = outcomes_agree bland_outcomes dantzig_outcomes in
+  let t_bland =
+    time_passes ~reps (fun () -> ignore (solve_corpus Simplex.Bland ()))
   in
-  let t_baseline = time_passes ~reps (fun () -> ignore (baseline_pass ())) in
-  let t_bland = time_passes ~reps (fun () -> ignore (optimized_pass Simplex.Bland ())) in
   let t_dantzig =
-    time_passes ~reps (fun () -> ignore (optimized_pass Simplex.Dantzig ()))
+    time_passes ~reps (fun () -> ignore (solve_corpus Simplex.Dantzig ()))
   in
   let size = List.length corpus in
   let solves_per_sec ns = float_of_int size /. (ns /. 1e9) in
@@ -211,19 +199,17 @@ let bench_simplex ~reps =
       [
         ("corpus_size", Json.Int size);
         ("outcomes_agree", Json.Bool agree);
-        side "baseline" baseline_pivots t_baseline;
         side "bland" bland_pivots t_bland;
         side "dantzig" dantzig_pivots t_dantzig;
         ("dantzig_bland_fallbacks", Json.Int fallbacks);
-        ( "pivot_ratio_vs_baseline",
-          Json.Float (float_of_int baseline_pivots /. float_of_int dantzig_pivots)
-        );
-        ("wall_speedup_vs_baseline", Json.Float (t_baseline /. t_dantzig));
+        ( "pivot_ratio_vs_bland",
+          Json.Float (float_of_int bland_pivots /. float_of_int dantzig_pivots) );
+        ("wall_speedup_vs_bland", Json.Float (t_bland /. t_dantzig));
         ("phase1", hist dantzig_tm "lp.simplex.phase1_ns");
         ("phase2", hist dantzig_tm "lp.simplex.phase2_ns");
       ]
   in
-  (json, baseline_pivots, dantzig_pivots, t_baseline /. t_dantzig, agree)
+  (json, bland_pivots, dantzig_pivots, t_bland /. t_dantzig, agree)
 
 (* ------------------------------------------------------------------ *)
 
@@ -305,7 +291,7 @@ let render_outcome = function
    shrinks, t_min (the contract) and the structure stay put. Placing
    the same scenario across these levels is the paper's core loop —
    re-solving as conditions change — and is precisely what the
-   SLO-free structural memo keys are built to accelerate. *)
+   SLO-free variant-cache keys are built to accelerate. *)
 let demand_levels = [ 1.0; 0.75; 0.5 ]
 
 let at_demand factor (inputs : Lemur_placer.Plan.chain_input list) =
@@ -333,9 +319,8 @@ let bench_strategy ~seeds =
   let pass ~fresh =
     List.concat_map
       (fun seed ->
-        (* full-size scenarios: quick ones have chains too small to ever
-           repeat a candidate evaluation, so they exercise only the
-           cache's miss path *)
+        (* full-size scenarios: their pattern searches are what a
+           variant-cache hit skips *)
         let sc = Scenario.generate ~quick:false ~seed () in
         let cfg = Scenario.config sc in
         let inputs = Scenario.inputs sc in
@@ -344,31 +329,25 @@ let bench_strategy ~seeds =
             let inputs = at_demand factor inputs in
             List.map
               (fun strategy ->
-                if fresh then Lemur_placer.Memo.clear ();
+                if fresh then Lemur_placer.Strategy.clear_variant_cache ();
                 render_outcome
                   (Lemur_placer.Strategy.place strategy cfg inputs))
               strategies)
           demand_levels)
       seeds
   in
-  let hits0, misses0 = Lemur_placer.Memo.stats () in
-  let evictions0 = Lemur_placer.Memo.evictions () in
-  let vc_hits0, vc_misses0 = Lemur_placer.Strategy.variant_cache_stats () in
+  let hits0, misses0 = Lemur_placer.Strategy.variant_cache_stats () in
   let t0 = now () in
   let cached = pass ~fresh:false in
   let wall = now () -. t0 in
-  let hits1, misses1 = Lemur_placer.Memo.stats () in
-  let vc_hits1, vc_misses1 = Lemur_placer.Strategy.variant_cache_stats () in
-  let evictions = Lemur_placer.Memo.evictions () - evictions0 in
+  let hits1, misses1 = Lemur_placer.Strategy.variant_cache_stats () in
   let hits = hits1 - hits0 and misses = misses1 - misses0 in
-  (* The same corpus with every cache dropped before each placement:
-     structural memoization must be invisible in the results, or the
-     cache is wrong, not fast. *)
-  Lemur_placer.Strategy.set_variant_cache false;
+  (* The same corpus with the variant cache dropped before each
+     placement: the cache must be invisible in the results, or it is
+     wrong, not fast. *)
   let tu0 = now () in
   let uncached = pass ~fresh:true in
   let uncached_wall = now () -. tu0 in
-  Lemur_placer.Strategy.set_variant_cache true;
   let placements_match = List.for_all2 String.equal cached uncached in
   let places = List.length cached in
   let hit_rate =
@@ -382,12 +361,9 @@ let bench_strategy ~seeds =
         ("places", Json.Int places);
         ("wall_s", Json.Float wall);
         ("places_per_sec", Json.Float (float_of_int places /. wall));
-        ("cache_hits", Json.Int hits);
-        ("cache_misses", Json.Int misses);
-        ("cache_hit_rate", Json.Float hit_rate);
-        ("cache_evictions", Json.Int evictions);
-        ("varcache_hits", Json.Int (vc_hits1 - vc_hits0));
-        ("varcache_misses", Json.Int (vc_misses1 - vc_misses0));
+        ("varcache_hits", Json.Int hits);
+        ("varcache_misses", Json.Int misses);
+        ("varcache_hit_rate", Json.Float hit_rate);
         ("uncached_wall_s", Json.Float uncached_wall);
         ("wall_speedup_vs_uncached", Json.Float (uncached_wall /. wall));
         ("placements_match", Json.Bool placements_match);
@@ -408,9 +384,8 @@ let bench_fuzz ~jobs ~count =
         Json.Float (float_of_int s.Fuzz.scenarios /. wall) );
       ("failures", Json.Int (List.length s.Fuzz.failures));
       ("digest", Json.String s.Fuzz.digest);
-      ("cache_hits", Json.Int s.Fuzz.cache_hits);
-      ("cache_misses", Json.Int s.Fuzz.cache_misses);
-      ("cache_evictions", Json.Int s.Fuzz.cache_evictions);
+      ("varcache_hits", Json.Int s.Fuzz.cache_hits);
+      ("varcache_misses", Json.Int s.Fuzz.cache_misses);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -476,21 +451,21 @@ let main args =
     let fuzz_count = if quick then 10 else 50 in
     Printf.printf "perf: simplex corpus (%d instances, %d timing passes)...\n%!"
       (List.length corpus) reps;
-    let simplex_json, base_pivots, opt_pivots, speedup, agree =
+    let simplex_json, bland_pivots, opt_pivots, speedup, agree =
       bench_simplex ~reps
     in
     Printf.printf
-      "  pivots: baseline %d, optimized %d (%.2fx); wall speedup %.2fx; \
+      "  pivots: Bland %d, Dantzig %d (%.2fx); wall speedup %.2fx; \
        outcomes agree: %b\n\
        %!"
-      base_pivots opt_pivots
-      (float_of_int base_pivots /. float_of_int opt_pivots)
+      bland_pivots opt_pivots
+      (float_of_int bland_pivots /. float_of_int opt_pivots)
       speedup agree;
     Printf.printf "perf: MILP warm vs cold (%d seeds)...\n%!"
       (List.length milp_seeds);
     let milp_json, milp_agree = bench_milp ~seeds:milp_seeds in
     Printf.printf "  objectives match: %b\n%!" milp_agree;
-    Printf.printf "perf: strategy cache (%d seeds)...\n%!"
+    Printf.printf "perf: strategy variant cache (%d seeds)...\n%!"
       (List.length strat_seeds);
     let strategy_json, hit_rate, placements_match =
       bench_strategy ~seeds:strat_seeds
@@ -509,7 +484,7 @@ let main args =
           (* the number the CI gate compares: total pivots of the
              default (Dantzig) solver over the fixed corpus *)
           ("simplex_pivots", Json.Int opt_pivots);
-          ("baseline_simplex_pivots", Json.Int base_pivots);
+          ("bland_simplex_pivots", Json.Int bland_pivots);
           ("simplex", simplex_json);
           ("milp", milp_json);
           ("strategy", strategy_json);
@@ -522,19 +497,21 @@ let main args =
     close_out oc;
     Printf.printf "perf: wrote %s\n%!" !out;
     if not (agree && milp_agree) then begin
-      prerr_endline "perf: FAIL — optimized solver diverged from baseline";
+      prerr_endline
+        "perf: FAIL — solver outcomes diverged (Dantzig vs Bland, or warm vs \
+         cold MILP)";
       1
     end
     else if not placements_match then begin
       prerr_endline
-        "perf: FAIL — cached placements differ from uncached (memo unsound)";
+        "perf: FAIL — cached placements differ from uncached (cache unsound)";
       1
     end
     else if
       match !min_hit_rate with Some r -> hit_rate < r | None -> false
     then begin
       Printf.eprintf
-        "perf: FAIL — strategy cache hit rate %.1f%% below the %.1f%% floor\n"
+        "perf: FAIL — variant cache hit rate %.1f%% below the %.1f%% floor\n"
         (100.0 *. hit_rate)
         (100.0 *. Option.get !min_hit_rate);
       1

@@ -358,10 +358,10 @@ let main args =
          re-solve actually has pattern search and coalescing to redo —
          driven twice under the immediate policy (oracle on), caches
          dropped before each run so neither inherits warmth. The
-         incremental engine keeps the structural memo and variant cache
-         across re-placements (demand events leave every chain clean,
-         so the whole pattern search replays from cache); the
-         from-scratch one clears them inside every timed decision.
+         incremental engine keeps the placer's variant cache across
+         re-placements (demand events leave every chain clean, so the
+         whole pattern search replays from cache); the from-scratch one
+         clears it inside every timed decision.
          Placements — and therefore report digests — must be
          byte-identical: the caches only change how fast the same
          answer is derived. *)

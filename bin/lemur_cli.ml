@@ -537,10 +537,10 @@ let run_cmd =
       value & flag
       & info [ "no-incremental" ]
           ~doc:
-            "Drop the placer's structural memo and variant cache before \
-             every re-placement instead of keeping them warm across events \
-             (trace mode). Placements and the report digest are identical \
-             either way; only decision latency changes.")
+            "Drop the placer's variant cache before every re-placement \
+             instead of keeping it warm across events (trace mode). \
+             Placements and the report digest are identical either way; \
+             only decision latency changes.")
   in
   let report_file =
     Arg.(

@@ -18,7 +18,6 @@ type summary = {
   strategy_times : (string * float) list;
   cache_hits : int;
   cache_misses : int;
-  cache_evictions : int;
   classifier : Lemur_classifier.Classifier.stats;
       (* deltas over this run; excluded from the digest like the cache
          fields *)
@@ -73,8 +72,7 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
   let c_placed = Telemetry.counter tm "fuzz.placements_checked" in
   let c_infeasible = Telemetry.counter tm "fuzz.all_infeasible" in
   let c_failures = Telemetry.counter tm "fuzz.failures" in
-  let hits0, misses0 = Lemur_placer.Memo.stats () in
-  let evictions0 = Lemur_placer.Memo.evictions () in
+  let hits0, misses0 = Lemur_placer.Strategy.variant_cache_stats () in
   let cls0 = Lemur_classifier.Classifier.stats () in
   let digest_buf = Buffer.create 1024 in
   let summary =
@@ -89,7 +87,6 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
         strategy_times = [];
         cache_hits = 0;
         cache_misses = 0;
-        cache_evictions = 0;
         classifier = cls0;
         failures = [];
         digest = "";
@@ -186,14 +183,13 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
       batch results
   done;
   let acc = !summary in
-  let hits1, misses1 = Lemur_placer.Memo.stats () in
+  let hits1, misses1 = Lemur_placer.Strategy.variant_cache_stats () in
   {
     acc with
     strategy_times =
       List.sort (fun (a, _) (b, _) -> compare a b) acc.strategy_times;
     cache_hits = hits1 - hits0;
     cache_misses = misses1 - misses0;
-    cache_evictions = Lemur_placer.Memo.evictions () - evictions0;
     classifier =
       (let c1 = Lemur_classifier.Classifier.stats () in
        {
@@ -248,10 +244,9 @@ let pp_summary ppf s =
   let lookups = s.cache_hits + s.cache_misses in
   if lookups > 0 then
     Fmt.pf ppf
-      "placer cache: %d hits / %d misses (%.1f%% hit rate), %d evictions@."
+      "placer variant cache: %d hits / %d misses (%.1f%% hit rate)@."
       s.cache_hits s.cache_misses
-      (100.0 *. float_of_int s.cache_hits /. float_of_int lookups)
-      s.cache_evictions;
+      (100.0 *. float_of_int s.cache_hits /. float_of_int lookups);
   Lemur_classifier.Classifier.pp_stats_delta ppf
     ( {
         Lemur_classifier.Classifier.linear_lookups = 0;

@@ -26,9 +26,10 @@ type summary = {
   strategy_times : (string * float) list;
       (** total placement wall time per strategy (seconds), sorted by
           strategy name — the fuzzing loop doubles as a perf canary *)
-  cache_hits : int;  (** {!Lemur_placer.Memo} hits during this run *)
+  cache_hits : int;
+      (** placer variant-cache hits during this run
+          ({!Lemur_placer.Strategy.variant_cache_stats}) *)
   cache_misses : int;
-  cache_evictions : int;  (** entries dropped by clock rotations *)
   classifier : Lemur_classifier.Classifier.stats;
       (** classifier lookups performed by the run's engine checks
           (scenarios with [sc_acl] set) — like the cache counters,

@@ -346,7 +346,7 @@ let check ?artifact config (p : Strategy.placement) =
         report
           (Tmax_violated
              { chain; rate = r.Strategy.rate; t_max = slo.Lemur_slo.Slo.t_max });
-      let latency = Plan.latency config fresh in
+      let latency = Plan.latency fresh in
       if latency > slo.Lemur_slo.Slo.d_max *. (1.0 +. 1e-9) then
         report
           (Latency_violated { chain; latency; d_max = slo.Lemur_slo.Slo.d_max }))

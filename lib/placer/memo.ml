@@ -1,92 +1,57 @@
-type value =
-  | Cores of int array
-  | Cap of float
-  | Elab of Plan.plan
-  | Elab_invalid of string
+(* Structural identity for the placer's result cache: digests of the
+   config content and of each chain graph, so that structurally
+   identical subproblems — across scenarios, across the fuzz corpus,
+   across `{ config with ... }` ablation copies that happen to coincide
+   — produce the same key, while any difference that could change a
+   placement changes it. SLOs deliberately stay out of the signatures.
 
-(* All cache state is domain-local: every [Lemur_util.Pool] worker (and
-   the main domain) keeps its own tables, so lookups never contend and
-   never race. The price is that worker domains warm their caches
-   independently — acceptable, because the fan-out unit (a fuzz
-   scenario, a candidate-plan batch) re-uses its own keys heavily.
-   Only the lifetime hit/miss/eviction totals are shared, as atomics.
-
-   Entries are scoped by a *structural* signature of the config (see
-   [config_sig]): every stored key is prefixed with the digest of the
-   config content that was current at store time, so structurally
-   identical configs — across scenarios, across the fuzz corpus, across
-   `{ config with ... }` ablation copies that happen to coincide —
-   share entries, while any config difference that could change a
-   cached value changes the prefix and misses.
-
-   Eviction is a two-generation clock (a segmented LRU): lookups search
-   [hot] then [cold], promoting cold hits into [hot]; once [hot]
-   exceeds [max_hot] entries, [cold] is dropped and [hot] becomes the
-   new [cold]. An entry therefore survives at least one full rotation
-   after its last use, and the cache never holds more than
-   [2 * max_hot] entries per domain. *)
+   Configs and graphs are immutable, so a record's digest is computed
+   once and then found by [==] in a bounded MRU association list. The
+   lists are domain-local ([Domain.DLS]): every [Lemur_util.Pool] worker
+   keeps its own, so lookups never contend. Only the lifetime
+   hit/miss/eviction totals are shared, as atomics. *)
 type state = {
-  mutable hot : (string, value) Hashtbl.t;
-  mutable cold : (string, value) Hashtbl.t;
-  (* Physical-identity digest caches: configs and graphs are immutable,
-     so a record's digest is computed once and then found by [==].
-     Bounded MRU association lists. *)
   mutable cfg_sigs : (Plan.config * string) list;
   mutable graph_sigs : (Lemur_spec.Graph.t * string) list;
-  (* Telemetry counters of whatever sink is current at generation start;
-     re-fetched on [clear] so a sink installed mid-process is picked up. *)
-  mutable c_hits : Lemur_telemetry.Counter.t;
-  mutable c_misses : Lemur_telemetry.Counter.t;
-  mutable c_evictions : Lemur_telemetry.Counter.t;
 }
 
-let max_hot = 8192
 let max_cfg_sigs = 8
 let max_graph_sigs = 64
 
 let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        hot = Hashtbl.create 512;
-        cold = Hashtbl.create 16;
-        cfg_sigs = [];
-        graph_sigs = [];
-        c_hits = Lemur_telemetry.Counter.make "placer.cache.hits";
-        c_misses = Lemur_telemetry.Counter.make "placer.cache.misses";
-        c_evictions = Lemur_telemetry.Counter.make "placer.cache.evictions";
-      })
+  Domain.DLS.new_key (fun () -> { cfg_sigs = []; graph_sigs = [] })
 
 let state () = Domain.DLS.get state_key
 let total_hits = Atomic.make 0
 let total_misses = Atomic.make 0
 let total_evictions = Atomic.make 0
 
-let rebind_counters st =
-  let tm = Lemur_telemetry.Telemetry.current () in
-  st.c_hits <- Lemur_telemetry.Telemetry.counter tm "placer.cache.hits";
-  st.c_misses <- Lemur_telemetry.Telemetry.counter tm "placer.cache.misses";
-  st.c_evictions <-
-    Lemur_telemetry.Telemetry.counter tm "placer.cache.evictions"
-
 let clear () =
   let st = state () in
-  st.hot <- Hashtbl.create 512;
-  st.cold <- Hashtbl.create 16;
   st.cfg_sigs <- [];
-  st.graph_sigs <- [];
-  rebind_counters st
+  st.graph_sigs <- []
+
+let stats () = (Atomic.get total_hits, Atomic.get total_misses)
+let evictions () = Atomic.get total_evictions
+
+(* [key]'s digest from [entries], or [digest key] prepended to them; the
+   entry pushed past [cap] counts as an eviction. Returns the digest and
+   the list to store back. *)
+let lookup ~cap digest key entries =
+  match List.assq_opt key entries with
+  | Some s ->
+      Atomic.incr total_hits;
+      (s, entries)
+  | None ->
+      Atomic.incr total_misses;
+      if List.compare_length_with entries cap >= 0 then
+        Atomic.incr total_evictions;
+      let s = digest key in
+      (s, (key, s) :: Lemur_util.Listx.take (cap - 1) entries)
 
 (* ------------------------------------------------------------------ *)
-(* Structural signatures.
-
-   The serializations below spell out every config / graph field a
-   cached evaluation can depend on. Cached values are capacities, core
-   vectors, latencies and elaborated plan structure — all functions of
-   (config content, graph content, locations) and NEVER of the SLO
-   (t_min/t_max clamps and d_max comparisons happen outside the
-   memoized thunks), so SLOs deliberately stay out of the signatures:
-   that is what lets a demand-driven t_max change in the runtime engine
-   re-use every cached evaluation of the unchanged structure. *)
+(* Serializations: they spell out every config / graph field a
+   placement can depend on. *)
 
 let buf_float b f = Buffer.add_string b (Printf.sprintf "%h," f)
 let buf_int b i = Buffer.add_string b (string_of_int i ^ ",")
@@ -170,13 +135,9 @@ let config_digest (config : Plan.config) =
 
 let config_sig config =
   let st = state () in
-  match List.assq_opt config st.cfg_sigs with
-  | Some s -> s
-  | None ->
-      let s = config_digest config in
-      st.cfg_sigs <-
-        (config, s) :: Lemur_util.Listx.take (max_cfg_sigs - 1) st.cfg_sigs;
-      s
+  let s, entries = lookup ~cap:max_cfg_sigs config_digest config st.cfg_sigs in
+  st.cfg_sigs <- entries;
+  s
 
 let graph_digest (g : Lemur_spec.Graph.t) =
   let open Lemur_spec in
@@ -207,19 +168,13 @@ let graph_digest (g : Lemur_spec.Graph.t) =
 
 let graph_sig g =
   let st = state () in
-  match List.assq_opt g st.graph_sigs with
-  | Some s -> s
-  | None ->
-      let s = graph_digest g in
-      st.graph_sigs <-
-        (g, s) :: Lemur_util.Listx.take (max_graph_sigs - 1) st.graph_sigs;
-      s
+  let s, entries = lookup ~cap:max_graph_sigs graph_digest g st.graph_sigs in
+  st.graph_sigs <- entries;
+  s
 
-(* The chain id is part of the signature: elaboration failure messages
-   (and a handful of diagnostics derived from cached structure) embed
-   it, so two chains may share entries only when both structure AND
-   name agree — which generated corpora satisfy, since chains are named
-   systematically. *)
+(* The chain id is part of the signature, so two chains share a key only
+   when both structure AND name agree — which generated corpora
+   satisfy, since chains are named systematically. *)
 let chain_sig (input : Plan.chain_input) =
   input.Plan.id ^ "#" ^ graph_sig input.Plan.graph
 
@@ -236,109 +191,3 @@ let locs_string locs =
 
 let pattern_sig input locs = chain_sig input ^ ":" ^ locs_string locs
 let plan_sig plan = pattern_sig plan.Plan.input plan.Plan.locs
-
-(* ------------------------------------------------------------------ *)
-
-(* [ensure] only re-anchors the key prefix: unlike the old
-   physical-identity generations, switching configs never discards
-   entries — the previous config's entries stay resident (and reusable
-   on return) until the clock rotates them out. *)
-(* Accessors derive their key prefix from the config they are handed
-   (not from ambient state), so interleaving configs — the No_profiling
-   ablation re-judging blind decisions under the truth profiler, nested
-   placements, pooled workers — can never cross-contaminate entries.
-   [ensure] just pre-warms the signature cache and re-binds the
-   telemetry counters to the current sink. *)
-let ensure config =
-  ignore (config_sig config);
-  rebind_counters (state ())
-
-let hit st =
-  Atomic.incr total_hits;
-  Lemur_telemetry.Counter.incr st.c_hits
-
-let miss st =
-  Atomic.incr total_misses;
-  Lemur_telemetry.Counter.incr st.c_misses
-
-let stats () = (Atomic.get total_hits, Atomic.get total_misses)
-let evictions () = Atomic.get total_evictions
-
-let rotate st =
-  let dropped = Hashtbl.length st.cold in
-  if dropped > 0 then begin
-    ignore (Atomic.fetch_and_add total_evictions dropped);
-    Lemur_telemetry.Counter.incr ~by:dropped st.c_evictions
-  end;
-  st.cold <- st.hot;
-  st.hot <- Hashtbl.create 512
-
-let find st key =
-  match Hashtbl.find_opt st.hot key with
-  | Some _ as v -> v
-  | None -> (
-      match Hashtbl.find_opt st.cold key with
-      | Some v ->
-          (* promote: recently-used entries survive the next rotation *)
-          Hashtbl.replace st.hot key v;
-          Hashtbl.remove st.cold key;
-          if Hashtbl.length st.hot > max_hot then rotate st;
-          Some v
-      | None -> None)
-
-let store st key v =
-  Hashtbl.replace st.hot key v;
-  if Hashtbl.length st.hot > max_hot then rotate st
-
-let cap config key f =
-  let st = state () in
-  let key = config_sig config ^ key in
-  match find st key with
-  | Some (Cap v) ->
-      hit st;
-      v
-  | Some _ | None ->
-      miss st;
-      let v = f () in
-      store st key (Cap v);
-      v
-
-let cores config key f =
-  let st = state () in
-  let key = config_sig config ^ key in
-  match find st key with
-  | Some (Cores v) ->
-      hit st;
-      Array.copy v
-  | Some _ | None ->
-      miss st;
-      let v = f () in
-      store st key (Cores (Array.copy v));
-      v
-
-(* Elaborated plans depend on (config, graph, locations) but embed the
-   caller's [chain_input] — whose SLO the key rightly ignores — so a
-   hit re-binds [input] (and hands out a fresh locs array) rather than
-   replaying a stale SLO into downstream latency/LP checks. Elaboration
-   failures are cached too: pattern enumeration probes thousands of
-   invalid patterns, and re-raising from the cache skips re-deriving
-   the violation. *)
-let elab config key input f =
-  let st = state () in
-  let key = config_sig config ^ key in
-  match find st key with
-  | Some (Elab p) ->
-      hit st;
-      { p with Plan.input; Plan.locs = Array.copy p.Plan.locs }
-  | Some (Elab_invalid msg) ->
-      hit st;
-      raise (Plan.Invalid_pattern msg)
-  | Some _ | None -> (
-      miss st;
-      match f () with
-      | p ->
-          store st key (Elab { p with Plan.locs = Array.copy p.Plan.locs });
-          p
-      | exception Plan.Invalid_pattern msg ->
-          store st key (Elab_invalid msg);
-          raise (Plan.Invalid_pattern msg))

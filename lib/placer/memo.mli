@@ -1,69 +1,33 @@
-(** Structurally-keyed memoization of repeated candidate evaluations.
+(** Structural identity of placer inputs: the keys of the variant cache
+    ({!Strategy.lemur_variants}) and of the canonical placement
+    renderings the cache-soundness checks compare.
 
-    The search strategies re-evaluate the same candidate many times in
-    one placement: coalescing recomputes the pre-move capacity of the
-    {e same} plan for every candidate move, the Optimal enumeration
-    water-fills overlapping (plan, core-count) pairs and elaborates the
-    same patterns the heuristic's bounce variant just walked, and every
-    capacity or latency call walks the subgroup cost model. Those
-    evaluations are pure given a fixed config, so they are cached here
-    behind canonical string keys.
-
-    {2 Structural scoping}
-
-    Every stored key is prefixed with {!config_sig}, a digest of the
-    {e content} of the {!Plan.config} — topology records field by
-    field, profiler signature, packet size, capability mode, NUMA and
-    steering flags. Chain-derived keys embed {!chain_sig}, a digest of
-    the chain id and the full NF-graph content (instances with
+    {!config_sig} digests the {e content} of a {!Plan.config} —
+    topology records field by field, profiler signature, packet size,
+    capability mode, NUMA and steering flags, classifier. {!chain_sig}
+    digests the chain id and the full NF-graph content (instances with
     parameters, edges with weights and conditions). Two structurally
-    identical subproblems therefore share entries no matter which
-    scenario, fuzz seed, or [{ config with ... }] copy produced them —
-    this is what lifts the cross-corpus hit rate from per-mille to
-    double digits (see docs/PERFORMANCE.md).
+    identical subproblems therefore share a key no matter which
+    scenario, fuzz seed, or [{ config with ... }] copy produced them.
+    Signatures deliberately exclude SLOs.
 
-    Signatures deliberately exclude SLOs: cached values (capacities,
-    core vectors, latencies, elaborated structure) never depend on
-    them — t_min/t_max clamps and d_max comparisons happen outside the
-    memoized thunks — so the runtime engine's demand-driven t_max
-    updates re-use every cached evaluation of the unchanged structure.
-
-    {2 Eviction}
-
-    A two-generation clock (segmented LRU) bounds the cache: lookups
-    search the hot table then the cold one, promoting cold hits; when
-    the hot table exceeds its size cap the cold table is dropped — its
-    entries counted as evictions — and hot becomes cold. An entry
-    survives at least one full rotation after its last use; the cache
-    never exceeds twice the cap per domain.
-
-    {2 Domain safety}
-
-    The cache is {e domain-local} ([Domain.DLS]): each
-    [Lemur_util.Pool] worker keeps its own tables ([clear] / [ensure]
-    act on the calling domain only), so parallel strategies never
-    contend on or corrupt each other's entries. {!stats} and
-    {!evictions} totals are atomic and process-wide across all
-    domains. Cached arrays are copied on both store and hit so callers
-    can mutate their result freely. *)
+    Configs and graphs are immutable, so each record's digest is
+    computed once and then found by physical identity in a small
+    bounded list ({e the signature caches}). The lists are
+    domain-local ([Domain.DLS]); the {!stats} and {!evictions} totals
+    are atomic and process-wide across all domains. *)
 
 val clear : unit -> unit
-(** Unconditionally empty the calling domain's cache and re-bind the
-    telemetry counters to the current sink. *)
-
-val ensure : Plan.config -> unit
-(** Pre-warm [config]'s signature cache and re-bind the telemetry
-    counters to the current sink. Key scoping itself is per-call: every
-    accessor takes the config whose signature prefixes its key, so
-    interleaving configs can never cross-contaminate entries, and a
-    previous config's entries stay resident (and hit again when it
-    returns) until the clock rotates them out. *)
+(** Empty the calling domain's signature caches. *)
 
 val stats : unit -> int * int
-(** Process-lifetime [(hits, misses)] totals across all domains. *)
+(** Process-lifetime [(hits, misses)] of the signature caches across all
+    domains: one lookup per {!config_sig} call and per graph digested
+    by {!chain_sig}. *)
 
 val evictions : unit -> int
-(** Process-lifetime count of entries dropped by clock rotations. *)
+(** Process-lifetime count of entries the signature caches dropped to
+    stay within their bounds. *)
 
 val config_sig : Plan.config -> string
 (** Hex digest of the config content (cached per physical record). *)
@@ -78,20 +42,3 @@ val plan_sig : Plan.plan -> string
 
 val pattern_sig : Plan.chain_input -> Plan.location array -> string
 (** {!plan_sig} for a pattern that has not been elaborated yet. *)
-
-val cap : Plan.config -> string -> (unit -> float) -> float
-(** [cap config key f] returns the cached float for [key] under
-    [config]'s signature prefix, computing and storing [f ()] on a
-    miss. *)
-
-val cores : Plan.config -> string -> (unit -> int array) -> int array
-(** [cores config key f] likewise for core vectors. The stored array is
-    copied on both store and hit, so mutation cannot poison the cache. *)
-
-val elab :
-  Plan.config -> string -> Plan.chain_input -> (unit -> Plan.plan) -> Plan.plan
-(** [elab config key input f] caches elaborated plan structure. A hit re-binds
-    the plan's [input] field to the caller's [input] — the cached
-    structure is SLO-independent, the embedded SLO is not — and hands
-    out a fresh locs array. [Plan.Invalid_pattern] raised by [f] is
-    cached and re-raised on later hits. *)

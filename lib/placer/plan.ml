@@ -87,6 +87,7 @@ type plan = {
   ofswitch_nodes : Graph.node_id list;
   link_visits : float;
   of_visits : float;
+  latency : float;
 }
 
 exception Invalid_pattern of string
@@ -250,6 +251,46 @@ let form_subgroups config input locs =
       })
     sgs
 
+let server_clock config =
+  match config.topology.Lemur_topology.Topology.servers with
+  | s :: _ -> s.Lemur_platform.Server.clock_hz
+  | [] -> Lemur_util.Units.ghz 1.7
+
+(* Worst entry-to-exit path latency: NF execution + per-bounce cost +
+   ToR traversals, over the paths and their (server, OpenFlow) segment
+   counts as [elaborate] derived them. *)
+let worst_path_latency config graph locs paths seg_stats =
+  let topo = config.topology in
+  let clock = server_clock config in
+  let node_delay id =
+    match locs.(id) with
+    | Switch -> 0.0 (* accounted via ToR traversal latency *)
+    | Server ->
+        node_cycles config graph id /. clock *. 1e9
+    | Smartnic ->
+        let kind = (Graph.node graph id).Graph.instance.Instance.kind in
+        node_cycles config graph id
+        /. (clock *. Datasheet.ebpf_speedup kind)
+        *. 1e9
+    | Ofswitch -> 0.0 (* accounted per OF segment *)
+  in
+  List.fold_left2
+    (fun acc p (srv, ofl) ->
+      let exec = Lemur_util.Listx.sum_by node_delay p.Graph.path_nodes in
+      let tor_traversals = srv + ofl + 1 in
+      let lat =
+        exec
+        +. (float_of_int (srv + ofl) *. topo.Lemur_topology.Topology.bounce_latency)
+        +. (float_of_int tor_traversals
+           *. topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.latency)
+        +.
+        match topo.Lemur_topology.Topology.ofswitch with
+        | Some sw -> float_of_int ofl *. sw.Lemur_platform.Ofswitch.latency
+        | None -> 0.0
+      in
+      Float.max acc lat)
+    0.0 paths seg_stats
+
 let elaborate config input locs =
   let graph = input.graph in
   if Array.length locs <> Graph.size graph then
@@ -322,12 +363,8 @@ let elaborate config input locs =
     ofswitch_nodes = select Ofswitch;
     link_visits;
     of_visits;
+    latency = worst_path_latency config graph locs paths seg_stats;
   }
-
-let server_clock config =
-  match config.topology.Lemur_topology.Topology.servers with
-  | s :: _ -> s.Lemur_platform.Server.clock_hz
-  | [] -> Lemur_util.Units.ghz 1.7
 
 let capacity config plan ~cores =
   if List.length cores <> List.length plan.subgroups then
@@ -371,44 +408,11 @@ let capacity config plan ~cores =
   in
   Float.min sg_cap nic_cap
 
-let latency config plan =
-  let topo = config.topology in
-  let clock = server_clock config in
-  let graph = plan.input.graph in
-  let node_delay id =
-    match plan.locs.(id) with
-    | Switch -> 0.0 (* accounted via ToR traversal latency *)
-    | Server ->
-        node_cycles config graph id /. clock *. 1e9
-    | Smartnic ->
-        let kind = (Graph.node graph id).Graph.instance.Instance.kind in
-        node_cycles config graph id
-        /. (clock *. Datasheet.ebpf_speedup kind)
-        *. 1e9
-    | Ofswitch -> 0.0 (* accounted per OF segment *)
-  in
-  let paths = Graph.linearize graph in
-  List.fold_left
-    (fun acc p ->
-      let srv, ofl = path_segments plan.locs p.Graph.path_nodes in
-      let exec = Lemur_util.Listx.sum_by node_delay p.Graph.path_nodes in
-      let tor_traversals = srv + ofl + 1 in
-      let lat =
-        exec
-        +. (float_of_int (srv + ofl) *. topo.Lemur_topology.Topology.bounce_latency)
-        +. (float_of_int tor_traversals
-           *. topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.latency)
-        +.
-        match topo.Lemur_topology.Topology.ofswitch with
-        | Some sw -> float_of_int ofl *. sw.Lemur_platform.Ofswitch.latency
-        | None -> 0.0
-      in
-      Float.max acc lat)
-    0.0 paths
+let latency plan = plan.latency
 
-let meets_latency config plan =
+let meets_latency plan =
   plan.input.slo.Lemur_slo.Slo.d_max = infinity
-  || latency config plan <= plan.input.slo.Lemur_slo.Slo.d_max
+  || plan.latency <= plan.input.slo.Lemur_slo.Slo.d_max
 
 let switch_projection plan =
   let graph = plan.input.graph in

@@ -79,13 +79,18 @@ type plan = {
       (** expected server-link traversals per packet (per direction):
           sum over paths of fraction x segments-on-path *)
   of_visits : float;  (** same for the OpenFlow switch link *)
+  latency : float;
+      (** worst entry-to-exit path latency (ns): NF execution +
+          per-bounce cost + ToR traversals (rate-independent model; see
+          DESIGN.md), computed once by {!elaborate} *)
 }
 
 exception Invalid_pattern of string
 
 val elaborate : config -> chain_input -> location array -> plan
 (** Check the pattern against {!allowed_locations}, form subgroups, and
-    derive all the structure above.
+    derive all the structure above, latency included. Nothing it derives
+    depends on the chain's SLO.
     @raise Invalid_pattern if an NF is placed somewhere it cannot run,
     or OpenFlow table order is violated. *)
 
@@ -109,11 +114,12 @@ val capacity : config -> plan -> cores:(int list) -> float
     rate over fraction. [cores] aligns with [plan.subgroups].
     [infinity] for all-hardware chains (line rate). *)
 
-val latency : config -> plan -> float
-(** Worst entry-to-exit path latency: NF execution + per-bounce cost +
-    ToR traversals (rate-independent model; see DESIGN.md). *)
+val latency : plan -> float
+(** The plan's [latency] field. *)
 
-val meets_latency : config -> plan -> bool
+val meets_latency : plan -> bool
+(** [latency plan <= d_max] of the plan's SLO (always [true] without a
+    latency bound). *)
 
 val switch_projection : plan -> Lemur_p4.Pipeline.chain_projection
 (** The chain's switch-resident NFs with projected order, for the stage

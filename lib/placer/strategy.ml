@@ -137,32 +137,6 @@ let all_patterns config input ~limit =
   else List.map Array.of_list (Lemur_util.Listx.cartesian choices)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized evaluation primitives.
-
-   Elaboration and worst-path latency are pure in (config, graph,
-   locations) — SLOs play no part — so both go through [Memo] under
-   structural keys. Pattern enumeration (the heuristic's bounce variant
-   and Optimal's brute force walk overlapping pattern sets), coalescing
-   (aggressive and conservative walk the same candidate moves from the
-   same baseline), ablations (No Core Alloc replays Lemur's whole
-   variant construction) and repeated finalize latency checks all
-   resolve to the same keys. *)
-
-let elaborate config input locs =
-  Memo.elab config
-    ("el|" ^ Memo.pattern_sig input locs)
-    input
-    (fun () -> Plan.elaborate config input locs)
-
-let plan_latency config plan =
-  Memo.cap config ("lt|" ^ Memo.plan_sig plan) @@ fun () ->
-  Plan.latency config plan
-
-let plan_meets_latency config plan =
-  let d_max = plan.Plan.input.Plan.slo.Lemur_slo.Slo.d_max in
-  d_max = infinity || plan_latency config plan <= d_max
-
-(* ------------------------------------------------------------------ *)
 (* Assembling outcomes                                                  *)
 
 let build_placement strategy config allocs lp stages elapsed =
@@ -180,7 +154,7 @@ let build_placement strategy config allocs lp stages elapsed =
           seg_server = a.Alloc.seg_server;
           capacity = Alloc.capacity_of config a;
           rate;
-          latency = plan_latency config a.Alloc.plan;
+          latency = Plan.latency a.Alloc.plan;
           bounces = a.Alloc.plan.Plan.max_path_bounces;
         })
       allocs
@@ -195,13 +169,13 @@ let build_placement strategy config allocs lp stages elapsed =
     elapsed;
   }
 
-let check_latency config plans =
-  match List.find_opt (fun p -> not (plan_meets_latency config p)) plans with
+let check_latency plans =
+  match List.find_opt (fun p -> not (Plan.meets_latency p)) plans with
   | Some p ->
       Error
         (Printf.sprintf "chain %s exceeds its latency SLO (%.1f us > %.1f us)"
            p.Plan.input.Plan.id
-           (Lemur_util.Units.to_us (plan_latency config p))
+           (Lemur_util.Units.to_us (Plan.latency p))
            (Lemur_util.Units.to_us p.Plan.input.Plan.slo.Lemur_slo.Slo.d_max))
   | None -> Ok ()
 
@@ -211,7 +185,7 @@ let finalize strategy config policy plans ~elapsed_start =
     (Lemur_telemetry.Telemetry.current ())
     "placer.finalize"
   @@ fun () ->
-  match check_latency config plans with
+  match check_latency plans with
   | Error reason -> Infeasible { reason }
   | Ok () -> (
       match Alloc.allocate config policy plans with
@@ -262,7 +236,7 @@ let evict_to_fit config plans =
                   if plan == victim_plan then begin
                     let locs = Array.copy plan.Plan.locs in
                     locs.(id) <- Plan.Server;
-                    elaborate config plan.Plan.input locs
+                    Plan.elaborate config plan.Plan.input locs
                   end
                   else plan)
                 plans
@@ -322,13 +296,10 @@ let merged_subgroup_index plan_after id =
     plan_after.Plan.subgroups
 
 let chain_capacity_ones config plan =
-  Memo.cap config ("c1|" ^ Memo.plan_sig plan) @@ fun () ->
   Plan.capacity config plan
     ~cores:(List.map (fun _ -> 1) plan.Plan.subgroups)
 
 let chain_capacity_two_on config plan sg_index =
-  Memo.cap config (Printf.sprintf "c2|%s|%d" (Memo.plan_sig plan) sg_index)
-  @@ fun () ->
   Plan.capacity config plan
     ~cores:
       (List.mapi
@@ -339,7 +310,6 @@ let chain_capacity_two_on config plan sg_index =
 let max_capacity config plan =
   (* Capacity if every replicable subgroup got the whole machine —
      an optimistic bound used by aggressive coalescing's SLO test. *)
-  Memo.cap config ("mx|" ^ Memo.plan_sig plan) @@ fun () ->
   let total = Lemur_topology.Topology.total_nf_cores config.Plan.topology in
   Plan.capacity config plan
     ~cores:
@@ -374,7 +344,7 @@ let apply_coalescing config variant plan =
         let try_move id =
           let locs = Array.copy plan.Plan.locs in
           locs.(id) <- Plan.Server;
-          let after = elaborate config plan.Plan.input locs in
+          let after = Plan.elaborate config plan.Plan.input locs in
           let before_cap = chain_capacity_ones config plan in
           match merged_subgroup_index after id with
           | None -> None
@@ -389,7 +359,7 @@ let apply_coalescing config variant plan =
         let try_nic_move id =
           let locs = Array.copy plan.Plan.locs in
           locs.(id) <- Plan.Smartnic;
-          let after = elaborate config plan.Plan.input locs in
+          let after = Plan.elaborate config plan.Plan.input locs in
           let before_cap = chain_capacity_ones config plan in
           let after_cap = chain_capacity_ones config after in
           if fire after after_cap before_cap then Some after else None
@@ -424,39 +394,39 @@ let min_bounce_pattern config input =
   |> Lemur_util.Listx.min_by (fun locs ->
          (float_of_int (Plan.max_path_bounces locs paths) *. 1000.0)
          -. float_of_int (hw_count locs))
-  |> Option.map (elaborate config input)
+  |> Option.map (Plan.elaborate config input)
 
 (* ------------------------------------------------------------------ *)
-(* The variant cache: incremental re-placement's warm start.
+(* The variant cache: the placer's one result cache, and incremental
+   re-placement's warm start.
 
    [lemur_variants] — greedy pattern, eviction, coalescing walks, and
    the bounce-variant enumeration — is a deterministic function of
    exactly (config content, per-chain graph content, per-chain t_min):
    t_max and d_max are only read downstream, in [finalize]. So the
-   variant set is cached under a structural digest of those three, and
-   a hit replays the stored location arrays through [elaborate] under
-   the caller's {e current} inputs — byte-identical to recomputation by
-   construction, which is what lets the runtime engine skip the whole
-   pattern search when a dynamics event only moved demand (t_max).
-   Chains whose graph or t_min did change alter the key, so the dirty
-   set invalidates exactly itself. Domain-local like [Memo]; the
-   enable flag and hit/miss totals are process-wide. *)
+   elaborated variant plans are cached under a structural digest of
+   those three. Elaborated structure, latency included, never depends
+   on the SLO, so a hit re-binds each stored plan's [input] to the
+   caller's {e current} input (and hands out a fresh locs array) —
+   byte-identical to recomputation, which is what lets the runtime
+   engine skip the whole pattern search when a dynamics event only
+   moved demand (t_max) or the latency bound (d_max). Chains whose
+   graph or t_min did change alter the key, so the dirty set
+   invalidates exactly itself. Entries are domain-local; the hit/miss
+   totals are process-wide. *)
 
-let variant_cache_on = Atomic.make true
 let vc_hits = Atomic.make 0
 let vc_misses = Atomic.make 0
 let vc_max_entries = 16
 
 type vc_state = {
-  mutable vc_entries : (string * Plan.location array list list) list;
-      (* MRU assoc: key -> per-variant list of per-chain locs *)
+  mutable vc_entries : (string * Plan.plan list list) list;
+      (* MRU assoc: key -> per-variant list of per-chain plans *)
 }
 
 let vc_key : vc_state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { vc_entries = [] })
 
-let set_variant_cache on = Atomic.set variant_cache_on on
-let variant_cache_enabled () = Atomic.get variant_cache_on
 let variant_cache_stats () = (Atomic.get vc_hits, Atomic.get vc_misses)
 
 let clear_variant_cache () =
@@ -476,7 +446,7 @@ let lemur_variants_compute config inputs =
   let base_plans =
     List.map
       (fun input ->
-        elaborate config input (pattern_by_preference config input `Hw))
+        Plan.elaborate config input (pattern_by_preference config input `Hw))
       inputs
   in
   match evict_to_fit config base_plans with
@@ -497,7 +467,7 @@ let lemur_variants_compute config inputs =
       in
       let sw_variant =
         seeded (fun input ->
-            elaborate config input (pattern_by_preference config input `Sw))
+            Plan.elaborate config input (pattern_by_preference config input `Sw))
       in
       (* Bounce-light patterns sit in yet another basin: capacity-driven
          coalescing never trades switch capacity for fewer traversals of
@@ -517,40 +487,28 @@ let lemur_variants_compute config inputs =
         @ sw_variant @ bounce_variant)
 
 let lemur_variants config inputs =
-  Memo.ensure config;
-  if not (Atomic.get variant_cache_on) then lemur_variants_compute config inputs
-  else begin
-    let tm = Lemur_telemetry.Telemetry.current () in
-    let key = variant_key config inputs in
-    let st = Domain.DLS.get vc_key in
-    match List.assoc_opt key st.vc_entries with
-    | Some stored ->
-        Atomic.incr vc_hits;
-        Lemur_telemetry.Counter.incr
-          (Lemur_telemetry.Telemetry.counter tm "placer.varcache.hits");
-        st.vc_entries <- (key, stored) :: List.remove_assoc key st.vc_entries;
-        Some
-          (List.map
-             (fun locs_per_chain ->
-               List.map2
-                 (fun input locs -> elaborate config input (Array.copy locs))
-                 inputs locs_per_chain)
-             stored)
-    | None -> (
-        Atomic.incr vc_misses;
-        Lemur_telemetry.Counter.incr
-          (Lemur_telemetry.Telemetry.counter tm "placer.varcache.misses");
-        match lemur_variants_compute config inputs with
-        | None -> None
-        | Some variants ->
-            st.vc_entries <-
-              ( key,
-                List.map
-                  (List.map (fun p -> Array.copy p.Plan.locs))
-                  variants )
-              :: Lemur_util.Listx.take (vc_max_entries - 1) st.vc_entries;
-            Some variants)
-  end
+  let tm = Lemur_telemetry.Telemetry.current () in
+  let key = variant_key config inputs in
+  let st = Domain.DLS.get vc_key in
+  let rebind input p = { p with Plan.input; locs = Array.copy p.Plan.locs } in
+  match List.assoc_opt key st.vc_entries with
+  | Some stored ->
+      Atomic.incr vc_hits;
+      Lemur_telemetry.Counter.incr
+        (Lemur_telemetry.Telemetry.counter tm "placer.varcache.hits");
+      st.vc_entries <- (key, stored) :: List.remove_assoc key st.vc_entries;
+      Some (List.map (List.map2 rebind inputs) stored)
+  | None -> (
+      Atomic.incr vc_misses;
+      Lemur_telemetry.Counter.incr
+        (Lemur_telemetry.Telemetry.counter tm "placer.varcache.misses");
+      match lemur_variants_compute config inputs with
+      | None -> None
+      | Some variants ->
+          st.vc_entries <-
+            (key, List.map (List.map2 rebind inputs) variants)
+            :: Lemur_util.Listx.take (vc_max_entries - 1) st.vc_entries;
+          Some variants)
 
 (* Step 3 over candidate plan sets: core allocation + LP for every set
    under every spare-core policy, or under [policy] alone when one is
@@ -589,7 +547,6 @@ let lemur_placement ?policy strategy config inputs start =
   | Some variants -> best_allocation ?policy strategy config variants ~start
 
 let evaluate_plans ?policy strategy config plans =
-  Memo.ensure config;
   best_allocation ?policy strategy config [ plans ]
     ~start:(Lemur_util.Timing.now ())
 
@@ -619,8 +576,6 @@ let switch_table_count plan =
    repeatedly grow the capacity-binding subgroup. Stops early when the
    binding subgroup cannot replicate (more cores would be wasted). *)
 let water_fill config plan k =
-  Memo.cores config (Printf.sprintf "wf|%s|%d" (Memo.plan_sig plan) k)
-  @@ fun () ->
   let n = List.length plan.Plan.subgroups in
   let sgs = Array.of_list plan.Plan.subgroups in
   let cores = Array.make n 1 in
@@ -679,8 +634,8 @@ let chain_configs config input ~pattern_limit ~core_budget =
   let plans =
     List.filter_map
       (fun locs ->
-        match elaborate config input locs with
-        | plan -> if plan_meets_latency config plan then Some plan else None
+        match Plan.elaborate config input locs with
+        | plan -> if Plan.meets_latency plan then Some plan else None
         | exception Plan.Invalid_pattern _ -> None)
       patterns
   in
@@ -703,10 +658,7 @@ let chain_configs config input ~pattern_limit ~core_budget =
                    among equally useful configurations. *)
                 let cap =
                   Float.min
-                    (Memo.cap config
-                       (Printf.sprintf "cap|%s|%d" (Memo.plan_sig plan) k)
-                       (fun () ->
-                         Plan.capacity config plan ~cores:(Array.to_list cores)))
+                    (Plan.capacity config plan ~cores:(Array.to_list cores))
                     input.Plan.slo.Lemur_slo.Slo.t_max
                 in
                 Some
@@ -799,14 +751,11 @@ let optimal_placement config inputs start =
        evaluations are independent and pure given [config], so they fan
        out across the domain pool; results come back merged by index, so
        the ranking below sees them in enumeration order and the chosen
-       placement is identical to a sequential run. Each worker re-scopes
-       its domain-local memo cache to [config] (physical identity holds
-       across domains) before touching it. A combination whose
+       placement is identical to a sequential run. A combination whose
        evaluation raises is skipped and counted, never fatal. *)
     let evaluated =
       Lemur_util.Pool.map
         (fun combo ->
-          Memo.ensure config;
           match
             Alloc.assign_only config
               (List.map (fun c -> (c.oc_plan, c.oc_cores)) combo)
@@ -870,14 +819,14 @@ let reevaluate_with_truth strategy config placement start =
   let allocs =
     List.map
       (fun r ->
-        let plan = elaborate config r.plan.Plan.input r.plan.Plan.locs in
+        let plan = Plan.elaborate config r.plan.Plan.input r.plan.Plan.locs in
         { Alloc.plan; sg_cores = r.cores; seg_server = r.seg_server })
       placement.chain_reports
   in
   if
     not
       (List.for_all
-         (fun a -> plan_meets_latency config a.Alloc.plan)
+         (fun a -> Plan.meets_latency a.Alloc.plan)
          allocs)
   then
     (* The ablated model may have underestimated per-NF latency; judged
@@ -899,7 +848,6 @@ let place strategy config inputs =
   Lemur_telemetry.Telemetry.with_span tm ("placer.place." ^ name strategy)
   @@ fun () ->
   Lemur_telemetry.Counter.incr (Lemur_telemetry.Telemetry.counter tm "placer.places");
-  Memo.ensure config;
   let start = Lemur_util.Timing.now () in
   try
     match strategy with
@@ -909,7 +857,7 @@ let place strategy config inputs =
         let plans =
           List.map
             (fun input ->
-              elaborate config input (pattern_by_preference config input `Hw))
+              Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
         finalize Greedy config Alloc.By_index plans ~elapsed_start:start
@@ -917,7 +865,7 @@ let place strategy config inputs =
         let plans =
           List.map
             (fun input ->
-              elaborate config input (pattern_by_preference config input `Hw))
+              Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
         finalize Hw_preferred config Alloc.Even plans ~elapsed_start:start
@@ -925,7 +873,7 @@ let place strategy config inputs =
         let plans =
           List.map
             (fun input ->
-              elaborate config input (pattern_by_preference config input `Sw))
+              Plan.elaborate config input (pattern_by_preference config input `Sw))
             inputs
         in
         finalize Sw_preferred config Alloc.Slo_driven plans ~elapsed_start:start

@@ -63,16 +63,16 @@ val lemur_variants :
     and bounce-light variants when they exist — or [None] when no
     switch-feasible baseline exists. Exposed for tests and diagnostics.
 
-    Results are served from the {e variant cache} when enabled (the
-    default): variant construction is a deterministic function of
+    Results are served from the {e variant cache}, the placer's one
+    result cache: variant construction is a deterministic function of
     (config content, per-chain graph content, per-chain [t_min]) — the
-    SLO's [t_max]/[d_max] are only read downstream in finalize — so a
-    structurally-keyed hit replays the stored location arrays through
-    elaboration under the caller's current inputs, byte-identical to
-    recomputation. This is the runtime engine's incremental
-    re-placement warm start: demand-only events re-use the whole
-    pattern search, while any chain whose graph or [t_min] changed
-    misses by key construction. *)
+    SLO's [t_max]/[d_max] are only read downstream in finalize — so the
+    elaborated plans are stored under a structural key ({!Memo}), and a
+    hit re-binds each plan's [input] to the caller's current input with
+    a fresh locs array, byte-identical to recomputation. This is the
+    runtime engine's incremental re-placement warm start: demand-only
+    events re-use the whole pattern search, while any chain whose graph
+    or [t_min] changed misses by key construction. *)
 
 val all_patterns :
   Plan.config -> Plan.chain_input -> limit:int -> Plan.location array list
@@ -90,17 +90,12 @@ val min_bounce_pattern : Plan.config -> Plan.chain_input -> Plan.plan option
     scored from their location arrays; only the winner is elaborated.
     [None] if every pattern violates the OpenFlow table order. *)
 
-val set_variant_cache : bool -> unit
-(** Enable/disable the variant cache process-wide (on by default). The
-    runtime engine turns it off for from-scratch baselines. *)
-
-val variant_cache_enabled : unit -> bool
-
 val variant_cache_stats : unit -> int * int
 (** Process-lifetime [(hits, misses)] of the variant cache. *)
 
 val clear_variant_cache : unit -> unit
-(** Drop the calling domain's cached variant entries. *)
+(** Drop the calling domain's cached variant entries; the next
+    placement of any chain set solves from scratch. *)
 
 val evaluate_plans :
   ?policy:Alloc.spare_policy -> t -> Plan.config -> Plan.plan list -> outcome

@@ -158,12 +158,12 @@ let timed m f =
   Lemur_telemetry.Histogram.record m.h_decision (dt *. 1e9);
   r
 
-(* With [incremental] off every placement starts cold: the memo
-   tables and the variant cache are dropped inside the timed
-   section, so the decision latency pays for recomputing what the
-   incremental path would have reused. This is the from-scratch
-   baseline the runtime bench compares against; verdicts are
-   unaffected either way because cache hits are byte-identical to
+(* With [incremental] off every placement starts cold: the variant
+   cache and the signature caches behind its keys are dropped inside
+   the timed section, so the decision latency pays for recomputing
+   what the incremental path would have reused. This is the
+   from-scratch baseline the runtime bench compares against; verdicts
+   are unaffected either way because cache hits are byte-identical to
    recomputation. *)
 let fresh cfg =
   if not cfg.incremental then begin

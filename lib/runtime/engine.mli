@@ -86,10 +86,10 @@ type config = {
           is {!Oracle_rejected} — the differential-testing signal.
           Typically [Lemur_check.Oracle] via [Runtime_check.checker]. *)
   incremental : bool;
-      (** Keep the placer's structural memo tables and variant cache
-          warm across re-placements (the default). Each event derives a
-          dirty set — chains whose (graph, t_min) solve key changed
-          under the current config — and only those chains' pattern
+      (** Keep the placer's variant cache warm across re-placements
+          (the default). Each event derives a dirty set — chains whose
+          (graph, t_min) solve key changed under the current config —
+          and only those chains' pattern
           searches recompute; demand-only events leave every chain
           clean and re-place from the cached variants. Off, every
           placement starts from dropped caches inside the timed

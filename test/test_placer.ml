@@ -129,13 +129,13 @@ let test_latency_model () =
   let i = input "Encrypt -> ACL -> Decrypt" in
   let locs = [| Plan.Server; Plan.Switch; Plan.Server |] in
   let plan = Plan.elaborate c i locs in
-  let lat = Plan.latency c plan in
+  let lat = Plan.latency plan in
   (* two Encrypt/Decrypt hops ~5.5us each + 2 bounces + ToR traversals *)
   Alcotest.(check bool) "latency in the tens of us" true
     (lat > 10_000.0 && lat < 40_000.0);
   let tight = { i with Plan.slo = Lemur_slo.Slo.make ~d_max:(Lemur_util.Units.us 5.0) () } in
   let plan_tight = Plan.elaborate c tight locs in
-  Alcotest.(check bool) "violates 5us" false (Plan.meets_latency c plan_tight)
+  Alcotest.(check bool) "violates 5us" false (Plan.meets_latency plan_tight)
 
 let test_switch_projection () =
   let c = config () in
@@ -591,22 +591,57 @@ let test_variant_cache_demand_shift () =
     let slo = Lemur_slo.Slo.make ~t_min:1e9 ~t_max () in
     [ { i with Plan.slo } ]
   in
-  Memo.clear ();
   Strategy.clear_variant_cache ();
-  Strategy.set_variant_cache true;
   ignore (Strategy.place Strategy.Lemur c (mk 20e9));
   let hits0, _ = Strategy.variant_cache_stats () in
   let cached = render_outcome (Strategy.place Strategy.Lemur c (mk 10e9)) in
   let hits1, _ = Strategy.variant_cache_stats () in
   Alcotest.(check bool) "demand shift hits the variant cache" true
     (hits1 > hits0);
-  Memo.clear ();
   Strategy.clear_variant_cache ();
-  Strategy.set_variant_cache false;
   let scratch = render_outcome (Strategy.place Strategy.Lemur c (mk 10e9)) in
-  Strategy.set_variant_cache true;
   Alcotest.(check string) "cached placement byte-identical to scratch" scratch
     cached
+
+let test_variant_cache_rebinds_slo () =
+  (* The variant-cache key ignores d_max, so tightening only the
+     latency bound is a hit. The stored plans must then be judged under
+     the caller's new SLO, not the one they were elaborated with: with
+     d_max just below every variant's latency the re-placement is
+     infeasible, exactly as a from-scratch solve says. *)
+  let c = config () in
+  let mk d_max =
+    let i = input ~id:"vcd" "Encrypt -> ACL -> IPv4Fwd" in
+    [ { i with Plan.slo = Lemur_slo.Slo.make ~t_min:1e9 ~d_max () } ]
+  in
+  Strategy.clear_variant_cache ();
+  let unbounded = Strategy.place Strategy.Lemur c (mk infinity) in
+  Alcotest.(check bool) "placed without a latency bound" true
+    (Strategy.is_feasible unbounded);
+  let min_latency =
+    match Strategy.lemur_variants c (mk infinity) with
+    | None -> Alcotest.fail "no variants"
+    | Some variants ->
+        List.fold_left
+          (List.fold_left (fun acc p -> Float.min acc (Plan.latency p)))
+          infinity variants
+  in
+  let tight = mk (min_latency -. 1.0) in
+  let hits0, _ = Strategy.variant_cache_stats () in
+  let cached = Strategy.place Strategy.Lemur c tight in
+  let hits1, _ = Strategy.variant_cache_stats () in
+  Alcotest.(check bool) "d_max change hits the variant cache" true
+    (hits1 > hits0);
+  (match cached with
+  | Strategy.Infeasible { reason } ->
+      Alcotest.(check bool) "latency SLO reason" true
+        (String.starts_with ~prefix:"chain vcd exceeds its latency SLO"
+           reason)
+  | Strategy.Placed _ -> Alcotest.fail "placed despite d_max below latency");
+  Strategy.clear_variant_cache ();
+  let scratch = render_outcome (Strategy.place Strategy.Lemur c tight) in
+  Alcotest.(check string) "cached outcome byte-identical to scratch" scratch
+    (render_outcome cached)
 
 let qcheck_cases =
   let open QCheck in
@@ -693,9 +728,8 @@ let qcheck_cases =
                  (fun r -> r.Strategy.rate >= slo.Lemur_slo.Slo.t_min -. 1e3)
                  p.Strategy.chain_reports);
     (* Structural-cache soundness: the same chain set placed with the
-       shared memo and variant cache warm (second call is all hits)
-       must render byte-identically to a solve with every cache dropped
-       and the variant cache disabled. *)
+       variant cache warm (second call is a hit) must render
+       byte-identically to a solve with the cache dropped. *)
     Test.make ~name:"placements identical with warm structural cache"
       ~count:25
       (list_of_size (Gen.int_range 1 4)
@@ -710,14 +744,10 @@ let qcheck_cases =
             ~t_max:(Lemur_util.Units.gbps 50.) ()
         in
         let inputs = [ { i with Plan.slo } ] in
-        Strategy.set_variant_cache true;
         ignore (Strategy.place Strategy.Lemur c inputs);
         let warm = render_outcome (Strategy.place Strategy.Lemur c inputs) in
-        Memo.clear ();
         Strategy.clear_variant_cache ();
-        Strategy.set_variant_cache false;
         let cold = render_outcome (Strategy.place Strategy.Lemur c inputs) in
-        Strategy.set_variant_cache true;
         String.equal warm cold);
   ]
 
@@ -750,6 +780,7 @@ let suite =
     Alcotest.test_case "latency constrains placement" `Quick test_latency_constrains_placement;
     Alcotest.test_case "config signature is structural" `Quick test_config_sig_structural;
     Alcotest.test_case "variant cache exact under demand shift" `Quick test_variant_cache_demand_shift;
+    Alcotest.test_case "variant cache rebinds the caller's SLO" `Quick test_variant_cache_rebinds_slo;
     Alcotest.test_case "evaluate_plans sweeps spare policies" `Quick
       test_evaluate_plans_sweep;
     Alcotest.test_case "min bounce matches full elaboration (Table 2)" `Quick

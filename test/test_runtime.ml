@@ -516,9 +516,9 @@ let test_scheduled_defers () =
        sch.Report.journal)
 
 let test_incremental_digest_parity () =
-  (* The incremental engine keeps the placer's structural memo and
-     variant cache warm across re-placements; from-scratch drops them
-     inside every decision. Verdicts — and so report digests — must be
+  (* The incremental engine keeps the placer's variant cache warm
+     across re-placements; from-scratch drops it inside every
+     decision. Verdicts — and so report digests — must be
      byte-identical: the caches may only move decision latency. *)
   let trace = Trace.generate ~events:24 ~seed:3 () in
   let drive incremental =
