@@ -40,17 +40,43 @@ let wire_delay = 350.0 (* ns one way, same constant as Sim *)
 let demux_cycles_per_pkt = 150.0
 let drain_slack = Units.ms 5.0
 
-(* An element is a ring plus the per-packet work its owning worker does
-   when it pulls from that ring. [cost] returns service ns and may
-   tick NF telemetry counters; [wire] is propagation added after
-   service; [lead] is latency charged on entry (the ToR traversal in
-   front of downlink and OpenFlow hops). *)
+(* One NF's per-packet cycles: a draw from its datasheet law, or a
+   lookup of the packet's flow header in its classifier, scaled by the
+   NUMA factor of the socket it runs on. *)
+type nf =
+  | Law of Prng.law
+  | Acl of {
+      cls : Lemur_classifier.Classifier.t;
+      headers : Lemur_classifier.Rule.header array;
+      numa : float;
+    }
+
+(* What a worker does to each packet it pulls from an element's ring,
+   compiled once per element so the breathing loop reads data instead
+   of calling closures. *)
+type work =
+  | Tx of float  (* serialization onto a link of this many bit/s *)
+  | Fixed of float  (* constant service, ns *)
+  | Nic of { clock : float; speed : float array; nfs : nf array }
+      (* inline SmartNIC NFs, each at its eBPF speedup *)
+  | Core of { clock : float; lb : float; nfs : nf array }
+      (* a run-to-completion subgroup replica: NF cycles, then NSH and
+         load-balancing overhead *)
+
+(* An element is a ring plus the work its owning worker does per
+   packet pulled from it; [wire] is propagation added after service;
+   [lead] is latency charged on entry (the ToR traversal in front of
+   downlink and OpenFlow hops). [slot] is the element's index in its
+   owner's [w_elems] and [w_heads]. *)
 type element = {
   name : string;
-  ring : Packet.t Ring.t;
-  cost : Packet.t -> float;
+  ring : Ring.t;
+  work : work;
+  tm_nfs : Lemur_telemetry.Counter.t array;  (* the NFs [work] runs *)
   wire : float;
   lead : float;
+  owner : worker;
+  slot : int;
   mutable pulled : int;
   mutable ring_drops : int;
   tm_pulled : Lemur_telemetry.Counter.t;
@@ -59,39 +85,48 @@ type element = {
 
 (* A worker owns a virtual clock and the elements it breathes over.
    [serialize = false] marks pure-delay resources (the SmartNIC's
-   inline datapath, which Sim also models without contention). *)
-type worker = {
+   inline datapath, which Sim also models without contention).
+   [w_heads.(i)] is the timestamp of the packet at the head of element
+   [i]'s ring, [infinity] when it is empty, so the EDF scan reads one
+   float array and never touches the rings. *)
+and worker = {
   w_name : string;
   w_serialize : bool;
-  mutable w_busy : float;
+  w_clock : clock;
   mutable w_rev : element list;
   mutable w_elems : element array;
+  mutable w_heads : float array;
+}
+
+(* All-float records are stored flat, so writing their fields does not
+   allocate; a float field in a mixed record would box on every write. *)
+and clock = { mutable busy : float }
+
+type meter = {
+  mutable next_gen : float;
+  mutable tokens : float;
+  mutable last_refill : float;
+  mutable delivered_bits : float;
 }
 
 type chain_rt = {
   idx : int;
   id : string;
   hops : element array array array;  (* route -> hop -> replicas *)
-  cls_headers : Lemur_classifier.Rule.header array;
-      (* per-flow 5-tuple headers when classification is on ([||] off):
-         inject stamps packet headers from it, ACL hops classify it *)
   fractions : float array;
   sw_nodes : int list array;  (* per route: NFs absorbed into the ToR *)
+  route_injected : int array;  (* per route: packets offered to it *)
   offered_rate : float;
   interval : float;  (* ns between generated packets *)
   t_max : float;
-  mutable next_gen : float;
-  mutable tokens : float;
-  mutable last_refill : float;
+  m : meter;
   mutable injected : int;
   mutable delivered_pkts : int;
   mutable dropped : int;
   mutable shaped : int;
   mutable in_flight : int;
-  mutable delivered_bits : float;
-  mutable lat_sum : float;
-  mutable lat_max : float;
-  mutable lat_samples : float list;
+  mutable lats : float array;  (* post-warmup latencies, arrival order *)
+  mutable n_lats : int;
   tm_injected : Lemur_telemetry.Counter.t;
   tm_delivered : Lemur_telemetry.Counter.t;
   tm_dropped : Lemur_telemetry.Counter.t;
@@ -99,6 +134,37 @@ type chain_rt = {
   tm_latency : Lemur_telemetry.Histogram.t;
   tm_nf_pkts : Lemur_telemetry.Counter.t array;
 }
+
+let[@inline] cycles prng (pool : Packet.pool) p = function
+  | Law law -> Prng.sample prng law
+  | Acl { cls; headers; numa } ->
+      (Lemur_classifier.Classifier.classify cls headers.(pool.Packet.flow.(p)))
+        .Lemur_classifier.Classifier.o_cycles
+      *. numa
+
+(* Service time of one packet [p] at element [e], ns. Inlined into the
+   breathing loop so the result never leaves a register. The float
+   expressions keep the order of the rate model's: [acc +. cy /. (clock
+   *. speed) *. 1e9] per NIC NF, and
+   [Lemur_bess.Cost.subgroup_cycles ~nf_cycles:[Σcy] /. clock *. 1e9]
+   per core. *)
+let[@inline] service prng (pool : Packet.pool) e p =
+  match e.work with
+  | Tx capacity -> pool.Packet.bits.(p) /. capacity *. 1e9
+  | Fixed ns -> ns
+  | Nic { clock; speed; nfs } ->
+      let acc = ref 0.0 in
+      for k = 0 to Array.length nfs - 1 do
+        acc := !acc +. (cycles prng pool p nfs.(k) /. (clock *. speed.(k)) *. 1e9)
+      done;
+      !acc
+  | Core { clock; lb; nfs } ->
+      let acc = ref 0.0 in
+      for k = 0 to Array.length nfs - 1 do
+        acc := !acc +. cycles prng pool p nfs.(k)
+      done;
+      ((0.0 +. !acc) +. Lemur_bess.Cost.nsh_overhead_cycles +. lb)
+      /. clock *. 1e9
 
 let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
     ?(batch_pkts = 32) ?(ring_capacity = 512) ?(pool_capacity = 16384)
@@ -118,8 +184,8 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
   let workers_rev = ref [] in
   let new_worker ?(serialize = true) name =
     let w =
-      { w_name = name; w_serialize = serialize; w_busy = 0.0; w_rev = [];
-        w_elems = [||] }
+      { w_name = name; w_serialize = serialize; w_clock = { busy = 0.0 };
+        w_rev = []; w_elems = [||]; w_heads = [||] }
     in
     workers_rev := w :: !workers_rev;
     w
@@ -127,14 +193,17 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
   let total_served = ref 0 in
   let pool_exhausted = ref 0 in
   let elements_rev = ref [] in
-  let new_element ~worker ~name ~cost ~wire ~lead =
+  let new_element ~worker ~name ?(tm_nfs = [||]) ~work ~wire ~lead () =
     let e =
       {
         name;
-        ring = Ring.create ~capacity:ring_capacity ~dummy:(Packet.dummy ());
-        cost;
+        ring = Ring.create ~capacity:ring_capacity;
+        work;
+        tm_nfs;
         wire;
         lead;
+        owner = worker;
+        slot = List.length worker.w_rev;
         pulled = 0;
         ring_drops = 0;
         tm_pulled =
@@ -164,86 +233,18 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
           Lemur_platform.Server.nic_capacity s,
           s.Lemur_platform.Server.clock_hz ))
     topo.Lemur_topology.Topology.servers;
-  let nic_socket = 0 in
-  let sg_cores : (string * int, (worker * int) list) Hashtbl.t =
-    Hashtbl.create 16
+  let chain_cores =
+    List.map
+      (Array.map
+         (Array.map (fun (c : Route.core) ->
+              (new_worker (Printf.sprintf "%s.core%d" c.Route.server c.Route.core),
+               c.Route.socket))))
+      (Route.cores topo placement)
   in
-  let next_core = Hashtbl.create 4 in
-  List.iter
-    (fun report ->
-      let chain_id = report.Strategy.plan.Plan.input.Plan.id in
-      List.iteri
-        (fun sg_index sg ->
-          let server = List.assoc sg.Plan.sg_segment report.Strategy.seg_server in
-          let s_decl = Lemur_topology.Topology.find_server topo server in
-          let cores =
-            List.init report.Strategy.cores.(sg_index) (fun _ ->
-                let c =
-                  Option.value (Hashtbl.find_opt next_core server) ~default:1
-                in
-                Hashtbl.replace next_core server (c + 1);
-                ( new_worker (Printf.sprintf "%s.core%d" server c),
-                  c / s_decl.Lemur_platform.Server.cores_per_socket ))
-          in
-          Hashtbl.replace sg_cores (chain_id, sg_index) cores)
-        report.Strategy.plan.Plan.subgroups)
-    placement.Strategy.chain_reports;
   let of_link = new_worker "of_link" in
-  (* Sampled per-packet cycles of one NF on a given socket — the same
-     truncated-gaussian law as Sim (long-lived traffic). *)
-  let sample_cycles node socket =
-    let instance = node.Lemur_spec.Graph.instance in
-    let numa =
-      if socket = nic_socket then Lemur_nf.Datasheet.Same else Lemur_nf.Datasheet.Diff
-    in
-    let size =
-      match Lemur_nf.Instance.state_size instance with
-      | Some s -> s
-      | None ->
-          Option.value
-            (Lemur_nf.Datasheet.reference_size instance.Lemur_nf.Instance.kind)
-            ~default:0
-    in
-    let cost =
-      Lemur_nf.Datasheet.cycle_cost_sized instance.Lemur_nf.Instance.kind numa ~size
-    in
-    let sigma = (cost.Lemur_nf.Datasheet.max -. cost.Lemur_nf.Datasheet.min) /. 5.0 in
-    Prng.truncated_gaussian prng ~mu:cost.Lemur_nf.Datasheet.mean ~sigma
-      ~lo:cost.Lemur_nf.Datasheet.min ~hi:cost.Lemur_nf.Datasheet.max
-  in
   (* With [acl_algo] on, ACL elements classify each packet's 5-tuple
-     header instead of sampling the datasheet law. Classifiers are
-     canonical per ruleset size, so chains sharing a size share the
-     built structure. *)
-  let acl_tbl = Hashtbl.create 4 in
-  let acl_cls =
-    match config.Plan.acl_algo with
-    | None -> fun _ -> None
-    | Some algo ->
-        fun node ->
-          let instance = node.Lemur_spec.Graph.instance in
-          if Lemur_nf.Kind.equal instance.Lemur_nf.Instance.kind Lemur_nf.Kind.Acl
-          then begin
-            let size =
-              match Lemur_nf.Instance.state_size instance with
-              | Some s -> s
-              | None ->
-                  Option.value
-                    (Lemur_nf.Datasheet.reference_size Lemur_nf.Kind.Acl)
-                    ~default:1024
-            in
-            match Hashtbl.find_opt acl_tbl size with
-            | Some c -> Some c
-            | None ->
-                let c =
-                  Lemur_classifier.Classifier.build algo
-                    (Lemur_classifier.Ruleset.generate ~size ())
-                in
-                Hashtbl.replace acl_tbl size c;
-                Some c
-          end
-          else None
-  in
+     header instead of sampling the datasheet law. *)
+  let acl_cls = Nf_cost.acl_classifier config in
   (* Compile each chain's routes into hop arrays of replica elements. *)
   let nic_host =
     match topo.Lemur_topology.Topology.smartnics with
@@ -253,21 +254,11 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
   let chains =
     Array.of_list
       (List.mapi
-         (fun idx report ->
+         (fun idx (report, sg_cores) ->
            let chain_id = report.Strategy.plan.Plan.input.Plan.id in
            let graph = report.Strategy.plan.Plan.input.Plan.graph in
            let slo = report.Strategy.plan.Plan.input.Plan.slo in
-           let offered_rate =
-             match List.assoc_opt chain_id offered with
-             | Some r ->
-                 Float.min (Float.min (Float.max r 0.0) slo.Lemur_slo.Slo.t_max)
-                   port_cap
-             | None ->
-                 Float.min
-                   (Float.min (report.Strategy.rate *. overdrive)
-                      slo.Lemur_slo.Slo.t_max)
-                   port_cap
-           in
+           let offered_rate = Route.offered_rate ~offered ~overdrive ~port_cap report in
            let routes = Route.build ?nic_host report in
            let tm_nf_pkts =
              let arr =
@@ -284,23 +275,13 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                (Lemur_spec.Graph.nodes graph);
              arr
            in
-           (* The chain's synthetic traffic: each of the 40 flow ids
-              maps to a fixed 5-tuple header drawn from the first ACL
-              node's canonical ruleset — the same corpus Sim averages
-              over and the profiler predicts against. *)
-           let cls_headers =
-             match
-               List.find_opt
-                 (fun node -> Option.is_some (acl_cls node))
-                 (Lemur_spec.Graph.nodes graph)
-             with
-             | None -> [||]
-             | Some node -> (
-                 match acl_cls node with
-                 | Some cls ->
-                     Lemur_classifier.Ruleset.headers
-                       (Lemur_classifier.Classifier.ruleset cls) ~flows:40
-                 | None -> [||])
+           (* Flow id -> 5-tuple header, which classified hops look up. *)
+           let headers = Nf_cost.flow_headers acl_cls graph in
+           let nf ~socket id =
+             let node = Lemur_spec.Graph.node graph id in
+             match acl_cls node with
+             | Some cls -> Acl { cls; headers; numa = Nf_cost.numa_factor ~socket }
+             | None -> Law (Nf_cost.law node ~socket)
            in
            let compile_route ri route =
              let el ~worker ~role = new_element ~worker
@@ -314,127 +295,81 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                      match topo.Lemur_topology.Topology.ofswitch with
                      | None -> ()
                      | Some sw ->
-                         let cap = sw.Lemur_platform.Ofswitch.capacity in
                          hops :=
                            [| el ~worker:of_link ~role:"of"
-                                ~cost:(fun p -> p.Packet.bits /. cap *. 1e9)
+                                ~work:(Tx sw.Lemur_platform.Ofswitch.capacity)
                                 ~wire:((2.0 *. wire_delay)
                                        +. sw.Lemur_platform.Ofswitch.latency)
-                                ~lead:tor_latency |]
+                                ~lead:tor_latency () |]
                            :: !hops)
                  | Route.Server_visit { server; nic_nodes; subgroups } ->
                      let link_in, link_out, demux, nic, capacity, clock =
                        Hashtbl.find servers server
                      in
-                     let tx p = p.Packet.bits /. capacity *. 1e9 in
                      hops :=
-                       [| el ~worker:link_in ~role:"down" ~cost:tx
-                            ~wire:wire_delay ~lead:tor_latency |]
+                       [| el ~worker:link_in ~role:"down" ~work:(Tx capacity)
+                            ~wire:wire_delay ~lead:tor_latency () |]
                        :: !hops;
                      if nic_nodes <> [] then begin
-                       let nodes =
-                         List.map
+                       let ids = Array.of_list nic_nodes in
+                       let speed =
+                         Array.map
                            (fun id ->
-                             let node = Lemur_spec.Graph.node graph id in
-                             let kind =
-                               node.Lemur_spec.Graph.instance
-                                 .Lemur_nf.Instance.kind
-                             in
-                             ( id,
-                               node,
-                               Lemur_nf.Datasheet.ebpf_speedup kind,
-                               acl_cls node ))
-                           nic_nodes
+                             Lemur_nf.Datasheet.ebpf_speedup
+                               (Lemur_spec.Graph.node graph id)
+                                 .Lemur_spec.Graph.instance.Lemur_nf.Instance.kind)
+                           ids
                        in
-                       let cost p =
-                         List.fold_left
-                           (fun acc (id, node, speed, cls) ->
-                             Lemur_telemetry.Counter.incr tm_nf_pkts.(id);
-                             let cy =
-                               match cls with
-                               | Some c ->
-                                   (Lemur_classifier.Classifier.classify c
-                                      cls_headers.(p.Packet.flow))
-                                     .Lemur_classifier.Classifier.o_cycles
-                               | None -> sample_cycles node nic_socket
-                             in
-                             acc +. (cy /. (clock *. speed) *. 1e9))
-                           0.0 nodes
-                       in
+                       let nfs = Array.map (nf ~socket:Nf_cost.nic_socket) ids in
                        hops :=
-                         [| el ~worker:nic ~role:"nic" ~cost ~wire:0.0 ~lead:0.0 |]
+                         [| el ~worker:nic ~role:"nic"
+                              ~tm_nfs:(Array.map (Array.get tm_nf_pkts) ids)
+                              ~work:(Nic { clock; speed; nfs }) ~wire:0.0
+                              ~lead:0.0 () |]
                          :: !hops
                      end;
-                     if subgroups <> [] && not config.Plan.metron_steering then begin
-                       let service =
-                         demux_cycles_per_pkt /. clock *. 1e9
-                       in
+                     if subgroups <> [] && not config.Plan.metron_steering then
                        hops :=
                          [| el ~worker:demux ~role:"demux"
-                              ~cost:(fun _ -> service) ~wire:0.0 ~lead:0.0 |]
-                         :: !hops
-                     end;
+                              ~work:(Fixed (demux_cycles_per_pkt /. clock *. 1e9))
+                              ~wire:0.0 ~lead:0.0 () |]
+                         :: !hops;
                      List.iter
                        (fun sg_index ->
-                         let cores = Hashtbl.find sg_cores (chain_id, sg_index) in
-                         let multi = List.length cores > 1 in
-                         let sg =
-                           List.nth report.Strategy.plan.Plan.subgroups sg_index
+                         let cores = sg_cores.(sg_index) in
+                         let lb =
+                           if Array.length cores > 1 && not config.Plan.metron_steering
+                           then Lemur_bess.Cost.multicore_lb_cycles
+                           else 0.0
                          in
-                         let nodes =
-                           List.map
-                             (fun id ->
-                               let node = Lemur_spec.Graph.node graph id in
-                               (id, node, acl_cls node))
-                             sg.Plan.sg_nodes
+                         let ids =
+                           Array.of_list
+                             (List.nth report.Strategy.plan.Plan.subgroups sg_index)
+                               .Plan.sg_nodes
                          in
                          let replicas =
-                           List.map
+                           Array.map
                              (fun (core, socket) ->
-                               let numa_fac =
-                                 Lemur_nf.Datasheet.numa_factor
-                                   (if socket = nic_socket then
-                                      Lemur_nf.Datasheet.Same
-                                    else Lemur_nf.Datasheet.Diff)
-                               in
-                               let cost p =
-                                 let nf_cycles =
-                                   List.fold_left
-                                     (fun acc (id, node, cls) ->
-                                       Lemur_telemetry.Counter.incr
-                                         tm_nf_pkts.(id);
-                                       let cy =
-                                         match cls with
-                                         | Some c ->
-                                             (Lemur_classifier.Classifier
-                                              .classify c
-                                                cls_headers.(p.Packet.flow))
-                                               .Lemur_classifier.Classifier
-                                                .o_cycles
-                                             *. numa_fac
-                                         | None -> sample_cycles node socket
-                                       in
-                                       acc +. cy)
-                                     0.0 nodes
-                                 in
-                                 Lemur_bess.Cost.subgroup_cycles
-                                   ~core_tagging:config.Plan.metron_steering
-                                   ~nf_cycles:[ nf_cycles ] ~multi_core:multi ()
-                                 /. clock *. 1e9
-                               in
+                               let nfs = Array.map (nf ~socket) ids in
                                el ~worker:core
                                  ~role:(Printf.sprintf "sg%d" sg_index)
-                                 ~cost ~wire:0.0 ~lead:0.0)
+                                 ~tm_nfs:(Array.map (Array.get tm_nf_pkts) ids)
+                                 ~work:(Core { clock; lb; nfs })
+                                 ~wire:0.0 ~lead:0.0 ())
                              cores
                          in
-                         hops := Array.of_list replicas :: !hops)
+                         hops := replicas :: !hops)
                        subgroups;
                      hops :=
-                       [| el ~worker:link_out ~role:"up" ~cost:tx
-                            ~wire:wire_delay ~lead:0.0 |]
+                       [| el ~worker:link_out ~role:"up" ~work:(Tx capacity)
+                            ~wire:wire_delay ~lead:0.0 () |]
                        :: !hops)
                route.Route.visits;
              Array.of_list (List.rev !hops)
+           in
+           let interval =
+             if offered_rate <= 0.0 then infinity
+             else pkt_bits /. offered_rate *. 1e9
            in
            {
              idx;
@@ -444,23 +379,31 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                Array.of_list (List.map (fun r -> r.Route.fraction) routes);
              sw_nodes =
                Array.of_list (List.map (fun r -> r.Route.sw_nodes) routes);
+             route_injected = Array.make (List.length routes) 0;
              offered_rate;
-             interval =
-               (if offered_rate <= 0.0 then infinity
-                else pkt_bits /. offered_rate *. 1e9);
+             interval;
              t_max = slo.Lemur_slo.Slo.t_max;
-             next_gen = 0.0;
-             tokens = bucket_quantum *. 4.0;
-             last_refill = 0.0;
+             m =
+               {
+                 next_gen = 0.0;
+                 tokens = bucket_quantum *. 4.0;
+                 last_refill = 0.0;
+                 delivered_bits = 0.0;
+               };
              injected = 0;
              delivered_pkts = 0;
              dropped = 0;
              shaped = 0;
              in_flight = 0;
-             delivered_bits = 0.0;
-             lat_sum = 0.0;
-             lat_max = 0.0;
-             lat_samples = [];
+             (* room for every packet the generator can offer; [deliver]
+                still grows it if rounding lets one more through *)
+             lats =
+               Array.make
+                 (if interval < infinity then
+                    1 + int_of_float ((warmup +. duration) /. interval)
+                  else 0)
+                 0.0;
+             n_lats = 0;
              tm_injected =
                Lemur_telemetry.Telemetry.counter tm
                  (Printf.sprintf "dataplane.engine.chain.%s.injected" chain_id);
@@ -477,20 +420,20 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                Lemur_telemetry.Telemetry.histogram tm
                  (Printf.sprintf "dataplane.engine.chain.%s.latency_ns" chain_id);
              tm_nf_pkts;
-             cls_headers;
            })
-         placement.Strategy.chain_reports)
+         (List.combine placement.Strategy.chain_reports chain_cores))
   in
   let workers = Array.of_list (List.rev !workers_rev) in
   Array.iter
     (fun w ->
       w.w_elems <- Array.of_list (List.rev w.w_rev);
+      w.w_heads <- Array.make (Array.length w.w_elems) infinity;
       w.w_rev <- [])
     workers;
   (* Same per-chain random phase as Sim's first Generate event. *)
   Array.iter
     (fun c ->
-      if c.interval < infinity then c.next_gen <- Prng.float prng c.interval)
+      if c.interval < infinity then c.m.next_gen <- Prng.float prng c.interval)
     chains;
   let horizon = warmup +. duration in
   (* Sources inject a whole slice's arrivals before anyone breathes, so
@@ -506,107 +449,86 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
         else s)
       slice chains
   in
-  let deliver c (p : Packet.t) =
+  (* The hot path below only bumps ints and writes float arrays and
+     all-float records; telemetry receives the tallies after the run. *)
+  let time = pool.Packet.time in
+  let deliver c p =
     c.delivered_pkts <- c.delivered_pkts + 1;
-    Lemur_telemetry.Counter.incr c.tm_delivered;
-    if p.Packet.t > warmup && p.Packet.t_ingress > warmup then begin
-      c.delivered_bits <- c.delivered_bits +. p.Packet.bits;
-      let lat = p.Packet.t -. p.Packet.t_ingress in
-      c.lat_sum <- c.lat_sum +. lat;
-      c.lat_samples <- lat :: c.lat_samples;
-      Lemur_telemetry.Histogram.record c.tm_latency lat;
-      if lat > c.lat_max then c.lat_max <- lat
+    let t = time.(p) and t_ingress = pool.Packet.t_ingress.(p) in
+    if t > warmup && t_ingress > warmup then begin
+      c.m.delivered_bits <- c.m.delivered_bits +. pool.Packet.bits.(p);
+      if c.n_lats = Array.length c.lats then
+        c.lats <- Array.append c.lats (Array.make (max 16 c.n_lats) 0.0);
+      c.lats.(c.n_lats) <- t -. t_ingress;
+      c.n_lats <- c.n_lats + 1
     end;
     Packet.free pool p
   in
-  let drop_at c e (p : Packet.t) =
+  let drop_at c e p =
     e.ring_drops <- e.ring_drops + 1;
-    Lemur_telemetry.Counter.incr e.tm_ring_drops;
     c.dropped <- c.dropped + 1;
-    Lemur_telemetry.Counter.incr c.tm_dropped;
     Packet.free pool p
   in
   (* Route a packet into a hop: flow-consistent replica choice (HashLB),
      tail-drop when the replica's ring is full. *)
-  let enqueue c (p : Packet.t) hop =
-    let e = hop.(p.Packet.flow mod Array.length hop) in
-    p.Packet.t <- p.Packet.t +. e.lead;
-    if not (Ring.push e.ring p) then drop_at c e p
+  let enqueue c p hop =
+    let e = hop.(pool.Packet.flow.(p) mod Array.length hop) in
+    let t = time.(p) +. e.lead in
+    time.(p) <- t;
+    if Ring.push e.ring p then begin
+      if Ring.length e.ring = 1 then e.owner.w_heads.(e.slot) <- t
+    end
+    else drop_at c e p
   in
-  let advance c (p : Packet.t) =
-    let hops = c.hops.(p.Packet.route) in
-    p.Packet.step <- p.Packet.step + 1;
-    if p.Packet.step >= Array.length hops then deliver c p
-    else enqueue c p hops.(p.Packet.step)
+  let advance c p =
+    let hops = c.hops.(pool.Packet.route.(p)) in
+    let step = pool.Packet.step.(p) + 1 in
+    pool.Packet.step.(p) <- step;
+    if step >= Array.length hops then deliver c p else enqueue c p hops.(step)
   in
   (* Generate the packets due before [slice_end] for one chain. *)
   let inject c slice_end =
     if c.interval < infinity then
-      while c.next_gen < slice_end && c.next_gen < horizon do
-        let now = c.next_gen in
+      while c.m.next_gen < slice_end && c.m.next_gen < horizon do
+        let now = c.m.next_gen in
         if c.t_max < infinity then begin
-          c.tokens <-
-            Float.min (bucket_quantum *. 8.0)
-              (c.tokens +. ((now -. c.last_refill) /. 1e9 *. c.t_max));
-          c.last_refill <- now
+          let cap = bucket_quantum *. 8.0 in
+          let filled = c.m.tokens +. ((now -. c.m.last_refill) /. 1e9 *. c.t_max) in
+          c.m.tokens <- (if filled > cap then cap else filled);
+          c.m.last_refill <- now
         end;
-        if c.t_max = infinity || c.tokens >= pkt_bits then begin
-          if c.t_max < infinity then c.tokens <- c.tokens -. pkt_bits;
-          let r = Prng.float prng 1.0 in
-          let n_routes = Array.length c.fractions in
-          let route = ref (n_routes - 1) in
-          let acc = ref 0.0 in
-          (try
-             for i = 0 to n_routes - 1 do
-               if r < !acc +. c.fractions.(i) then begin
-                 route := i;
-                 raise Exit
-               end;
-               acc := !acc +. c.fractions.(i)
-             done
-           with Exit -> ());
-          List.iter
-            (fun nid -> Lemur_telemetry.Counter.incr c.tm_nf_pkts.(nid))
-            c.sw_nodes.(!route);
-          let flow = Prng.int prng 40 in
+        if c.t_max = infinity || c.m.tokens >= pkt_bits then begin
+          if c.t_max < infinity then c.m.tokens <- c.m.tokens -. pkt_bits;
+          let route = Route.pick c.fractions (Prng.float prng 1.0) in
+          c.route_injected.(route) <- c.route_injected.(route) + 1;
+          let flow = Prng.int prng Nf_cost.flows in
           c.injected <- c.injected + 1;
-          Lemur_telemetry.Counter.incr c.tm_injected;
-          match Packet.alloc pool with
-          | None ->
-              (* ingress drop for want of a buffer: the offered packet
-                 still counts so conservation holds *)
-              incr pool_exhausted;
-              c.dropped <- c.dropped + 1;
-              Lemur_telemetry.Counter.incr c.tm_dropped
-          | Some p ->
-              p.Packet.chain <- c.idx;
-              p.Packet.route <- !route;
-              p.Packet.step <- 0;
-              p.Packet.flow <- flow;
-              if Array.length c.cls_headers > 0 then begin
-                let h = c.cls_headers.(flow) in
-                p.Packet.src <- h.Lemur_classifier.Rule.src;
-                p.Packet.dst <- h.Lemur_classifier.Rule.dst;
-                p.Packet.sport <- h.Lemur_classifier.Rule.sport;
-                p.Packet.dport <- h.Lemur_classifier.Rule.dport;
-                p.Packet.proto <- h.Lemur_classifier.Rule.proto
-              end;
-              p.Packet.bits <- pkt_bits;
-              p.Packet.t_ingress <- now;
-              p.Packet.t <- now;
-              let hops = c.hops.(!route) in
-              if Array.length hops = 0 then begin
-                (* all-hardware path: ToR in, ToR out *)
-                p.Packet.t <- now +. tor_latency;
-                deliver c p
-              end
-              else enqueue c p hops.(0)
+          if Packet.available pool = 0 then begin
+            (* ingress drop for want of a buffer: the offered packet
+               still counts so conservation holds *)
+            incr pool_exhausted;
+            c.dropped <- c.dropped + 1
+          end
+          else begin
+            let p = Packet.take pool in
+            pool.Packet.chain.(p) <- c.idx;
+            pool.Packet.route.(p) <- route;
+            pool.Packet.step.(p) <- 0;
+            pool.Packet.flow.(p) <- flow;
+            pool.Packet.bits.(p) <- pkt_bits;
+            pool.Packet.t_ingress.(p) <- now;
+            time.(p) <- now;
+            let hops = c.hops.(route) in
+            if Array.length hops = 0 then begin
+              (* all-hardware path: ToR in, ToR out *)
+              time.(p) <- now +. tor_latency;
+              deliver c p
+            end
+            else enqueue c p hops.(0)
+          end
         end
-        else begin
-          c.shaped <- c.shaped + 1;
-          Lemur_telemetry.Counter.incr c.tm_shaped
-        end;
-        c.next_gen <- c.next_gen +. c.interval
+        else c.shaped <- c.shaped + 1;
+        c.m.next_gen <- c.m.next_gen +. c.interval
       done
   in
   (* One breath of one worker: pull up to [batch_pkts] packets whose
@@ -616,46 +538,41 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
      heap. Round-robin here would let a late packet in one ring jump
      the busy clock over earlier packets queued in a sibling ring,
      wasting real capacity as idle time. Ties go to the lowest ring
-     index, which keeps the order deterministic. *)
+     index, which keeps the order deterministic. The start time is
+     [max head busy] written as a compare: [Float.max] is not inlined
+     across modules and would box its operands for every ring scanned. *)
   let breathe w slice_end =
     let n = Array.length w.w_elems in
-    if n = 0 then false
-    else begin
-      let served = ref 0 in
-      let go = ref true in
-      while !go && !served < batch_pkts do
-        let best = ref (-1) in
-        let best_start = ref infinity in
-        for i = 0 to n - 1 do
-          let e = w.w_elems.(i) in
-          match Ring.peek e.ring with
-          | None -> ()
-          | Some p ->
-              let start =
-                if w.w_serialize then Float.max p.Packet.t w.w_busy
-                else p.Packet.t
-              in
-              if start < slice_end && start < !best_start then begin
-                best := i;
-                best_start := start
-              end
-        done;
-        if !best < 0 then go := false
-        else begin
-          let e = w.w_elems.(!best) in
-          let p = Option.get (Ring.pop e.ring) in
-          let fin = !best_start +. e.cost p in
-          if w.w_serialize then w.w_busy <- fin;
-          p.Packet.t <- fin +. e.wire;
-          e.pulled <- e.pulled + 1;
-          Lemur_telemetry.Counter.incr e.tm_pulled;
-          incr total_served;
-          incr served;
-          advance chains.(p.Packet.chain) p
+    let heads = w.w_heads in
+    let served = ref 0 in
+    let go = ref (n > 0) in
+    while !go && !served < batch_pkts do
+      let busy = w.w_clock.busy in
+      let best = ref (-1) and best_start = ref infinity in
+      for i = 0 to n - 1 do
+        let head = heads.(i) in
+        let start = if w.w_serialize && busy > head then busy else head in
+        if start < slice_end && start < !best_start then begin
+          best := i;
+          best_start := start
         end
       done;
-      !served > 0
-    end
+      if !best < 0 then go := false
+      else begin
+        let e = w.w_elems.(!best) in
+        let p = Ring.take e.ring in
+        let next = Ring.top e.ring in
+        heads.(!best) <- (if next = Ring.none then infinity else time.(next));
+        let fin = !best_start +. service prng pool e p in
+        if w.w_serialize then w.w_clock.busy <- fin;
+        time.(p) <- fin +. e.wire;
+        e.pulled <- e.pulled + 1;
+        incr total_served;
+        incr served;
+        advance chains.(pool.Packet.chain.(p)) p
+      end
+    done;
+    !served > 0
   in
   let t0_wall = Timing.now () in
   let breaths = ref 0 in
@@ -663,11 +580,15 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
   (let stop = ref false in
    while (not !stop) && !t < horizon +. drain_slack do
      let slice_end = !t +. slice in
-     Array.iter (fun c -> inject c slice_end) chains;
+     for i = 0 to Array.length chains - 1 do
+       inject chains.(i) slice_end
+     done;
      let progress = ref true in
      while !progress do
        progress := false;
-       Array.iter (fun w -> if breathe w slice_end then progress := true) workers
+       for i = 0 to Array.length workers - 1 do
+         if breathe workers.(i) slice_end then progress := true
+       done
      done;
      incr breaths;
      t := slice_end;
@@ -678,29 +599,48 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
   List.iter
     (fun e ->
       Ring.iter
-        (fun (p : Packet.t) ->
-          let c = chains.(p.Packet.chain) in
+        (fun p ->
+          let c = chains.(pool.Packet.chain.(p)) in
           c.in_flight <- c.in_flight + 1)
         e.ring)
     !elements_rev;
+  (* Hand the run's tallies to telemetry: the same totals per-packet
+     increments would have left. *)
+  let module Counter = Lemur_telemetry.Counter in
+  List.iter
+    (fun e ->
+      Counter.incr ~by:e.pulled e.tm_pulled;
+      Array.iter (Counter.incr ~by:e.pulled) e.tm_nfs;
+      Counter.incr ~by:e.ring_drops e.tm_ring_drops)
+    !elements_rev;
+  Array.iter
+    (fun c ->
+      Array.iteri
+        (fun r nodes ->
+          List.iter
+            (fun nid -> Counter.incr ~by:c.route_injected.(r) c.tm_nf_pkts.(nid))
+            nodes)
+        c.sw_nodes;
+      Counter.incr ~by:c.injected c.tm_injected;
+      Counter.incr ~by:c.delivered_pkts c.tm_delivered;
+      Counter.incr ~by:c.dropped c.tm_dropped;
+      Counter.incr ~by:c.shaped c.tm_shaped;
+      (* arrival order: [Stats.tail_summary] below sorts the buffer *)
+      Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
+    chains;
   let chain_results =
     Array.to_list
       (Array.map
          (fun c ->
+           let mean, p50, p99, max_lat = Stats.tail_summary c.lats c.n_lats in
            {
              chain_id = c.id;
              offered = c.offered_rate;
-             delivered = c.delivered_bits /. duration *. 1e9;
-             mean_latency =
-               (if c.lat_samples = [] then 0.0
-                else c.lat_sum /. float_of_int (List.length c.lat_samples));
-             p50_latency =
-               (if c.lat_samples = [] then 0.0
-                else Stats.percentile 50.0 c.lat_samples);
-             p99_latency =
-               (if c.lat_samples = [] then 0.0
-                else Stats.percentile 99.0 c.lat_samples);
-             max_latency = c.lat_max;
+             delivered = c.m.delivered_bits /. duration *. 1e9;
+             mean_latency = mean;
+             p50_latency = p50;
+             p99_latency = p99;
+             max_latency = max_lat;
              injected_pkts = c.injected;
              delivered_pkts = c.delivered_pkts;
              dropped_pkts = c.dropped;
@@ -721,11 +661,11 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
         })
       !elements_rev
   in
-  Lemur_telemetry.Counter.incr ~by:!breaths
+  Counter.incr ~by:!breaths
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.breaths");
-  Lemur_telemetry.Counter.incr ~by:!total_served
+  Counter.incr ~by:!total_served
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.served");
-  Lemur_telemetry.Counter.incr ~by:!pool_exhausted
+  Counter.incr ~by:!pool_exhausted
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.pool_exhausted");
   {
     chains = chain_results;

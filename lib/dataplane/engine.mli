@@ -27,7 +27,10 @@
 
     holds per chain and in aggregate (shaped packets were never
     created), and the packet pool's own accounting cross-checks it.
-    Counters feed {!Lemur_telemetry} under [dataplane.engine.*]. *)
+    Counters feed {!Lemur_telemetry} under [dataplane.engine.*]; the
+    breathing loop keeps plain [int] tallies and a latency buffer and
+    hands them over once the run ends, so its packet path allocates
+    little beyond the boxed floats its [Prng] calls return. *)
 
 type chain_result = {
   chain_id : string;

@@ -1,67 +1,43 @@
-type t = {
-  mutable chain : int;
-  mutable route : int;
-  mutable step : int;
-  mutable flow : int;
-  mutable src : int;
-  mutable dst : int;
-  mutable sport : int;
-  mutable dport : int;
-  mutable proto : int;
-  mutable bits : float;
-  mutable t_ingress : float;
-  mutable t : float;
+type t = int
+
+type pool = {
+  chain : int array;
+  route : int array;
+  step : int array;
+  flow : int array;
+  bits : float array;
+  t_ingress : float array;
+  time : float array;
+  free : int array;
+  mutable n_free : int;
 }
-
-type pool = { free : t array; mutable n_free : int; cap : int }
-
-let fresh () =
-  {
-    chain = 0;
-    route = 0;
-    step = 0;
-    flow = 0;
-    src = 0;
-    dst = 0;
-    sport = 0;
-    dport = 0;
-    proto = 0;
-    bits = 0.0;
-    t_ingress = 0.0;
-    t = 0.0;
-  }
-
-let dummy = fresh
 
 let create_pool ~capacity =
   if capacity < 1 then invalid_arg "Packet.create_pool: capacity < 1";
-  { free = Array.init capacity (fun _ -> fresh ()); n_free = capacity; cap = capacity }
+  let ints () = Array.make capacity 0 and floats () = Array.make capacity 0.0 in
+  {
+    chain = ints ();
+    route = ints ();
+    step = ints ();
+    flow = ints ();
+    bits = floats ();
+    t_ingress = floats ();
+    time = floats ();
+    free = Array.init capacity Fun.id;
+    n_free = capacity;
+  }
 
-let capacity p = p.cap
+let capacity p = Array.length p.free
 let available p = p.n_free
-let in_flight p = p.cap - p.n_free
+let in_flight p = capacity p - p.n_free
 
-let alloc p =
-  if p.n_free = 0 then None
-  else begin
-    p.n_free <- p.n_free - 1;
-    let pkt = p.free.(p.n_free) in
-    pkt.chain <- 0;
-    pkt.route <- 0;
-    pkt.step <- 0;
-    pkt.flow <- 0;
-    pkt.src <- 0;
-    pkt.dst <- 0;
-    pkt.sport <- 0;
-    pkt.dport <- 0;
-    pkt.proto <- 0;
-    pkt.bits <- 0.0;
-    pkt.t_ingress <- 0.0;
-    pkt.t <- 0.0;
-    Some pkt
-  end
+let take p =
+  if p.n_free = 0 then invalid_arg "Packet.take: pool exhausted";
+  p.n_free <- p.n_free - 1;
+  p.free.(p.n_free)
 
 let free p pkt =
-  if p.n_free >= p.cap then invalid_arg "Packet.free: pool overflow (double free?)";
+  if p.n_free >= capacity p then
+    invalid_arg "Packet.free: pool overflow (double free?)";
   p.free.(p.n_free) <- pkt;
   p.n_free <- p.n_free + 1

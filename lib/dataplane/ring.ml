@@ -1,14 +1,15 @@
-type 'a t = {
-  buf : 'a array;
-  dummy : 'a;
+type t = {
+  buf : int array;
   cap : int;
-  mutable head : int;  (* monotonic: total popped *)
+  mutable head : int;  (* monotonic: total taken *)
   mutable tail : int;  (* monotonic: total pushed *)
 }
 
-let create ~capacity ~dummy =
+let none = -1
+
+let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-  { buf = Array.make capacity dummy; dummy; cap = capacity; head = 0; tail = 0 }
+  { buf = Array.make capacity none; cap = capacity; head = 0; tail = 0 }
 
 let capacity t = t.cap
 let length t = t.tail - t.head
@@ -25,17 +26,15 @@ let push t x =
     true
   end
 
-let pop t =
-  if is_empty t then None
-  else begin
-    let i = t.head mod t.cap in
-    let x = t.buf.(i) in
-    t.buf.(i) <- t.dummy;
-    t.head <- t.head + 1;
-    Some x
-  end
+let top t = if is_empty t then none else t.buf.(t.head mod t.cap)
 
-let peek t = if is_empty t then None else Some t.buf.(t.head mod t.cap)
+let take t =
+  if is_empty t then none
+  else begin
+    let x = t.buf.(t.head mod t.cap) in
+    t.head <- t.head + 1;
+    x
+  end
 
 let push_batch t xs =
   let n = min (Array.length xs) (t.cap - length t) in
@@ -48,9 +47,7 @@ let push_batch t xs =
 let pop_batch t out =
   let n = min (Array.length out) (length t) in
   for i = 0 to n - 1 do
-    let j = (t.head + i) mod t.cap in
-    out.(i) <- t.buf.(j);
-    t.buf.(j) <- t.dummy
+    out.(i) <- t.buf.((t.head + i) mod t.cap)
   done;
   t.head <- t.head + n;
   n

@@ -1,7 +1,7 @@
-(** Fixed-capacity single-producer/single-consumer ring buffer — the
-    engine's link primitive (snabb's [core.link]).
+(** Fixed-capacity single-producer/single-consumer ring of packet
+    handles — the engine's link primitive (snabb's [core.link]).
 
-    A ring never grows: [push] on a full ring refuses the element and
+    A ring never grows: [push] on a full ring refuses the handle and
     the caller decides what dropping means (the engine frees the packet
     back to its pool and charges the destination element's drop
     counter). Head and tail are monotonic counters, so total
@@ -9,45 +9,54 @@
     [pushed t - popped t = length t] is an invariant test hooks rely
     on.
 
+    Slots hold plain [int]s ({!Packet.t} handles), so no operation
+    allocates or goes through the GC write barrier, and [take]/[top]
+    report an empty ring with the {!none} sentinel instead of an
+    option.
+
     The engine is single-threaded over virtual time, so no memory
     fences are needed; the SPSC discipline (one pushing element, one
     pulling worker per ring) is what keeps FIFO order meaningful. *)
 
-type 'a t
+type t
 
-val create : capacity:int -> dummy:'a -> 'a t
-(** A ring holding at most [capacity] elements. [dummy] fills vacated
-    slots so the ring never retains references to popped elements.
+val none : int
+(** [-1]: what [take] and [top] return on an empty ring. Handles are
+    non-negative, so it never collides with a queued one. *)
+
+val create : capacity:int -> t
+(** A ring holding at most [capacity] handles.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
+val capacity : t -> int
+val length : t -> int
+val is_empty : t -> bool
+val is_full : t -> bool
 
-val push : 'a t -> 'a -> bool
-(** [false] iff the ring is full (the element was not enqueued). *)
+val push : t -> int -> bool
+(** [false] iff the ring is full (the handle was not enqueued). *)
 
-val pop : 'a t -> 'a option
-(** Oldest element first (FIFO). *)
+val take : t -> int
+(** Remove and return the oldest handle (FIFO), or {!none} if empty. *)
 
-val peek : 'a t -> 'a option
-(** The element [pop] would return, without removing it. *)
+val top : t -> int
+(** The handle [take] would return, without removing it; {!none} if
+    empty. *)
 
-val push_batch : 'a t -> 'a array -> int
+val push_batch : t -> int array -> int
 (** Enqueue the array front-to-back until the ring fills; returns how
     many were accepted (a prefix of the array). *)
 
-val pop_batch : 'a t -> 'a array -> int
+val pop_batch : t -> int array -> int
 (** Dequeue into the array until it is full or the ring empties;
     returns how many were written (FIFO order from index 0). *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Visit queued elements oldest-first without consuming them — the
+val iter : (int -> unit) -> t -> unit
+(** Visit queued handles oldest-first without consuming them — the
     engine's end-of-run in-flight accounting. *)
 
-val pushed : 'a t -> int
-(** Total elements ever accepted by [push]/[push_batch]. *)
+val pushed : t -> int
+(** Total handles ever accepted by [push]/[push_batch]. *)
 
-val popped : 'a t -> int
-(** Total elements ever removed by [pop]/[pop_batch]. *)
+val popped : t -> int
+(** Total handles ever removed by [take]/[pop_batch]. *)

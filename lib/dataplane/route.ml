@@ -77,3 +77,46 @@ let build ?nic_host report =
       in
       { fraction = path.Lemur_spec.Graph.fraction; visits; sw_nodes })
     (Lemur_spec.Graph.linearize graph)
+
+let pick fractions r =
+  let n = Array.length fractions in
+  let chosen = ref (n - 1) and acc = ref 0.0 and i = ref 0 in
+  while !i < n - 1 do
+    if r < !acc +. fractions.(!i) then begin
+      chosen := !i;
+      i := n
+    end
+    else begin
+      acc := !acc +. fractions.(!i);
+      incr i
+    end
+  done;
+  !chosen
+
+type core = { server : string; core : int; socket : int }
+
+let cores topo placement =
+  let next_core = Hashtbl.create 4 in
+  List.map
+    (fun report ->
+      Array.of_list
+        (List.mapi
+           (fun sg_index sg ->
+             let server = List.assoc sg.Plan.sg_segment report.Strategy.seg_server in
+             let s_decl = Lemur_topology.Topology.find_server topo server in
+             Array.init report.Strategy.cores.(sg_index) (fun _ ->
+                 let core = Option.value (Hashtbl.find_opt next_core server) ~default:1 in
+                 Hashtbl.replace next_core server (core + 1);
+                 let socket = core / s_decl.Lemur_platform.Server.cores_per_socket in
+                 { server; core; socket }))
+           report.Strategy.plan.Plan.subgroups))
+    placement.Strategy.chain_reports
+
+let offered_rate ~offered ~overdrive ~port_cap report =
+  let slo = report.Strategy.plan.Plan.input.Plan.slo in
+  match List.assoc_opt report.Strategy.plan.Plan.input.Plan.id offered with
+  | Some r -> Float.min (Float.min (Float.max r 0.0) slo.Lemur_slo.Slo.t_max) port_cap
+  | None ->
+      Float.min
+        (Float.min (report.Strategy.rate *. overdrive) slo.Lemur_slo.Slo.t_max)
+        port_cap

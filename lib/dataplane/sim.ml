@@ -20,60 +20,79 @@ type result = {
 }
 
 (* The static route structure lives in {!Route}, shared with the
-   packet-level Engine so both executors walk identical service paths. *)
+   packet-level Engine so both executors walk identical service paths.
+   [run] compiles each route into an array of hops whose servers, cores
+   and NF costs are resolved up front, so the event loop does no
+   lookups. *)
 
-type chain_rt = {
-  report : Strategy.chain_report;
-  routes : Route.t list;
-  offered_rate : float;
-  batch_interval : float;
-  (* token bucket for t_max *)
-  mutable tokens : float;
-  mutable last_refill : float;
-  (* accounting *)
-  mutable delivered_bits : float;
-  mutable dropped : int;
-  mutable delivered_batches : int;
-  mutable latency_sum : float;
-  mutable latency_max : float;
-  mutable latency_samples : float list;
-  (* telemetry instruments, pre-resolved off the hot path *)
-  tm_drops : Lemur_telemetry.Counter.t;
-  tm_latency : Lemur_telemetry.Histogram.t;
-  tm_nf_pkts : Lemur_telemetry.Counter.t array;  (** indexed by graph node id *)
-  acl_mean : float array;
-      (** per-node mean classification cycles over the chain's 40-flow
-          header corpus when [config.acl_algo] is set; [-1.0] for
-          non-ACL nodes, [[||]] when classification is off *)
-}
-
-(* Mutable busy-until resources. *)
+(* Busy-until resources. An all-float record is stored flat, so
+   advancing [busy_until] does not allocate. *)
 type resource = { mutable busy_until : float }
 
-type core = { res : resource; socket : int }
+(* One NF's per-packet cycles: a draw from its datasheet law, or a
+   constant (classified ACLs cost their mean over the flow corpus). *)
+type nf = Draw of Lemur_util.Prng.law | Mean of float
 
 type server_rt = {
-  demux : core;
+  demux : resource;
   link_in : resource;  (** ToR -> server direction *)
   link_out : resource;
   capacity : float;
   clock : float;
-  nic_socket : int;
-  (* (chain_id, sg_index) -> instance cores *)
-  sg_cores : (string * int, core list) Hashtbl.t;
 }
 
-(* ------------------------------------------------------------------ *)
+(* A run-to-completion subgroup: its NFs and one replica per core, each
+   with the NF costs on that core's socket. *)
+type subgroup = {
+  sg_nodes : int array;
+  lb : float;  (* multi-core load-balancing cycles, 0 on one core *)
+  replicas : (resource * nf array) array;
+}
+
+type hop =
+  | Of_hop of Lemur_platform.Ofswitch.t
+  | Server_hop of {
+      srv : server_rt;
+      nic : (int * nf * float) array;  (* node id, cost, eBPF speedup *)
+      sgs : subgroup array;
+    }
+
+type batch = {
+  chain : int;
+  t_ingress : float;
+  flow : int;  (* 5-tuple hash: keeps replica choice flow-consistent *)
+  hops : hop array;
+  mutable next : int;
+}
 
 type event = Generate of int | Step of batch
 
-and batch = {
-  chain : int;
-  t_ingress : float;
-  bits : float;
-  pkts : int;
-  flow : int;  (* 5-tuple hash: keeps replica choice flow-consistent *)
-  mutable remaining : Route.visit list;
+(* All-float, so the token bucket and delivered tally update in place. *)
+type meter = {
+  mutable tokens : float;
+  mutable last_refill : float;
+  mutable delivered_bits : float;
+}
+
+type chain_rt = {
+  report : Strategy.chain_report;
+  routes : hop array array;
+  fractions : float array;
+  sw_nodes : int list array;
+  route_batches : int array;  (* per route: batches admitted to it *)
+  offered_rate : float;
+  batch_interval : float;
+  t_max : float;
+  gen : event;
+  m : meter;
+  mutable dropped : int;
+  mutable lats : float array;  (* post-warmup latencies, arrival order *)
+  mutable n_lats : int;
+  nf_pkts : int array;  (* per graph node: packets processed *)
+  (* telemetry instruments, fed once the run ends *)
+  tm_drops : Lemur_telemetry.Counter.t;
+  tm_latency : Lemur_telemetry.Histogram.t;
+  tm_nf_pkts : Lemur_telemetry.Counter.t array;  (** indexed by graph node id *)
 }
 
 let link_queue_limit = Units.ms 1.0
@@ -82,6 +101,15 @@ let wire_delay = 350.0 (* ns one way *)
 let demux_cycles_per_pkt = 150.0
 
 type traffic = Long_lived | Short_flows
+
+(* Service start on a resource: [Float.max now busy_until], written as a
+   compare because [Float.max] would box its operands. *)
+let[@inline] start_on res now =
+  if res.busy_until > now then res.busy_until else now
+
+let[@inline] cycles prng = function
+  | Draw law -> Prng.sample prng law
+  | Mean m -> m
 
 let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
     ?(batch_pkts = 32) ?(overdrive = 1.08) ?(traffic = Long_lived)
@@ -93,121 +121,128 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
   let tor_latency = topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.latency in
   let pkt_bits = Units.bytes_to_bits config.Plan.pkt_bytes in
   let batch_bits = pkt_bits *. float_of_int batch_pkts in
+  let pkts = float_of_int batch_pkts in
+  let metron = config.Plan.metron_steering in
   (* OpenFlow switch contention: one shared full-duplex link. *)
   let of_link = { busy_until = 0.0 } in
-  (* Per-server runtime state, with the same core-assignment order as the
-     BESS code generator (core 0 = demux; NF cores from 1). *)
   let servers = Hashtbl.create 4 in
   List.iter
     (fun s ->
-      let name = s.Lemur_platform.Server.name in
-      Hashtbl.replace servers name
+      Hashtbl.replace servers s.Lemur_platform.Server.name
         {
-          demux = { res = { busy_until = 0.0 }; socket = 0 };
+          demux = { busy_until = 0.0 };
           link_in = { busy_until = 0.0 };
           link_out = { busy_until = 0.0 };
           capacity = Lemur_platform.Server.nic_capacity s;
           clock = s.Lemur_platform.Server.clock_hz;
-          nic_socket = 0;
-          sg_cores = Hashtbl.create 8;
         })
     topo.Lemur_topology.Topology.servers;
-  let next_core = Hashtbl.create 4 in
-  List.iter
-    (fun report ->
-      let chain_id = report.Strategy.plan.Plan.input.Plan.id in
-      List.iteri
-        (fun sg_index sg ->
-          let server =
-            List.assoc sg.Plan.sg_segment report.Strategy.seg_server
-          in
-          let srv = Hashtbl.find servers server in
-          let s_decl = Lemur_topology.Topology.find_server topo server in
-          let cores =
-            List.init report.Strategy.cores.(sg_index) (fun _ ->
-                let c = Option.value (Hashtbl.find_opt next_core server) ~default:1 in
-                Hashtbl.replace next_core server (c + 1);
-                {
-                  res = { busy_until = 0.0 };
-                  socket = c / s_decl.Lemur_platform.Server.cores_per_socket;
-                })
-          in
-          Hashtbl.replace srv.sg_cores (chain_id, sg_index) cores)
-        report.Strategy.plan.Plan.subgroups)
-    placement.Strategy.chain_reports;
-  (* Canonical classifier per distinct ACL table size, shared across
-     chains — the same rulesets Engine and the profiler build. *)
-  let acl_tbl = Hashtbl.create 4 in
-  let acl_classifier node =
-    match config.Plan.acl_algo with
-    | None -> None
-    | Some algo ->
-        let instance = node.Lemur_spec.Graph.instance in
-        if
-          Lemur_nf.Kind.equal instance.Lemur_nf.Instance.kind Lemur_nf.Kind.Acl
-        then begin
-          let size =
-            match Lemur_nf.Instance.state_size instance with
-            | Some s -> s
-            | None ->
-                Option.value
-                  (Lemur_nf.Datasheet.reference_size Lemur_nf.Kind.Acl)
-                  ~default:1024
-          in
-          match Hashtbl.find_opt acl_tbl size with
-          | Some c -> Some c
-          | None ->
-              let c =
-                Lemur_classifier.Classifier.build algo
-                  (Lemur_classifier.Ruleset.generate ~size ())
-              in
-              Hashtbl.replace acl_tbl size c;
-              Some c
-        end
-        else None
+  let acl_cls = Nf_cost.acl_classifier config in
+  let short_flows = traffic = Short_flows in
+  let nic_host =
+    match topo.Lemur_topology.Topology.smartnics with
+    | nic :: _ -> Some nic.Lemur_platform.Smartnic.host
+    | [] -> None
+  in
+  let port_cap =
+    topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.port_capacity
   in
   let chains =
     Array.of_list
-      (List.map
-         (fun report ->
+      (List.mapi
+         (fun i (report, sg_cores) ->
            let chain_id = report.Strategy.plan.Plan.input.Plan.id in
            let graph = report.Strategy.plan.Plan.input.Plan.graph in
            let slo = report.Strategy.plan.Plan.input.Plan.slo in
-           (* offered load cannot exceed the chain's ToR ingress port *)
-           let port_cap =
-             topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.port_capacity
-           in
-           let offered =
-             match List.assoc_opt chain_id offered with
-             | Some r ->
-                 Float.min (Float.min (Float.max r 0.0) slo.Lemur_slo.Slo.t_max)
-                   port_cap
+           let offered = Route.offered_rate ~offered ~overdrive ~port_cap report in
+           (* Classified ACL nodes cost their mean cycles over the same
+              header corpus Engine injects. *)
+           let acl_mean = Array.make (Lemur_spec.Graph.size graph) None in
+           (let headers = Nf_cost.flow_headers acl_cls graph in
+            List.iter
+              (fun node ->
+                acl_mean.(node.Lemur_spec.Graph.id) <-
+                  Option.map
+                    (fun cls -> Lemur_classifier.Classifier.mean_cycles cls headers)
+                    (acl_cls node))
+              (Lemur_spec.Graph.nodes graph));
+           let nf ~socket id =
+             match acl_mean.(id) with
+             | Some mean -> Mean (mean *. Nf_cost.numa_factor ~socket)
              | None ->
-                 Float.min
-                   (Float.min (report.Strategy.rate *. overdrive)
-                      slo.Lemur_slo.Slo.t_max)
-                   port_cap
+                 Draw (Nf_cost.law ~short_flows (Lemur_spec.Graph.node graph id) ~socket)
+           in
+           (* Cores are shared by every route through the subgroup. *)
+           let subgroups_rt =
+             Array.of_list
+               (List.mapi
+                  (fun sg_index sg ->
+                    let sg_nodes = Array.of_list sg.Plan.sg_nodes in
+                    let cores = sg_cores.(sg_index) in
+                    {
+                      sg_nodes;
+                      lb =
+                        (if Array.length cores > 1 && not metron then
+                           Lemur_bess.Cost.multicore_lb_cycles
+                         else 0.0);
+                      replicas =
+                        Array.map
+                          (fun (core : Route.core) ->
+                            let nfs = Array.map (nf ~socket:core.Route.socket) sg_nodes in
+                            ({ busy_until = 0.0 }, nfs))
+                          cores;
+                    })
+                  report.Strategy.plan.Plan.subgroups)
+           in
+           let compile_visit = function
+             | Route.Of_visit ->
+                 Option.map (fun sw -> Of_hop sw) topo.Lemur_topology.Topology.ofswitch
+             | Route.Server_visit { server; nic_nodes; subgroups } ->
+                 let nic =
+                   Array.of_list
+                     (List.map
+                        (fun id ->
+                          let kind =
+                            (Lemur_spec.Graph.node graph id).Lemur_spec.Graph.instance
+                              .Lemur_nf.Instance.kind
+                          in
+                          (id, nf ~socket:Nf_cost.nic_socket id,
+                           Lemur_nf.Datasheet.ebpf_speedup kind))
+                        nic_nodes)
+                 in
+                 let sgs =
+                   Array.of_list (List.map (Array.get subgroups_rt) subgroups)
+                 in
+                 Some (Server_hop { srv = Hashtbl.find servers server; nic; sgs })
+           in
+           let routes = Route.build ?nic_host report in
+           let batch_interval =
+             if offered <= 0.0 then infinity else batch_bits /. offered *. 1e9
            in
            {
              report;
              routes =
-               Route.build
-                 ?nic_host:
-                   (match topo.Lemur_topology.Topology.smartnics with
-                   | nic :: _ -> Some nic.Lemur_platform.Smartnic.host
-                   | [] -> None)
-                 report;
+               Array.of_list
+                 (List.map
+                    (fun r -> Array.of_list (List.filter_map compile_visit r.Route.visits))
+                    routes);
+             fractions = Array.of_list (List.map (fun r -> r.Route.fraction) routes);
+             sw_nodes = Array.of_list (List.map (fun r -> r.Route.sw_nodes) routes);
+             route_batches = Array.make (List.length routes) 0;
              offered_rate = offered;
-             batch_interval =
-               (if offered <= 0.0 then infinity else batch_bits /. offered *. 1e9);
-             tokens = batch_bits *. 4.0;
-             last_refill = 0.0;
-             delivered_bits = 0.0;
+             batch_interval;
+             t_max = slo.Lemur_slo.Slo.t_max;
+             gen = Generate i;
+             m = { tokens = batch_bits *. 4.0; last_refill = 0.0; delivered_bits = 0.0 };
              dropped = 0;
-             delivered_batches = 0;
-             latency_sum = 0.0;
-             latency_max = 0.0;
-             latency_samples = [];
+             lats =
+               Array.make
+                 (if batch_interval < infinity then
+                    1 + int_of_float ((warmup +. duration) /. batch_interval)
+                  else 0)
+                 0.0;
+             n_lats = 0;
+             nf_pkts = Array.make (Lemur_spec.Graph.size graph) 0;
              tm_drops =
                Lemur_telemetry.Telemetry.counter tm
                  (Printf.sprintf "dataplane.chain.%s.dropped_batches" chain_id);
@@ -228,316 +263,179 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
                            node.Lemur_spec.Graph.instance.Lemur_nf.Instance.name))
                   (Lemur_spec.Graph.nodes graph);
                 arr);
-             acl_mean =
-               (let nodes = Lemur_spec.Graph.nodes graph in
-                match
-                  List.find_opt
-                    (fun node -> Option.is_some (acl_classifier node))
-                    nodes
-                with
-                | None -> [||]
-                | Some first ->
-                    (* Same corpus Engine injects: headers drawn from the
-                       first ACL node's ruleset, one per flow id. *)
-                    let headers =
-                      match acl_classifier first with
-                      | Some cls ->
-                          Lemur_classifier.Ruleset.headers
-                            (Lemur_classifier.Classifier.ruleset cls) ~flows:40
-                      | None -> [||]
-                    in
-                    let arr =
-                      Array.make (Lemur_spec.Graph.size graph) (-1.0)
-                    in
-                    List.iter
-                      (fun node ->
-                        match acl_classifier node with
-                        | Some cls ->
-                            arr.(node.Lemur_spec.Graph.id) <-
-                              Lemur_classifier.Classifier.mean_cycles cls
-                                headers
-                        | None -> ())
-                      nodes;
-                    arr);
            })
-         placement.Strategy.chain_reports)
+         (List.combine placement.Strategy.chain_reports (Route.cores topo placement)))
   in
   let events = Heap.create () in
   let horizon = warmup +. duration in
-  Array.iteri
-    (fun i c ->
+  Array.iter
+    (fun c ->
       if c.batch_interval < infinity then
-        Heap.push events (Prng.float prng c.batch_interval) (Generate i))
+        Heap.push events (Prng.float prng c.batch_interval) c.gen)
     chains;
-  (* sampled per-packet cycles of one NF on a given socket *)
-  let sample_cycles node socket nic_socket =
-    let instance = node.Lemur_spec.Graph.instance in
-    let numa =
-      if socket = nic_socket then Lemur_nf.Datasheet.Same else Lemur_nf.Datasheet.Diff
-    in
-    let size =
-      match Lemur_nf.Instance.state_size instance with
-      | Some s -> s
-      | None ->
-          Option.value
-            (Lemur_nf.Datasheet.reference_size instance.Lemur_nf.Instance.kind)
-            ~default:0
-    in
-    let cost =
-      Lemur_nf.Datasheet.cycle_cost_sized instance.Lemur_nf.Instance.kind numa ~size
-    in
-    (* Short-lived flow churn stresses stateful NFs: cold tables and
-       entry allocation raise both the mean and the tail (footnote 6's
-       worst-case traffic; mirrors the profiler's model). *)
-    let cost =
-      if traffic = Short_flows && Lemur_nf.Kind.stateful instance.Lemur_nf.Instance.kind
-      then
-        {
-          Lemur_nf.Datasheet.mean = cost.Lemur_nf.Datasheet.mean *. 1.012;
-          min = cost.Lemur_nf.Datasheet.min;
-          max = cost.Lemur_nf.Datasheet.max *. 1.018;
-        }
-      else cost
-    in
-    let sigma = (cost.Lemur_nf.Datasheet.max -. cost.Lemur_nf.Datasheet.min) /. 5.0 in
-    Prng.truncated_gaussian prng ~mu:cost.Lemur_nf.Datasheet.mean ~sigma
-      ~lo:cost.Lemur_nf.Datasheet.min ~hi:cost.Lemur_nf.Datasheet.max
-  in
-  (* Claim a resource: returns service start time, or None on queue
-     overflow. *)
-  let claim res now limit =
-    let start = Float.max now res.busy_until in
-    if start -. now > limit then None else Some start
-  in
   let deliver c batch now =
     if now > warmup && batch.t_ingress > warmup then begin
-      c.delivered_bits <- c.delivered_bits +. batch.bits;
-      c.delivered_batches <- c.delivered_batches + 1;
-      let lat = now -. batch.t_ingress in
-      c.latency_sum <- c.latency_sum +. lat;
-      c.latency_samples <- lat :: c.latency_samples;
-      Lemur_telemetry.Histogram.record c.tm_latency lat;
-      if lat > c.latency_max then c.latency_max <- lat
+      c.m.delivered_bits <- c.m.delivered_bits +. batch_bits;
+      if c.n_lats = Array.length c.lats then
+        c.lats <- Array.append c.lats (Array.make (max 16 c.n_lats) 0.0);
+      c.lats.(c.n_lats) <- now -. batch.t_ingress;
+      c.n_lats <- c.n_lats + 1
     end
   in
-
-  let drop c =
-    c.dropped <- c.dropped + 1;
-    Lemur_telemetry.Counter.incr c.tm_drops
-  in
-  let rec step batch now =
+  let drop c = c.dropped <- c.dropped + 1 in
+  (* Serve one batch at its next hop; [ev] is the batch's own [Step]
+     event, re-queued for the hop after. *)
+  let step ev batch now =
     let c = chains.(batch.chain) in
-    match batch.remaining with
-    | [] -> deliver c batch now
-    | Route.Of_visit :: rest -> (
-        match topo.Lemur_topology.Topology.ofswitch with
-        | None ->
-            batch.remaining <- rest;
-            step batch now
-        | Some sw -> (
-            let tx = batch.bits /. sw.Lemur_platform.Ofswitch.capacity *. 1e9 in
-            match claim of_link (now +. tor_latency) link_queue_limit with
-            | None -> drop c
-            | Some start ->
-                of_link.busy_until <- start +. tx;
-                let t =
-                  start +. tx +. (2.0 *. wire_delay)
-                  +. sw.Lemur_platform.Ofswitch.latency
-                in
-                batch.remaining <- rest;
-                Heap.push events t (Step batch)))
-    | Route.Server_visit { server; nic_nodes; subgroups } :: rest -> (
-        let srv = Hashtbl.find servers server in
-        (* ToR then downlink serialization *)
-        let t0 = now +. tor_latency in
-        let tx = batch.bits /. srv.capacity *. 1e9 in
-        match claim srv.link_in t0 link_queue_limit with
-        | None -> drop c
-        | Some start ->
+    if batch.next >= Array.length batch.hops then deliver c batch now
+    else
+      match batch.hops.(batch.next) with
+      | Of_hop sw ->
+          let tx = batch_bits /. sw.Lemur_platform.Ofswitch.capacity *. 1e9 in
+          let arrive = now +. tor_latency in
+          let start = start_on of_link arrive in
+          if start -. arrive > link_queue_limit then drop c
+          else begin
+            of_link.busy_until <- start +. tx;
+            batch.next <- batch.next + 1;
+            Heap.push events
+              (start +. tx +. (2.0 *. wire_delay) +. sw.Lemur_platform.Ofswitch.latency)
+              ev
+          end
+      | Server_hop { srv; nic; sgs } ->
+          (* ToR then downlink serialization *)
+          let t0 = now +. tor_latency in
+          let tx = batch_bits /. srv.capacity *. 1e9 in
+          let start = start_on srv.link_in t0 in
+          if start -. t0 > link_queue_limit then drop c
+          else begin
             srv.link_in.busy_until <- start +. tx;
-            let t1 = start +. tx +. wire_delay in
             (* inline SmartNIC processing on ingress *)
-            let t1 =
-              List.fold_left
-                (fun t node_id ->
-                  let node =
-                    Lemur_spec.Graph.node c.report.Strategy.plan.Plan.input.Plan.graph
-                      node_id
-                  in
-                  let kind = node.Lemur_spec.Graph.instance.Lemur_nf.Instance.kind in
-                  Lemur_telemetry.Counter.incr ~by:batch.pkts c.tm_nf_pkts.(node_id);
-                  let cy =
-                    if
-                      Array.length c.acl_mean > 0
-                      && c.acl_mean.(node_id) >= 0.0
-                    then c.acl_mean.(node_id)
-                    else sample_cycles node srv.nic_socket srv.nic_socket
-                  in
-                  let speed = Lemur_nf.Datasheet.ebpf_speedup kind in
-                  t
-                  +. (cy *. float_of_int batch.pkts /. (srv.clock *. speed) *. 1e9))
-                t1 nic_nodes
-            in
+            let t = ref (start +. tx +. wire_delay) in
+            for k = 0 to Array.length nic - 1 do
+              let id, cost, speed = nic.(k) in
+              c.nf_pkts.(id) <- c.nf_pkts.(id) + batch_pkts;
+              t := !t +. (cycles prng cost *. pkts /. (srv.clock *. speed) *. 1e9)
+            done;
             (* demux + subgroup cores, sequentially *)
-            let finish =
-              if subgroups = [] then Some t1
+            let ok = ref true in
+            if Array.length sgs > 0 then begin
+              let demux_service =
+                if metron then 0.0
+                else demux_cycles_per_pkt *. pkts /. srv.clock *. 1e9
+              in
+              let dstart = if metron then !t else start_on srv.demux !t in
+              if (not metron) && dstart -. !t > core_queue_limit then ok := false
               else begin
-                let demux_service =
-                  if config.Plan.metron_steering then 0.0
-                  else demux_cycles_per_pkt *. float_of_int batch.pkts /. srv.clock *. 1e9
-                in
-                match
-                  if config.Plan.metron_steering then Some t1
-                  else claim srv.demux.res t1 core_queue_limit
-                with
-                | None -> None
-                | Some dstart ->
-                    if not config.Plan.metron_steering then
-                      srv.demux.res.busy_until <- dstart +. demux_service;
-                    let t = ref (dstart +. demux_service) in
-                    let ok = ref true in
-                    List.iter
-                      (fun sg_index ->
-                        if !ok then begin
-                          let chain_id = c.report.Strategy.plan.Plan.input.Plan.id in
-                          let cores =
-                            Hashtbl.find srv.sg_cores (chain_id, sg_index)
-                          in
-                          (* HashLB: flow-consistent replica choice *)
-                          let core =
-                            List.nth cores (batch.flow mod List.length cores)
-                          in
-                          let sg =
-                            List.nth c.report.Strategy.plan.Plan.subgroups sg_index
-                          in
-                          let nf_cycles =
-                            Listx.sum_by
-                              (fun node_id ->
-                                if
-                                  Array.length c.acl_mean > 0
-                                  && c.acl_mean.(node_id) >= 0.0
-                                then
-                                  c.acl_mean.(node_id)
-                                  *. Lemur_nf.Datasheet.numa_factor
-                                       (if core.socket = srv.nic_socket then
-                                          Lemur_nf.Datasheet.Same
-                                        else Lemur_nf.Datasheet.Diff)
-                                else
-                                  sample_cycles
-                                    (Lemur_spec.Graph.node
-                                       c.report.Strategy.plan.Plan.input
-                                         .Plan.graph node_id)
-                                    core.socket srv.nic_socket)
-                              sg.Plan.sg_nodes
-                          in
-                          let total =
-                            Lemur_bess.Cost.subgroup_cycles
-                              ~core_tagging:config.Plan.metron_steering
-                              ~nf_cycles:[ nf_cycles ]
-                              ~multi_core:(List.length cores > 1) ()
-                          in
-                          let service =
-                            total *. float_of_int batch.pkts /. srv.clock *. 1e9
-                          in
-                          match claim core.res !t core_queue_limit with
-                          | None -> ok := false
-                          | Some cstart ->
-                              List.iter
-                                (fun nid ->
-                                  Lemur_telemetry.Counter.incr ~by:batch.pkts
-                                    c.tm_nf_pkts.(nid))
-                                sg.Plan.sg_nodes;
-                              core.res.busy_until <- cstart +. service;
-                              t := cstart +. service
-                        end)
-                      subgroups;
-                    if !ok then Some !t else None
+                if not metron then srv.demux.busy_until <- dstart +. demux_service;
+                t := dstart +. demux_service;
+                let k = ref 0 in
+                while !ok && !k < Array.length sgs do
+                  let sg = sgs.(!k) in
+                  (* HashLB: flow-consistent replica choice *)
+                  let core, nfs =
+                    sg.replicas.(batch.flow mod Array.length sg.replicas)
+                  in
+                  let nf_cycles = ref 0.0 in
+                  for j = 0 to Array.length nfs - 1 do
+                    nf_cycles := !nf_cycles +. cycles prng nfs.(j)
+                  done;
+                  let total =
+                    (0.0 +. !nf_cycles) +. Lemur_bess.Cost.nsh_overhead_cycles +. sg.lb
+                  in
+                  let service = total *. pkts /. srv.clock *. 1e9 in
+                  let cstart = start_on core !t in
+                  if cstart -. !t > core_queue_limit then ok := false
+                  else begin
+                    for j = 0 to Array.length sg.sg_nodes - 1 do
+                      let id = sg.sg_nodes.(j) in
+                      c.nf_pkts.(id) <- c.nf_pkts.(id) + batch_pkts
+                    done;
+                    core.busy_until <- cstart +. service;
+                    t := cstart +. service
+                  end;
+                  incr k
+                done
               end
-            in
-            (match finish with
-            | None -> drop c
-            | Some t2 ->
-                (* Uplink back to the ToR. The cores pace TX (the rate
-                   LP keeps their aggregate under the link rate), so the
-                   TX queue only absorbs transient bursts — lossless. *)
-                let ustart = Float.max t2 srv.link_out.busy_until in
-                srv.link_out.busy_until <- ustart +. tx;
-                batch.remaining <- rest;
-                Heap.push events (ustart +. tx +. wire_delay) (Step batch)))
+            end;
+            if not !ok then drop c
+            else begin
+              (* Uplink back to the ToR. The cores pace TX (the rate
+                 LP keeps their aggregate under the link rate), so the
+                 TX queue only absorbs transient bursts — lossless. *)
+              let ustart = start_on srv.link_out !t in
+              srv.link_out.busy_until <- ustart +. tx;
+              batch.next <- batch.next + 1;
+              Heap.push events (ustart +. tx +. wire_delay) ev
+            end
+          end
   in
   let generate i now =
     let c = chains.(i) in
     (* refill the t_max token bucket *)
-    let t_max = c.report.Strategy.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max in
-    if t_max < infinity then begin
-      c.tokens <-
-        Float.min (batch_bits *. 8.0)
-          (c.tokens +. ((now -. c.last_refill) /. 1e9 *. t_max));
-      c.last_refill <- now
+    if c.t_max < infinity then begin
+      let cap = batch_bits *. 8.0 in
+      let filled = c.m.tokens +. ((now -. c.m.last_refill) /. 1e9 *. c.t_max) in
+      c.m.tokens <- (if filled > cap then cap else filled);
+      c.m.last_refill <- now
     end;
-    if t_max = infinity || c.tokens >= batch_bits then begin
-      if t_max < infinity then c.tokens <- c.tokens -. batch_bits;
+    if c.t_max = infinity || c.m.tokens >= batch_bits then begin
+      if c.t_max < infinity then c.m.tokens <- c.m.tokens -. batch_bits;
       (* pick a service path *)
-      let r = Prng.float prng 1.0 in
-      let rec pick acc = function
-        | [ route ] -> route
-        | route :: rest ->
-            if r < acc +. route.Route.fraction then route else pick (acc +. route.Route.fraction) rest
-        | [] -> assert false
-      in
-      let route = pick 0.0 c.routes in
-      List.iter
-        (fun nid -> Lemur_telemetry.Counter.incr ~by:batch_pkts c.tm_nf_pkts.(nid))
-        route.Route.sw_nodes;
+      let route = Route.pick c.fractions (Prng.float prng 1.0) in
+      c.route_batches.(route) <- c.route_batches.(route) + 1;
       (* a few dozen concurrent flows per chain (footnote 6) *)
+      let flow = Prng.int prng Nf_cost.flows in
       let batch =
-        {
-          chain = i;
-          t_ingress = now;
-          bits = batch_bits;
-          pkts = batch_pkts;
-          flow = Prng.int prng 40;
-          remaining = route.Route.visits;
-        }
+        { chain = i; t_ingress = now; flow; hops = c.routes.(route); next = 0 }
       in
       (* ingress ToR traversal then walk the route *)
-      step batch (now +. tor_latency)
+      step (Step batch) batch (now +. tor_latency)
     end
     else drop c;
     let next = now +. c.batch_interval in
-    if next < horizon then Heap.push events next (Generate i)
+    if next < horizon then Heap.push events next c.gen
   in
-  let rec loop () =
-    match Heap.pop events with
-    | None -> ()
-    | Some (now, ev) ->
-        if now <= horizon +. Units.ms 5.0 then begin
-          (match ev with Generate i -> generate i now | Step b -> step b now);
-          loop ()
-        end
-        else loop ()
-  in
-  loop ();
+  let cutoff = horizon +. Units.ms 5.0 in
+  while not (Heap.is_empty events) do
+    let now = Heap.min_key events in
+    match Heap.take events with
+    | _ when now > cutoff -> ()
+    | Generate i -> generate i now
+    | Step b as ev -> step ev b now
+  done;
+  (* Hand the run's tallies to telemetry, then sort each chain's
+     latencies once for the percentiles. *)
+  let module Counter = Lemur_telemetry.Counter in
+  Array.iter
+    (fun c ->
+      Array.iteri
+        (fun r nodes ->
+          List.iter
+            (fun id ->
+              c.nf_pkts.(id) <- c.nf_pkts.(id) + (batch_pkts * c.route_batches.(r)))
+            nodes)
+        c.sw_nodes;
+      Array.iteri (fun id n -> Counter.incr ~by:n c.tm_nf_pkts.(id)) c.nf_pkts;
+      Counter.incr ~by:c.dropped c.tm_drops;
+      (* arrival order: [Stats.tail_summary] below sorts the buffer *)
+      Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
+    chains;
   let chain_results =
     Array.to_list
       (Array.map
          (fun c ->
+           let mean, p50, p99, max_lat = Stats.tail_summary c.lats c.n_lats in
            {
              chain_id = c.report.Strategy.plan.Plan.input.Plan.id;
              offered = c.offered_rate;
-             delivered = c.delivered_bits /. duration *. 1e9;
-             mean_latency =
-               (if c.delivered_batches = 0 then 0.0
-                else c.latency_sum /. float_of_int c.delivered_batches);
-             p50_latency =
-               (if c.latency_samples = [] then 0.0
-                else Stats.percentile 50.0 c.latency_samples);
-             p99_latency =
-               (if c.latency_samples = [] then 0.0
-                else Stats.percentile 99.0 c.latency_samples);
-             max_latency = c.latency_max;
+             delivered = c.m.delivered_bits /. duration *. 1e9;
+             mean_latency = mean;
+             p50_latency = p50;
+             p99_latency = p99;
+             max_latency = max_lat;
              batches_dropped = c.dropped;
-             batches_delivered = c.delivered_batches;
+             batches_delivered = c.n_lats;
            })
          chains)
   in

@@ -32,7 +32,7 @@ let make ?(bounds = default_bounds) name =
 let name t = t.name
 
 (* Index of the first bound >= v, or the overflow slot. *)
-let bucket_of t v =
+let[@inline] bucket_of t v =
   let lo = ref 0 and hi = ref (Array.length t.bounds) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -48,6 +48,27 @@ let record t v =
   t.sum <- t.sum +. v;
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v;
+  Mutex.unlock t.mu
+
+(* One lock for the whole batch; the running sum, min and max stay in
+   locals so no float is boxed per sample. Samples are folded in array
+   order, so the sum matches [n] calls to [record]. *)
+let record_many t (xs : float array) n =
+  if n < 0 || n > Array.length xs then invalid_arg "Histogram.record_many: length";
+  Mutex.lock t.mu;
+  let sum = ref t.sum and lo = ref t.min_v and hi = ref t.max_v in
+  for i = 0 to n - 1 do
+    let v = xs.(i) in
+    let b = bucket_of t v in
+    t.counts.(b) <- t.counts.(b) + 1;
+    sum := !sum +. v;
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  t.n <- t.n + n;
+  t.sum <- !sum;
+  t.min_v <- !lo;
+  t.max_v <- !hi;
   Mutex.unlock t.mu
 
 let count t = t.n

@@ -2,9 +2,10 @@
 
     A histogram sorts samples into a fixed array of buckets given by
     strictly increasing upper bounds, plus an implicit overflow bucket;
-    recording is O(log buckets) and allocation-free, so the dataplane
-    simulator can feed it per-batch latencies from the hot path. The
-    exact minimum, maximum and sum are tracked on the side.
+    recording is O(log buckets). Each [record] boxes the running sum
+    and takes a lock, so the dataplane executors buffer their latencies
+    and hand them over once per run through [record_many]. The exact
+    minimum, maximum and sum are tracked on the side.
 
     Percentiles use the nearest-rank rule over the cumulative bucket
     counts and report the containing bucket's upper bound, clamped to
@@ -30,6 +31,11 @@ val name : t -> string
 
 val record : t -> float -> unit
 (** Add one sample (same unit as the bounds; nanoseconds by default). *)
+
+val record_many : t -> float array -> int -> unit
+(** [record_many h xs n] records [xs.(0 .. n-1)] in order under one
+    lock: the same state as [n] calls to [record]. The executors buffer
+    per-packet latencies and hand them over once per run. *)
 
 val count : t -> int
 

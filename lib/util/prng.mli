@@ -38,6 +38,15 @@ val truncated_gaussian : t -> mu:float -> sigma:float -> lo:float -> hi:float ->
 (** Normal variate rejected outside \[lo, hi] (resampled; falls back to
     clamping after 64 rejections to guarantee termination). *)
 
+type law = { mu : float; sigma : float; lo : float; hi : float }
+(** A truncated-Gaussian law, built once and sampled many times. *)
+
+val sample : t -> law -> float
+(** [sample t l] draws exactly what [truncated_gaussian] draws with
+    [l]'s parameters. Passing the law as one record keeps the four
+    float arguments unboxed, so a per-packet draw allocates only its
+    result. *)
+
 val exponential : t -> rate:float -> float
 (** Exponential inter-arrival with given rate. Requires [rate > 0]. *)
 

@@ -54,15 +54,65 @@ let linear_fit points =
         let intercept = (sy -. (slope *. sx)) /. n in
         (slope, intercept)
 
+let rank p n =
+  if Float.is_nan p || p < 0.0 || p > 100.0 then
+    invalid_arg "Stats.percentile: p outside [0, 100]";
+  int_of_float (ceil (p /. 100.0 *. float_of_int n)) |> max 1 |> min n
+
+(* Heapsort with direct float comparisons: a comparator closure would
+   box both operands of every comparison. *)
+let sort_floats (xs : float array) n =
+  if n < 0 || n > Array.length xs then invalid_arg "Stats.sort_floats: length";
+  let sift root stop =
+    let r = ref root and go = ref true in
+    while !go do
+      let c = (2 * !r) + 1 in
+      if c >= stop then go := false
+      else begin
+        let c = if c + 1 < stop && xs.(c + 1) > xs.(c) then c + 1 else c in
+        if xs.(c) > xs.(!r) then begin
+          let tmp = xs.(!r) in
+          xs.(!r) <- xs.(c);
+          xs.(c) <- tmp;
+          r := c
+        end
+        else go := false
+      end
+    done
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let tmp = xs.(0) in
+    xs.(0) <- xs.(last);
+    xs.(last) <- tmp;
+    sift 0 last
+  done
+
+let percentile_sorted p (xs : float array) n =
+  if n < 1 || n > Array.length xs then invalid_arg "Stats.percentile_sorted: length";
+  xs.(rank p n - 1)
+
+let tail_summary (xs : float array) n =
+  if n < 0 || n > Array.length xs then invalid_arg "Stats.tail_summary: length";
+  let sum = ref 0.0 and max_x = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. xs.(i);
+    if xs.(i) > !max_x then max_x := xs.(i)
+  done;
+  if n = 0 then (0.0, 0.0, 0.0, 0.0)
+  else begin
+    let mean = !sum /. float_of_int n in
+    sort_floats xs n;
+    (mean, percentile_sorted 50.0 xs n, percentile_sorted 99.0 xs n, !max_x)
+  end
+
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty"
   | xs ->
       reject_nan "Stats.percentile" xs;
-      if Float.is_nan p || p < 0.0 || p > 100.0 then
-        invalid_arg "Stats.percentile: p outside [0, 100]";
-      let sorted = List.sort Float.compare xs in
-      let n = List.length sorted in
-      let rank =
-        int_of_float (ceil (p /. 100.0 *. float_of_int n)) |> max 1 |> min n
-      in
-      List.nth sorted (rank - 1)
+      let sorted = Array.of_list xs in
+      let n = Array.length sorted in
+      sort_floats sorted n;
+      percentile_sorted p sorted n

@@ -12,17 +12,24 @@ let simple_placement ?(t_min = 4e9) c =
   let g = Lemur_spec.Loader.chain_of_string ~name:"c" "Encrypt -> IPv4Fwd" in
   place c [ { Plan.id = "c"; graph = g; slo = Lemur_slo.Slo.make ~t_min ~t_max:100e9 () } ]
 
+(* The smallest entry with its key, or [None] once drained. *)
+let pop h =
+  if Heap.is_empty h then None
+  else
+    let k = Heap.min_key h in
+    Some (k, Heap.take h)
+
 let test_heap () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   List.iter (fun (k, v) -> Heap.push h k v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
   Alcotest.(check int) "size" 3 (Heap.size h);
-  Alcotest.(check (option (pair (float 0.0) string))) "min first" (Some (1.0, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "then b" (Some (2.0, "b")) (Heap.pop h);
+  Alcotest.(check (option (pair (float 0.0) string))) "min first" (Some (1.0, "a")) (pop h);
+  Alcotest.(check (option (pair (float 0.0) string))) "then b" (Some (2.0, "b")) (pop h);
   Heap.push h 0.5 "z";
-  Alcotest.(check (option (pair (float 0.0) string))) "reorders" (Some (0.5, "z")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "last" (Some (3.0, "c")) (Heap.pop h);
-  Alcotest.(check bool) "drained" true (Heap.pop h = None)
+  Alcotest.(check (option (pair (float 0.0) string))) "reorders" (Some (0.5, "z")) (pop h);
+  Alcotest.(check (option (pair (float 0.0) string))) "last" (Some (3.0, "c")) (pop h);
+  Alcotest.(check bool) "drained" true (pop h = None)
 
 let test_heap_property () =
   let prng = Lemur_util.Prng.create ~seed:11 in
@@ -33,7 +40,7 @@ let test_heap_property () =
   let prev = ref neg_infinity in
   let sorted = ref true in
   let rec drain () =
-    match Heap.pop h with
+    match pop h with
     | None -> ()
     | Some (k, ()) ->
         if k < !prev then sorted := false;
@@ -52,7 +59,7 @@ let test_heap_fifo_ties () =
   List.iter (fun v -> Heap.push h 5.0 v) [ "fourth"; "fifth" ];
   let order = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match pop h with
     | None -> ()
     | Some (_, v) ->
         order := v :: !order;
@@ -75,7 +82,7 @@ let test_heap_fifo_property () =
   let prev_key = ref neg_infinity and prev_seq = ref (-1) in
   let ok = ref true in
   let rec drain () =
-    match Heap.pop h with
+    match pop h with
     | None -> ()
     | Some (k, seq) ->
         if k < !prev_key then ok := false;
@@ -323,10 +330,118 @@ let test_engine_conservation_aggregate () =
     [ 1.0; 2.5 ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden executor results                                              *)
+
+(* Every deterministic field of Engine.result and Sim.result, floats as
+   exact hex ([%h]), plus the counters and latency histograms each run
+   leaves in its own telemetry registry. Wall-clock fields are left out.
+   Pinned digests guard latencies and per-element tallies, which the
+   end-to-end digests do not cover. *)
+let golden_cases () =
+  let deploy ~topology ?acl_algo spec =
+    match Lemur.Deployment.of_spec ~topology ?acl_algo spec with
+    | Ok d -> (d.Lemur.Deployment.config, d.Lemur.Deployment.placement)
+    | Error e -> Alcotest.failf "deploy: %s" e
+  in
+  let c = config () in
+  let nic = Plan.default_config (Lemur_topology.Topology.testbed ~smartnic:true ()) in
+  [
+    ("single chain", (c, simple_placement c));
+    (* chain2 runs on 8 replica cores behind the HashLB *)
+    ("fig2c delta 0.5", (c, place c (Lemur.Chains.inputs_for_delta c ~delta:0.5 [ 1; 2; 4 ])));
+    ("smartnic", (nic, place nic (Lemur.Chains.inputs_for_delta nic ~delta:0.5 [ 5 ])));
+    ( "acl classified",
+      deploy
+        ~topology:(Lemur_topology.Topology.no_pisa_testbed ~ofswitch:false ())
+        ~acl_algo:(Some Lemur_classifier.Classifier.Computed)
+        "chain cls slo(tmin='0.2Gbps', tmax='10Gbps') = ACL(rules=4096) -> Encrypt" );
+  ]
+
+let telemetry_lines tm =
+  List.map
+    (fun k ->
+      Printf.sprintf "%s=%d" (Lemur_telemetry.Counter.name k)
+        (Lemur_telemetry.Counter.value k))
+    (Lemur_telemetry.Telemetry.counters tm)
+  @ List.map
+      (fun h ->
+        let module H = Lemur_telemetry.Histogram in
+        Printf.sprintf "%s=%d/%h/%h/%h/%h/%h" (H.name h) (H.count h) (H.sum h)
+          (H.min_value h) (H.max_value h) (H.percentile h 50.0)
+          (H.percentile h 99.0))
+      (Lemur_telemetry.Telemetry.histograms tm)
+  |> List.sort compare
+
+let traced f =
+  let tm = Lemur_telemetry.Telemetry.create () in
+  let prev = Lemur_telemetry.Telemetry.current () in
+  Lemur_telemetry.Telemetry.set_current tm;
+  let r = Fun.protect ~finally:(fun () -> Lemur_telemetry.Telemetry.set_current prev) f in
+  (r, telemetry_lines tm)
+
+let engine_digest (c, p) =
+  let r, tel = traced (fun () -> Engine.run ~seed:3 ~config:c ~placement:p ()) in
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (x : Engine.chain_result) ->
+      add "chain %s %h %h %h %h %h %h %d %d %d %d %d\n" x.Engine.chain_id
+        x.Engine.offered x.Engine.delivered x.Engine.mean_latency
+        x.Engine.p50_latency x.Engine.p99_latency x.Engine.max_latency
+        x.Engine.injected_pkts x.Engine.delivered_pkts x.Engine.dropped_pkts
+        x.Engine.shaped_pkts x.Engine.in_flight_pkts)
+    r.Engine.chains;
+  List.iter
+    (fun (e : Engine.element_stat) ->
+      add "el %s %d %d %d %d\n" e.Engine.el_name e.Engine.el_pulled
+        e.Engine.el_pushed e.Engine.el_dropped e.Engine.el_queued)
+    r.Engine.elements;
+  add "agg %h %h %d %d %d\n" r.Engine.aggregate_throughput r.Engine.duration
+    r.Engine.breaths r.Engine.total_served r.Engine.pool_exhausted;
+  List.iter (add "%s\n") tel;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sim_digest (c, p) =
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun traffic ->
+  let r, tel = traced (fun () -> Sim.run ~seed:3 ~traffic ~config:c ~placement:p ()) in
+  List.iter
+    (fun (x : Sim.chain_result) ->
+      add "chain %s %h %h %h %h %h %h %d %d\n" x.Sim.chain_id x.Sim.offered
+        x.Sim.delivered x.Sim.mean_latency x.Sim.p50_latency x.Sim.p99_latency
+        x.Sim.max_latency x.Sim.batches_dropped x.Sim.batches_delivered)
+    r.Sim.chains;
+  add "agg %h %h\n" r.Sim.aggregate_throughput r.Sim.duration;
+  List.iter (add "%s\n") tel)
+    [ Sim.Long_lived; Sim.Short_flows ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded before the executors' hot loops were made allocation-free. *)
+let golden =
+  [
+    ("single chain", "09c377a0ac00b76a978fc1fc238f7d7d", "464ecf9f8820ff045990b3d2f3747e0b");
+    ("fig2c delta 0.5", "5c60187d1230bf13ee6da634b4c54522", "c867f9db4ddcf710932a353ae7926366");
+    ("smartnic", "b7b6d00e99c75afe36ef13921edda92d", "484ac924f84f7afea2f1cd25d5a8221c");
+    ("acl classified", "9d637bc2f8e75adbafec0747c9a03632", "3a5bdcc025165a7b41f20365e46e9911");
+  ]
+
+let test_golden_executors () =
+  List.iter2
+    (fun (name, case) (name', engine, sim) ->
+      Alcotest.(check string) "case order" name' name;
+      Alcotest.(check string) (name ^ ": engine digest") engine (engine_digest case);
+      Alcotest.(check string) (name ^ ": sim digest") sim (sim_digest case))
+    (golden_cases ()) golden
+
+(* ------------------------------------------------------------------ *)
 (* Ring properties                                                      *)
 
 (* A random op tape: [true] = push the next integer from a counter,
-   [false] = pop. Checked against a plain FIFO queue model. *)
+   [false] = take. Checked against a plain FIFO queue model: [top]
+   must name the handle [take] then removes, and both must return the
+   [Ring.none] sentinel exactly when the model is empty. *)
 let ring_qcheck_cases =
   let open QCheck in
   let ops_gen =
@@ -336,7 +451,7 @@ let ring_qcheck_cases =
     Test.make ~name:"ring agrees with a queue model (FIFO + conservation)"
       ~count:200 (make ops_gen)
       (fun (capacity, ops) ->
-        let r = Ring.create ~capacity ~dummy:(-1) in
+        let r = Ring.create ~capacity in
         let model = Queue.create () in
         let next = ref 0 in
         let ok = ref true in
@@ -350,12 +465,15 @@ let ring_qcheck_cases =
               incr next
             end
             else begin
-              let popped = Ring.pop r in
+              let top = Ring.top r in
+              let taken = Ring.take r in
               let expected =
-                if Queue.is_empty model then None else Some (Queue.pop model)
+                if Queue.is_empty model then Ring.none else Queue.pop model
               in
-              if popped <> expected then ok := false
+              if top <> expected || taken <> expected then ok := false
             end;
+            if Ring.top r <> (if Queue.is_empty model then Ring.none else Queue.peek model)
+            then ok := false;
             if Ring.length r <> Queue.length model then ok := false;
             if Ring.pushed r - Ring.popped r <> Ring.length r then ok := false;
             if Ring.is_empty r <> (Queue.length model = 0) then ok := false;
@@ -367,31 +485,26 @@ let ring_qcheck_cases =
       (make Gen.(pair (int_range 1 6) (int_range 10 300)))
       (fun (capacity, rounds) ->
         (* Fill/drain cycles force head/tail to wrap many times. *)
-        let r = Ring.create ~capacity ~dummy:(-1) in
+        let r = Ring.create ~capacity in
         let next = ref 0 and expect = ref 0 in
         let ok = ref true in
         for _ = 1 to rounds do
           while Ring.push r !next do
             incr next
           done;
-          (match Ring.peek r with
-          | Some v when v = !expect -> ()
-          | _ -> ok := false);
-          let rec drain () =
-            match Ring.pop r with
-            | None -> ()
-            | Some v ->
-                if v <> !expect then ok := false;
-                incr expect;
-                drain ()
-          in
-          drain ()
+          if Ring.top r <> !expect then ok := false;
+          let v = ref (Ring.take r) in
+          while !v <> Ring.none do
+            if !v <> !expect then ok := false;
+            incr expect;
+            v := Ring.take r
+          done
         done;
         !ok && !next = !expect);
     Test.make ~name:"ring full/empty edges" ~count:50
       (make Gen.(int_range 1 8))
       (fun capacity ->
-        let r = Ring.create ~capacity ~dummy:0 in
+        let r = Ring.create ~capacity in
         let filled = ref 0 in
         while Ring.push r !filled do
           incr filled
@@ -399,13 +512,13 @@ let ring_qcheck_cases =
         (* exactly capacity accepted, then refusal without corruption *)
         !filled = capacity && Ring.is_full r
         && (not (Ring.push r 999))
-        && Ring.peek r = Some 0
+        && Ring.top r = 0
         && Ring.length r = capacity
         &&
         (for _ = 1 to capacity do
-           ignore (Ring.pop r)
+           ignore (Ring.take r)
          done;
-         Ring.is_empty r && Ring.pop r = None && Ring.peek r = None
+         Ring.is_empty r && Ring.take r = Ring.none && Ring.top r = Ring.none
          && Ring.pushed r = capacity
          && Ring.popped r = capacity));
     Test.make ~name:"ring batch ops agree with 1-at-a-time" ~count:100
@@ -417,8 +530,8 @@ let ring_qcheck_cases =
       (fun (capacity, pushes, batch) ->
         (* push_batch/pop_batch must accept/return exactly the prefix
            the scalar ops would. *)
-        let a = Ring.create ~capacity ~dummy:(-1) in
-        let b = Ring.create ~capacity ~dummy:(-1) in
+        let a = Ring.create ~capacity in
+        let b = Ring.create ~capacity in
         let arr = Array.of_list pushes in
         let accepted_batch = Ring.push_batch a arr in
         let accepted_scalar = ref 0 in
@@ -433,15 +546,58 @@ let ring_qcheck_cases =
         let popped_batch = Ring.pop_batch a out in
         let popped_scalar = ref [] in
         for _ = 1 to batch do
-          match Ring.pop b with
-          | Some v -> popped_scalar := v :: !popped_scalar
-          | None -> ()
+          let v = Ring.take b in
+          if v <> Ring.none then popped_scalar := v :: !popped_scalar
         done;
         accepted_batch = !accepted_scalar
         && popped_batch = List.length !popped_scalar
         && Array.to_list (Array.sub out 0 popped_batch)
            = List.rev !popped_scalar
         && Ring.length a = Ring.length b);
+    Test.make ~name:"pool accounting under random take/free" ~count:200
+      (make
+         Gen.(pair (int_range 1 8) (list_size (int_range 0 200) (pair bool nat))))
+      (fun (capacity, ops) ->
+        (* [true] = take when [available] allows it (else the guarded
+           take must raise), [false] = free the k-th handle in flight.
+           Handles in flight must be distinct and inside the pool. *)
+        let pool = Packet.create_pool ~capacity in
+        let held = ref [] in
+        let ok = ref true in
+        List.iter
+          (fun (take, k) ->
+            if take then begin
+              if Packet.available pool > 0 then begin
+                let p = Packet.take pool in
+                if p < 0 || p >= capacity || List.mem p !held then ok := false;
+                held := p :: !held
+              end
+              else
+                match Packet.take pool with
+                | _ -> ok := false
+                | exception Invalid_argument _ -> ()
+            end
+            else begin
+              match !held with
+              | [] -> ()
+              | hs ->
+                  let p = List.nth hs (k mod List.length hs) in
+                  Packet.free pool p;
+                  held := List.filter (fun q -> q <> p) hs
+            end;
+            let n = List.length !held in
+            if Packet.capacity pool - Packet.available pool <> Packet.in_flight pool
+               || Packet.in_flight pool <> n
+            then ok := false)
+          ops;
+        (* returning everything refills the pool; one more free is a
+           double free *)
+        List.iter (Packet.free pool) !held;
+        !ok
+        && Packet.available pool = capacity
+        && match Packet.free pool 0 with
+           | () -> false
+           | exception Invalid_argument _ -> true);
   ]
 
 let suite =
@@ -468,3 +624,4 @@ let suite =
       test_engine_conservation_aggregate;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) ring_qcheck_cases
+  @ [ Alcotest.test_case "golden executor results" `Quick test_golden_executors ]

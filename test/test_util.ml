@@ -56,6 +56,42 @@ let test_prng_max_int_bound () =
     Alcotest.(check bool) "non-negative" true (x >= 0)
   done
 
+(* The first draws of every Prng entry point from seed 42, recorded as
+   exact text: the engines' bit-exact replay rests on these streams.
+   The zero-width truncated-Gaussian case sits 5 sigma from mu, so all
+   64 rejections run and the clamp returns [lo]; the bits64 draw after
+   it pins how many draws the clamp consumed. *)
+let prng_golden_stream () =
+  let t = Prng.create ~seed:42 in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  for _ = 1 to 4 do add "bits64 %Lx\n" (Prng.bits64 t) done;
+  for _ = 1 to 4 do add "int %d %d\n" (Prng.int t 40) (Prng.int t max_int) done;
+  for _ = 1 to 4 do add "float %h\n" (Prng.float t 1.0) done;
+  for _ = 1 to 4 do add "gaussian %h\n" (Prng.gaussian t ~mu:100.0 ~sigma:15.0) done;
+  for _ = 1 to 4 do
+    add "truncated %h\n"
+      (Prng.truncated_gaussian t ~mu:200.0 ~sigma:40.0 ~lo:150.0 ~hi:260.0)
+  done;
+  add "clamp %h\n" (Prng.truncated_gaussian t ~mu:0.0 ~sigma:1.0 ~lo:5.0 ~hi:5.0);
+  add "after clamp %Lx\n" (Prng.bits64 t);
+  let child = Prng.split t in
+  let twin = Prng.copy child in
+  for _ = 1 to 2 do
+    add "split %Lx parent %Lx copy %Lx\n" (Prng.bits64 child) (Prng.bits64 t)
+      (Prng.bits64 twin)
+  done;
+  Buffer.contents b
+
+let test_prng_golden_stream () =
+  let s = prng_golden_stream () in
+  Alcotest.(check bool) "clamp returns lo" true
+    (String.length s > 0
+    && List.mem "clamp 0x1.4p+2" (String.split_on_char '\n' s));
+  Alcotest.(check string) "seed-42 stream digest"
+    "b7a8f38147d44d71947e678d512eb389"
+    (Digest.to_hex (Digest.string s))
+
 let test_stats_nan_rejected () =
   let raises f =
     match f () with
@@ -267,6 +303,16 @@ let qcheck_cases =
         let v = Stats.percentile p xs in
         let s = Stats.summarize xs in
         v >= s.Stats.min && v <= s.Stats.max);
+    Test.make ~name:"sort_floats sorts the prefix, leaves the rest" ~count:200
+      (pair (list_of_size (Gen.int_range 0 60) (float_range (-1e6) 1e6)) small_nat)
+      (fun (xs, k) ->
+        let a = Array.of_list xs in
+        let n = if a = [||] then 0 else k mod (Array.length a + 1) in
+        Stats.sort_floats a n;
+        let prefix = List.filteri (fun i _ -> i < n) xs in
+        Array.to_list (Array.sub a 0 n) = List.sort Float.compare prefix
+        && Array.to_list (Array.sub a n (Array.length a - n))
+           = List.filteri (fun i _ -> i >= n) xs);
   ]
 
 let suite =
@@ -293,3 +339,4 @@ let suite =
     Alcotest.test_case "timing clamp" `Quick test_timing_clamp;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
+  @ [ Alcotest.test_case "prng golden stream" `Quick test_prng_golden_stream ]
