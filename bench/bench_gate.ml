@@ -1,0 +1,134 @@
+(* The envelope every gated `bench --` harness shares: one flag parser,
+   one gate list, one report writer and one exit-code rule. A harness
+   keeps only its workload and its gate predicates.
+
+   Exit codes: 0 when every gate passes, 1 when any gate fails, 2 on a
+   usage error or an unwritable report. docs/PERFORMANCE.md documents
+   the report schema. *)
+
+module Json = Lemur_telemetry.Json
+module Pool = Lemur_util.Pool
+
+type opts = {
+  harness : string;
+  quick : bool;
+  seed : int option;  (* [Some] exactly when the harness takes --seed *)
+  count : int option;  (* [Some] only when --count was given *)
+  jobs : int;
+  out : string;
+}
+
+type gate = { name : string; ok : bool; detail : string }
+
+let gate name ok detail = { name; ok; detail }
+
+(* [seed] is the harness's default seed and makes --seed acceptable;
+   [count] makes --count acceptable. --quick, -j/--jobs and --out are
+   accepted everywhere. A bad argument prints the usage line and exits
+   2 here, so no harness sees an unparsed value. *)
+let parse ?seed ?(count = false) harness args =
+  let valued =
+    [ "-j"; "--jobs"; "--out" ]
+    @ (if seed <> None then [ "--seed" ] else [])
+    @ if count then [ "--count" ] else []
+  in
+  let usage =
+    Printf.sprintf "usage: bench -- %s [--quick]%s%s [-j N] [--out FILE]"
+      harness
+      (if seed <> None then " [--seed N]" else "")
+      (if count then " [--count N]" else "")
+  in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "bench %s: %s\n%s\n" harness msg usage;
+        exit 2)
+      fmt
+  in
+  let int_arg flag ~min v =
+    match int_of_string_opt v with
+    | Some n when n >= min -> n
+    | _ -> fail "%s expects an integer >= %d, got %S" flag min v
+  in
+  let rec go o = function
+    | [] -> o
+    | "--quick" :: rest -> go { o with quick = true } rest
+    | [ flag ] when List.mem flag valued -> fail "%s needs a value" flag
+    | "--seed" :: v :: rest when seed <> None ->
+        go { o with seed = Some (int_arg "--seed" ~min:0 v) } rest
+    | "--count" :: v :: rest when count ->
+        go { o with count = Some (int_arg "--count" ~min:1 v) } rest
+    | (("-j" | "--jobs") as flag) :: v :: rest ->
+        go { o with jobs = int_arg flag ~min:1 v } rest
+    | "--out" :: v :: rest -> go { o with out = v } rest
+    | arg :: _ -> fail "unknown argument %S" arg
+  in
+  go
+    {
+      harness;
+      quick = false;
+      seed;
+      count = None;
+      jobs = max 2 (Pool.recommended_domains ());
+      out = Printf.sprintf "BENCH_%s.json" harness;
+    }
+    args
+
+(* Run the same workload on one domain and on [jobs]; [run] returns its
+   result and the digest of its deterministic output. The -j N pair is
+   the one reported. *)
+let determinism ?(name = "determinism") ~jobs run =
+  let _, seq = run 1 in
+  let result, par = run jobs in
+  let ok = String.equal seq par in
+  ( (result, par),
+    gate name ok
+      (if ok then
+         Printf.sprintf "digest %s identical at -j 1 and -j %d" par jobs
+       else
+         Printf.sprintf "digest mismatch: %s at -j 1, %s at -j %d" seq par
+           jobs) )
+
+let gate_json g =
+  Json.Obj
+    [
+      ("name", Json.String g.name);
+      ("ok", Json.Bool g.ok);
+      ("detail", Json.String g.detail);
+    ]
+
+(* Print every gate, write the envelope with [body] after it, and give
+   the harness's exit code. *)
+let finish o gates body =
+  List.iter
+    (fun g ->
+      Printf.printf "gate %s: %s — %s\n" g.name
+        (if g.ok then "ok" else "FAILED")
+        g.detail)
+    gates;
+  let doc =
+    Json.Obj
+      ([
+         ("schema", Json.String "lemur.bench/1");
+         ("harness", Json.String o.harness);
+         ("quick", Json.Bool o.quick);
+       ]
+      @ (match o.seed with Some s -> [ ("seed", Json.Int s) ] | None -> [])
+      @ [
+          ("jobs", Json.Int o.jobs);
+          ("host_domains", Json.Int (Pool.recommended_domains ()));
+          ("gates", Json.List (List.map gate_json gates));
+        ]
+      @ body)
+  in
+  match
+    Out_channel.with_open_text o.out (fun oc ->
+        output_string oc (Json.to_string doc);
+        output_char oc '\n')
+  with
+  | exception Sys_error msg ->
+      Printf.eprintf "bench %s: cannot write report: %s\n" o.harness msg;
+      2
+  | () ->
+      Printf.printf "wrote %s\n" o.out;
+      if List.for_all (fun g -> g.ok) gates then 0 else 1

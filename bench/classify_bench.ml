@@ -138,7 +138,7 @@ let run_corpus ~quick ~jobs sizes =
       (Digest.string
          (String.concat "\n" (List.map (fun r -> r.s_digest_line) runs)))
   in
-  (runs, digest, List.rev !crashes)
+  ((runs, List.rev !crashes), digest)
 
 let rate a = if a.a_wall > 0.0 then float_of_int a.a_lookups /. a.a_wall else 0.0
 
@@ -171,132 +171,70 @@ let find_rate s algo =
   | None -> 0.0
 
 let main args =
-  let quick = ref false
-  and jobs = ref None
-  and sizes = ref None
-  and out = ref "BENCH_classify.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--sizes" :: v :: rest ->
-        sizes := Some (List.map int_of_string (String.split_on_char ',' v));
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+  let o = Bench_gate.parse "classify" args in
+  let quick = o.Bench_gate.quick and jobs = o.Bench_gate.jobs in
+  let sizes = if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
+  Printf.printf
+    "## classify: rulesets %s, linear vs tuple-space vs computed, -j 1 vs -j \
+     %d (host reports %d domain(s))\n%!"
+    (String.concat "/" (List.map string_of_int sizes))
+    jobs
+    (Pool.recommended_domains ());
+  let ((runs, crashes), digest), determinism =
+    Bench_gate.determinism ~jobs (fun jobs -> run_corpus ~quick ~jobs sizes)
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench classify: unknown argument %S\n\
-         usage: bench -- classify [--quick] [--sizes N,N,..] [-j N] [--out \
-         FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      let sizes =
-        match !sizes with
-        | Some s -> s
-        | None -> if !quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      Printf.printf
-        "## classify: rulesets %s, linear vs tuple-space vs computed, -j 1 \
-         vs -j %d (host reports %d domain(s))\n%!"
-        (String.concat "/" (List.map string_of_int sizes))
-        jobs
-        (Pool.recommended_domains ());
-      let _seq_runs, seq_digest, seq_crashes =
-        run_corpus ~quick:!quick ~jobs:1 sizes
-      in
-      let par_runs, par_digest, par_crashes =
-        run_corpus ~quick:!quick ~jobs sizes
-      in
-      let crashes = seq_crashes @ par_crashes in
-      List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
+  List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
+  List.iter
+    (fun s ->
+      Printf.printf "  %7d rules%s\n" s.s_size
+        (if s.s_mismatches = 0 then ""
+         else Printf.sprintf "  %d AGREEMENT MISMATCHES" s.s_mismatches);
       List.iter
-        (fun s ->
-          Printf.printf "  %7d rules%s\n" s.s_size
-            (if s.s_mismatches = 0 then ""
-             else Printf.sprintf "  %d AGREEMENT MISMATCHES" s.s_mismatches);
-          List.iter
-            (fun a ->
-              Printf.printf
-                "    %-12s %12.0f lookups/s   mean %8.0f cy   worst %8.0f cy   \
-                 %s\n"
-                (Classifier.algo_name a.a_algo)
-                (rate a) a.a_mean_cycles a.a_worst_cycles a.a_structure)
-            s.s_algos)
-        par_runs;
-      let digests_equal = String.equal seq_digest par_digest in
-      let agreement = List.for_all (fun s -> s.s_mismatches = 0) par_runs in
-      let top =
-        List.fold_left
-          (fun acc s ->
-            match acc with
-            | Some t when t.s_size >= s.s_size -> acc
-            | _ -> Some s)
-          None par_runs
-      in
-      let speedup =
-        match top with
-        | None -> 0.0
-        | Some s ->
-            let lin = find_rate s Classifier.Linear_scan in
-            let nuevo = find_rate s Classifier.Computed in
-            if lin > 0.0 then nuevo /. lin else 0.0
-      in
-      let speedup_ok = speedup >= 5.0 in
-      Printf.printf "agreement: %s\n"
-        (if agreement then "ok, all three classifiers identical on every header"
+        (fun a ->
+          Printf.printf
+            "    %-12s %12.0f lookups/s   mean %8.0f cy   worst %8.0f cy   %s\n"
+            (Classifier.algo_name a.a_algo)
+            (rate a) a.a_mean_cycles a.a_worst_cycles a.a_structure)
+        s.s_algos)
+    runs;
+  let agreement = List.for_all (fun s -> s.s_mismatches = 0) runs in
+  let top =
+    List.fold_left
+      (fun acc s ->
+        match acc with
+        | Some t when t.s_size >= s.s_size -> acc
+        | _ -> Some s)
+      None runs
+  in
+  let speedup =
+    match top with
+    | None -> 0.0
+    | Some s ->
+        let lin = find_rate s Classifier.Linear_scan in
+        let nuevo = find_rate s Classifier.Computed in
+        if lin > 0.0 then nuevo /. lin else 0.0
+  in
+  let speedup_ok = speedup >= 5.0 in
+  Bench_gate.finish o
+    [
+      Bench_gate.gate "agreement" agreement
+        (if agreement then "all three classifiers identical on every header"
          else "MISMATCH");
-      Printf.printf "speedup: computed %.1fx linear at %d rules (gate: >= 5x) \
-                     %s\n"
-        speedup
-        (match top with Some s -> s.s_size | None -> 0)
-        (if speedup_ok then "ok" else "FAILED");
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then
-           Printf.sprintf "ok, digest %s identical at -j 1 and -j %d"
-             par_digest jobs
-         else
-           Printf.sprintf "DIGEST MISMATCH (-j 1: %s, -j %d: %s)" seq_digest
-             jobs par_digest);
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.classify/1");
-            ("quick", Json.Bool !quick);
-            ("jobs", Json.Int jobs);
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ("sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
-            ("runs", Json.List (List.map size_json par_runs));
-            ( "speedup_computed_vs_linear_at_top",
-              Json.Float speedup );
-            ("speedup_ok", Json.Bool speedup_ok);
-            ("agreement", Json.Bool agreement);
-            ("digest", Json.String par_digest);
-            ("digests_equal", Json.Bool digests_equal);
-            ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        agreement && speedup_ok && digests_equal && crashes = []
-        && par_runs <> []
-      then 0
-      else 1
+      Bench_gate.gate "speedup" speedup_ok
+        (Printf.sprintf "computed %.1fx linear at %d rules (needs >= 5x)"
+           speedup
+           (match top with Some s -> s.s_size | None -> 0));
+      determinism;
+      Bench_gate.gate "crashes" (crashes = [])
+        (Printf.sprintf "%d crashed size(s)" (List.length crashes));
+    ]
+    [
+      ("sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
+      ("runs", Json.List (List.map size_json runs));
+      ("speedup_computed_vs_linear_at_top", Json.Float speedup);
+      ("speedup_ok", Json.Bool speedup_ok);
+      ("agreement", Json.Bool agreement);
+      ("digest", Json.String digest);
+      ("digests_equal", Json.Bool determinism.Bench_gate.ok);
+      ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
+    ]

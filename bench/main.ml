@@ -812,12 +812,11 @@ let with_experiment_telemetry dir name f =
         f
 
 let () =
-  (* `bench -- perf [...]` is the perf harness (see docs/PERFORMANCE.md),
-     not a paper experiment; it owns its own flags and exit code. *)
+  (* The gated harnesses are not paper experiments; they share
+     Bench_gate's flags, report envelope and exit codes. *)
   (match Array.to_list Sys.argv with
   | _ :: "perf" :: rest -> exit (Perf.main rest)
   | _ :: "runtime" :: rest -> exit (Runtime_bench.main rest)
-  | _ :: "parallel" :: rest -> exit (Parallel_bench.main rest)
   | _ :: "scale" :: rest -> exit (Scale_bench.main rest)
   | _ :: "packets" :: rest -> exit (Packet_bench.main rest)
   | _ :: "classify" :: rest -> exit (Classify_bench.main rest)

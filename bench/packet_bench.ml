@@ -117,11 +117,16 @@ let run_corpus ~quick ~jobs seeds =
             [])
       results
   in
+  let crashes = List.rev !crashes in
+  (* Crash messages join the digest so a crash at -j 1 alone fails the
+     determinism gate even on a seed that places nothing at -j N. *)
   let digest =
     Digest.to_hex
-      (Digest.string (String.concat "\n" (List.map (fun r -> r.r_digest_line) runs)))
+      (Digest.string
+         (String.concat "\n"
+            (List.map (fun r -> r.r_digest_line) runs @ crashes)))
   in
-  (runs, digest, List.rev !crashes)
+  ((runs, crashes), digest)
 
 let run_json r =
   Json.Obj
@@ -142,141 +147,80 @@ let run_json r =
     ]
 
 let main args =
-  let seed = ref 1
-  and count = ref None
-  and jobs = ref None
-  and quick = ref false
-  and out = ref "BENCH_packets.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--count" :: v :: rest ->
-        count := Some (int_of_string v);
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+  let o = Bench_gate.parse ~seed:1 ~count:true "packets" args in
+  let quick = o.Bench_gate.quick and jobs = o.Bench_gate.jobs in
+  let seed = Option.get o.Bench_gate.seed in
+  let count =
+    match o.Bench_gate.count with Some c -> c | None -> if quick then 8 else 24
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench packets: unknown argument %S\n\
-         usage: bench -- packets [--quick] [--seed N] [--count N] [-j N] \
-         [--out FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      let count =
-        match !count with Some c -> c | None -> if !quick then 8 else 24
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      let seeds = List.init count (fun i -> !seed + i) in
+  let seeds = List.init count (fun i -> seed + i) in
+  Printf.printf
+    "## packets: %d scenario seed(s) from %d, engine vs sim at overdrive 1.0, \
+     -j 1 vs -j %d (host reports %d domain(s))\n%!"
+    count seed jobs
+    (Pool.recommended_domains ());
+  let ((runs, crashes), digest), determinism =
+    Bench_gate.determinism ~jobs (fun jobs -> run_corpus ~quick ~jobs seeds)
+  in
+  List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
+  (* Throughput counts hop-bearing runs only, as lemurbench's
+     ns_per_hop does: a run whose chains never reach a server
+     serves no hop but still spends engine wall time. *)
+  let hop_runs = List.filter (fun r -> r.r_hops > 0) runs in
+  let wall = List.fold_left (fun a r -> a +. r.r_wall) 0.0 hop_runs in
+  let hops = List.fold_left (fun a r -> a + r.r_hops) 0 hop_runs in
+  let injected = List.fold_left (fun a r -> a + r.r_injected) 0 hop_runs in
+  List.iter
+    (fun r ->
       Printf.printf
-        "## packets: %d scenario seed(s) from %d, engine vs sim at overdrive \
-         1.0, -j 1 vs -j %d (host reports %d domain(s))\n%!"
-        count !seed jobs
-        (Pool.recommended_domains ());
-      let _seq_runs, seq_digest, seq_crashes =
-        run_corpus ~quick:!quick ~jobs:1 seeds
-      in
-      let par_runs, par_digest, par_crashes =
-        run_corpus ~quick:!quick ~jobs seeds
-      in
-      let crashes = seq_crashes @ par_crashes in
-      List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
-      (* Throughput counts hop-bearing runs only, as lemurbench's
-         ns_per_hop does: a run whose chains never reach a server
-         serves no hop but still spends engine wall time. *)
-      let hop_runs = List.filter (fun r -> r.r_hops > 0) par_runs in
-      let wall = List.fold_left (fun a r -> a +. r.r_wall) 0.0 hop_runs in
-      let hops = List.fold_left (fun a r -> a + r.r_hops) 0 hop_runs in
-      let injected =
-        List.fold_left (fun a r -> a + r.r_injected) 0 hop_runs
-      in
+        "  seed %3d: %d chain(s), offered %6.2f Gbps, delivered %6.2f Gbps, \
+         %7d hops in %.3fs%s%s\n"
+        r.r_seed r.r_chains (r.r_offered /. 1e9) (r.r_delivered /. 1e9)
+        r.r_hops r.r_wall
+        (if r.r_conserved then "" else "  CONSERVATION VIOLATED")
+        (if r.r_divergences = [] then "" else "  DIVERGED");
       List.iter
-        (fun r ->
-          Printf.printf
-            "  seed %3d: %d chain(s), offered %6.2f Gbps, delivered %6.2f \
-             Gbps, %7d hops in %.3fs%s%s\n"
-            r.r_seed r.r_chains (r.r_offered /. 1e9) (r.r_delivered /. 1e9)
-            r.r_hops r.r_wall
-            (if r.r_conserved then "" else "  CONSERVATION VIOLATED")
-            (if r.r_divergences = [] then "" else "  DIVERGED");
-          List.iter
-            (fun d -> Printf.printf "      divergence: %s\n" d)
-            r.r_divergences)
-        par_runs;
-      let digests_equal = String.equal seq_digest par_digest in
-      let all_converged =
-        List.for_all (fun r -> r.r_divergences = []) par_runs
-      in
-      let all_conserved = List.for_all (fun r -> r.r_conserved) par_runs in
-      Printf.printf "placed %d of %d scenario(s)\n" (List.length par_runs)
-        count;
-      Printf.printf "packet-hops/sec: %.0f (%d hops, %d packets, %.2fs engine \
-                     wall over %d hop-bearing run(s))\n"
-        (if wall > 0.0 then float_of_int hops /. wall else 0.0)
-        hops injected wall (List.length hop_runs);
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then
-           Printf.sprintf "ok, digest %s identical at -j 1 and -j %d"
-             par_digest jobs
-         else
-           Printf.sprintf "DIGEST MISMATCH (-j 1: %s, -j %d: %s)" seq_digest
-             jobs par_digest);
-      Printf.printf "convergence: %s\n"
-        (if all_converged then "ok, every run within tolerance"
+        (fun d -> Printf.printf "      divergence: %s\n" d)
+        r.r_divergences)
+    runs;
+  let all_converged = List.for_all (fun r -> r.r_divergences = []) runs in
+  let all_conserved = List.for_all (fun r -> r.r_conserved) runs in
+  let placed = List.length runs in
+  Printf.printf
+    "packet-hops/sec: %.0f (%d hops, %d packets, %.2fs engine wall over %d \
+     hop-bearing run(s))\n"
+    (if wall > 0.0 then float_of_int hops /. wall else 0.0)
+    hops injected wall (List.length hop_runs);
+  Bench_gate.finish o
+    [
+      determinism;
+      Bench_gate.gate "convergence" all_converged
+        (if all_converged then "every run within tolerance"
          else "DIVERGED from the rate model");
-      Printf.printf "conservation: %s\n"
-        (if all_conserved then "ok" else "VIOLATED");
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.packets/1");
-            ("seed", Json.Int !seed);
-            ("count", Json.Int count);
-            ("placed", Json.Int (List.length par_runs));
-            ("jobs", Json.Int jobs);
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ("quick", Json.Bool !quick);
-            ("runs", Json.List (List.map run_json par_runs));
-            ("hop_runs", Json.Int (List.length hop_runs));
-            ("packet_hops", Json.Int hops);
-            ("injected_pkts", Json.Int injected);
-            ("engine_wall_s", Json.Float wall);
-            ( "hops_per_sec",
-              Json.Float
-                (if wall > 0.0 then float_of_int hops /. wall else 0.0) );
-            ( "packets_per_sec",
-              Json.Float
-                (if wall > 0.0 then float_of_int injected /. wall else 0.0) );
-            ("digest", Json.String par_digest);
-            ("digests_equal", Json.Bool digests_equal);
-            ("converged", Json.Bool all_converged);
-            ("conserved", Json.Bool all_conserved);
-            ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        digests_equal && all_converged && all_conserved && crashes = []
-        && par_runs <> []
-      then 0
-      else 1
+      Bench_gate.gate "conservation" all_conserved
+        (if all_conserved then "injected = delivered + dropped + in flight"
+         else "VIOLATED");
+      Bench_gate.gate "crashes" (crashes = [])
+        (Printf.sprintf "%d crashed run(s)" (List.length crashes));
+      Bench_gate.gate "placed" (placed > 0)
+        (Printf.sprintf "placed %d of %d scenario(s)" placed count);
+    ]
+    [
+      ("count", Json.Int count);
+      ("placed", Json.Int placed);
+      ("runs", Json.List (List.map run_json runs));
+      ("hop_runs", Json.Int (List.length hop_runs));
+      ("packet_hops", Json.Int hops);
+      ("injected_pkts", Json.Int injected);
+      ("engine_wall_s", Json.Float wall);
+      ( "hops_per_sec",
+        Json.Float (if wall > 0.0 then float_of_int hops /. wall else 0.0) );
+      ( "packets_per_sec",
+        Json.Float (if wall > 0.0 then float_of_int injected /. wall else 0.0)
+      );
+      ("digest", Json.String digest);
+      ("digests_equal", Json.Bool determinism.Bench_gate.ok);
+      ("converged", Json.Bool all_converged);
+      ("conserved", Json.Bool all_conserved);
+      ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
+    ]

@@ -5,7 +5,8 @@
 
    Everything reported as a count (pivots, nodes, cache hits) is
    deterministic given the seeds; wall-clock numbers are not, which is
-   why the CI regression gate (--baseline) compares pivot counts only. *)
+   why the regression gate against bench/perf_baseline.json compares
+   pivot counts only. *)
 
 module Telemetry = Lemur_telemetry.Telemetry
 module Counter = Lemur_telemetry.Counter
@@ -390,155 +391,82 @@ let bench_fuzz ~jobs ~count =
 
 (* ------------------------------------------------------------------ *)
 
-let read_baseline path =
+(* The checked-in pivot count the regression gate allows 1.2x of. *)
+let baseline_path = "bench/perf_baseline.json"
+
+let read_baseline () =
   match
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    Json.of_string s
+    Json.of_string (In_channel.with_open_text baseline_path In_channel.input_all)
   with
   | Ok doc -> (
       match Option.bind (Json.member "simplex_pivots" doc) Json.to_float with
       | Some v -> Ok (int_of_float v)
-      | None -> Error (path ^ ": no \"simplex_pivots\" member"))
-  | Error msg -> Error (path ^ ": " ^ msg)
+      | None -> Error (baseline_path ^ ": no \"simplex_pivots\" member"))
+  | Error msg -> Error (baseline_path ^ ": " ^ msg)
   | exception Sys_error msg -> Error msg
 
-let usage () =
-  prerr_endline
-    "usage: bench -- perf [--quick] [-j N] [--out FILE] [--baseline FILE] \
-     [--min-hit-rate R]";
-  2
+let min_hit_rate = 0.2
 
 let main args =
-  let quick = ref false
-  and jobs = ref 1
-  and out = ref "BENCH_perf.json"
-  and baseline = ref None
-  and min_hit_rate = ref None in
-  let rec parse = function
-    | [] -> true
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse rest
-        | _ -> false)
-    | "--out" :: file :: rest ->
-        out := file;
-        parse rest
-    | "--baseline" :: file :: rest ->
-        baseline := Some file;
-        parse rest
-    | "--min-hit-rate" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some r when r >= 0.0 && r <= 1.0 ->
-            min_hit_rate := Some r;
-            parse rest
-        | _ -> false)
-    | _ -> false
+  let o = Bench_gate.parse "perf" args in
+  let quick = o.Bench_gate.quick and jobs = o.Bench_gate.jobs in
+  let reps = if quick then 20 else 200 in
+  let milp_seeds = List.init (if quick then 5 else 15) (fun i -> i + 1) in
+  let strat_seeds = List.init (if quick then 10 else 50) (fun i -> i + 1) in
+  let fuzz_count = if quick then 10 else 50 in
+  Printf.printf "perf: simplex corpus (%d instances, %d timing passes)...\n%!"
+    (List.length corpus) reps;
+  let simplex_json, bland_pivots, opt_pivots, speedup, agree =
+    bench_simplex ~reps
   in
-  if not (parse args) then usage ()
-  else begin
-    let quick = !quick in
-    let reps = if quick then 20 else 200 in
-    let milp_seeds = List.init (if quick then 5 else 15) (fun i -> i + 1) in
-    let strat_seeds = List.init (if quick then 10 else 50) (fun i -> i + 1) in
-    let fuzz_count = if quick then 10 else 50 in
-    Printf.printf "perf: simplex corpus (%d instances, %d timing passes)...\n%!"
-      (List.length corpus) reps;
-    let simplex_json, bland_pivots, opt_pivots, speedup, agree =
-      bench_simplex ~reps
-    in
-    Printf.printf
-      "  pivots: Bland %d, Dantzig %d (%.2fx); wall speedup %.2fx; \
-       outcomes agree: %b\n\
-       %!"
-      bland_pivots opt_pivots
-      (float_of_int bland_pivots /. float_of_int opt_pivots)
-      speedup agree;
-    Printf.printf "perf: MILP warm vs cold (%d seeds)...\n%!"
-      (List.length milp_seeds);
-    let milp_json, milp_agree = bench_milp ~seeds:milp_seeds in
-    Printf.printf "  objectives match: %b\n%!" milp_agree;
-    Printf.printf "perf: strategy variant cache (%d seeds)...\n%!"
-      (List.length strat_seeds);
-    let strategy_json, hit_rate, placements_match =
-      bench_strategy ~seeds:strat_seeds
-    in
-    Printf.printf
-      "  hit rate %.1f%%; cached placements match uncached: %b\n%!"
-      (100.0 *. hit_rate) placements_match;
-    Printf.printf "perf: fuzz workload (%d scenarios, %d job(s))...\n%!"
-      fuzz_count !jobs;
-    let fuzz_json = bench_fuzz ~jobs:!jobs ~count:fuzz_count in
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.String "lemur.perf/1");
-          ("quick", Json.Bool quick);
-          (* the number the CI gate compares: total pivots of the
-             default (Dantzig) solver over the fixed corpus *)
-          ("simplex_pivots", Json.Int opt_pivots);
-          ("bland_simplex_pivots", Json.Int bland_pivots);
-          ("simplex", simplex_json);
-          ("milp", milp_json);
-          ("strategy", strategy_json);
-          ("fuzz", fuzz_json);
-        ]
-    in
-    let oc = open_out !out in
-    output_string oc (Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "perf: wrote %s\n%!" !out;
-    if not (agree && milp_agree) then begin
-      prerr_endline
-        "perf: FAIL — solver outcomes diverged (Dantzig vs Bland, or warm vs \
-         cold MILP)";
-      1
-    end
-    else if not placements_match then begin
-      prerr_endline
-        "perf: FAIL — cached placements differ from uncached (cache unsound)";
-      1
-    end
-    else if
-      match !min_hit_rate with Some r -> hit_rate < r | None -> false
-    then begin
-      Printf.eprintf
-        "perf: FAIL — variant cache hit rate %.1f%% below the %.1f%% floor\n"
-        (100.0 *. hit_rate)
-        (100.0 *. Option.get !min_hit_rate);
-      1
-    end
-    else
-      match !baseline with
-      | None -> 0
-      | Some path -> (
-          match read_baseline path with
-          | Error msg ->
-              Printf.eprintf "perf: cannot read baseline: %s\n" msg;
-              2
-          | Ok expected ->
-              let limit =
-                int_of_float (Float.round (1.2 *. float_of_int expected))
-              in
-              if opt_pivots > limit then begin
-                Printf.eprintf
-                  "perf: FAIL — %d simplex pivots on the fixed corpus, >20%% \
-                   above the checked-in baseline of %d\n"
-                  opt_pivots expected;
-                1
-              end
-              else begin
-                Printf.printf
-                  "perf: pivot regression gate OK (%d <= %d = 1.2 * %d)\n%!"
-                  opt_pivots limit expected;
-                0
-              end)
-  end
+  Printf.printf "  pivots: Bland %d, Dantzig %d (%.2fx); wall speedup %.2fx\n%!"
+    bland_pivots opt_pivots
+    (float_of_int bland_pivots /. float_of_int opt_pivots)
+    speedup;
+  Printf.printf "perf: MILP warm vs cold (%d seeds)...\n%!"
+    (List.length milp_seeds);
+  let milp_json, milp_agree = bench_milp ~seeds:milp_seeds in
+  Printf.printf "perf: strategy variant cache (%d seeds)...\n%!"
+    (List.length strat_seeds);
+  let strategy_json, hit_rate, placements_match =
+    bench_strategy ~seeds:strat_seeds
+  in
+  Printf.printf "perf: fuzz workload (%d scenarios, %d job(s))...\n%!"
+    fuzz_count jobs;
+  let fuzz_json = bench_fuzz ~jobs ~count:fuzz_count in
+  let pivot_gate =
+    match read_baseline () with
+    | Error msg ->
+        Bench_gate.gate "pivots" false ("cannot read baseline: " ^ msg)
+    | Ok expected ->
+        let limit = int_of_float (Float.round (1.2 *. float_of_int expected)) in
+        Bench_gate.gate "pivots" (opt_pivots <= limit)
+          (Printf.sprintf "%d simplex pivots, limit %d = 1.2 x baseline %d"
+             opt_pivots limit expected)
+  in
+  Bench_gate.finish o
+    [
+      Bench_gate.gate "dantzig-bland" agree
+        (Printf.sprintf "outcomes %s on %d instances"
+           (if agree then "agree" else "DIVERGE")
+           (List.length corpus));
+      Bench_gate.gate "milp-warm-cold" milp_agree
+        (if milp_agree then "objectives match" else "objectives DIVERGE");
+      Bench_gate.gate "cached-placements" placements_match
+        (if placements_match then "cached placements match uncached"
+         else "cached placements differ from uncached");
+      Bench_gate.gate "varcache-hit-rate" (hit_rate >= min_hit_rate)
+        (Printf.sprintf "%.1f%%, floor %.1f%%" (100.0 *. hit_rate)
+           (100.0 *. min_hit_rate));
+      pivot_gate;
+    ]
+    [
+      (* the number the pivot gate compares: total pivots of the
+         default (Dantzig) solver over the fixed corpus *)
+      ("simplex_pivots", Json.Int opt_pivots);
+      ("bland_simplex_pivots", Json.Int bland_pivots);
+      ("simplex", simplex_json);
+      ("milp", milp_json);
+      ("strategy", strategy_json);
+      ("fuzz", fuzz_json);
+    ]

@@ -29,7 +29,6 @@ module Report = Lemur_runtime.Report
 module Json = Lemur_telemetry.Json
 
 let default_seed = 11
-let default_events = 200
 
 (* The debounced policy may spend at most this many extra chain-seconds
    in violation compared to immediate, per chain-second immediate spends
@@ -149,13 +148,16 @@ let run_corpus ~quick ~drive_trace =
         ])
     rows;
   Lemur_util.Texttable.print table;
-  Printf.printf
-    "proactive corpus: violation %.4f vs debounced %.4f chain-s (%s); \
-     reconfigs %d vs immediate %d (%s)\n"
-    proactive_viol debounced_viol
-    (if viol_ok then "ok, <=" else "FAILED: >")
-    proactive_rc immediate_rc
-    (if rc_ok then "ok, <=50%" else "FAILED: >50%");
+  let gates =
+    [
+      Bench_gate.gate "proactive-violation" viol_ok
+        (Printf.sprintf "%.4f chain-s, debounced %.4f" proactive_viol
+           debounced_viol);
+      Bench_gate.gate "proactive-reconfigs" rc_ok
+        (Printf.sprintf "%d, at most half of immediate's %d" proactive_rc
+           immediate_rc);
+    ]
+  in
   let json =
     Json.Obj
       [
@@ -183,7 +185,7 @@ let run_corpus ~quick ~drive_trace =
         ("reconfig_ratio_ok", Json.Bool rc_ok);
       ]
   in
-  (viol_ok && rc_ok, json)
+  (gates, json)
 
 (* ------------------------------------------------------------------ *)
 (* Move-budget corpus: traces whose re-placements re-home chains,
@@ -216,18 +218,21 @@ let run_budget ~quick ~jobs ~drive_trace =
           (Printf.sprintf "budgeted %s seed %d: %s"
              (Trace.kind_to_string kind) seed e)
   in
-  let run_pool ~domains =
-    let results = Lemur_util.Pool.map ~domains eval specs in
-    List.map
-      (function
-        | Ok r -> r
-        | Error (e : Lemur_util.Pool.job_error) -> failwith e.Lemur_util.Pool.message)
-      results
+  let run_pool domains =
+    let reports =
+      List.map
+        (function
+          | Ok r -> r
+          | Error (e : Lemur_util.Pool.job_error) ->
+              failwith e.Lemur_util.Pool.message)
+        (Lemur_util.Pool.map ~domains eval specs)
+    in
+    let digests = String.concat "," (List.map Report.digest reports) in
+    (reports, Digest.to_hex (Digest.string digests))
   in
-  let serial = run_pool ~domains:1 in
-  let parallel = run_pool ~domains:(max 1 jobs) in
-  let digests rs = List.map Report.digest rs in
-  let digests_equal = digests serial = digests parallel in
+  let (reports, _), determinism =
+    Bench_gate.determinism ~name:"move-budget-determinism" ~jobs run_pool
+  in
   let cap_respected =
     List.for_all2
       (fun (_, _, _, budget) (r : Report.t) ->
@@ -237,10 +242,12 @@ let run_budget ~quick ~jobs ~drive_trace =
                 moves <= budget
             | _ -> true)
           r.Report.journal)
-      specs serial
+      specs reports
   in
   let capped_total =
-    List.fold_left (fun acc (r : Report.t) -> acc + r.Report.moves_capped) 0 serial
+    List.fold_left
+      (fun acc (r : Report.t) -> acc + r.Report.moves_capped)
+      0 reports
   in
   let capped_fired = capped_total > 0 in
   List.iter2
@@ -249,13 +256,17 @@ let run_budget ~quick ~jobs ~drive_trace =
         "move budget %d on %s:%d: %d reconfigs, %d chains moved, %d capped\n"
         budget (Trace.kind_to_string kind) seed r.Report.reconfigs
         r.Report.moves_total r.Report.moves_capped)
-    specs serial;
-  Printf.printf
-    "move budget: cap %s, capped path %s (%d capped), -j1 vs -j%d digests %s\n"
-    (if cap_respected then "respected" else "VIOLATED")
-    (if capped_fired then "exercised" else "NEVER FIRED")
-    capped_total (max 1 jobs)
-    (if digests_equal then "identical" else "MISMATCH");
+    specs reports;
+  let gates =
+    [
+      Bench_gate.gate "move-budget-cap" cap_respected
+        (if cap_respected then "every non-exempt reconfiguration within budget"
+         else "a reconfiguration moved more chains than its budget");
+      Bench_gate.gate "move-budget-capped-path" capped_fired
+        (Printf.sprintf "%d capped reconfiguration(s)" capped_total);
+      determinism;
+    ]
+  in
   let json =
     Json.Obj
       [
@@ -274,283 +285,224 @@ let run_budget ~quick ~jobs ~drive_trace =
                      ("moves_capped", Json.Int r.Report.moves_capped);
                      ("digest", Json.String (Report.digest r));
                    ])
-               specs serial) );
+               specs reports) );
         ("cap_respected", Json.Bool cap_respected);
         ("capped_fired", Json.Bool capped_fired);
-        ("jobs", Json.Int (max 1 jobs));
-        ("digests_equal", Json.Bool digests_equal);
+        ("jobs", Json.Int jobs);
+        ("digests_equal", Json.Bool determinism.Bench_gate.ok);
       ]
   in
-  (cap_respected && capped_fired && digests_equal, json)
+  (gates, json)
 
 (* ------------------------------------------------------------------ *)
 
-let main args =
-  let seed = ref default_seed
-  and events = ref default_events
-  and quick = ref false
-  and jobs = ref 2
-  and out = ref "BENCH_runtime.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--events" :: v :: rest ->
-        events := int_of_string v;
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "-j" :: v :: rest ->
-        jobs := int_of_string v;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+(* Incremental re-placement vs from-scratch: a dedicated demand-churn
+   trace — longer chains than the policy trace, so a re-solve actually
+   has pattern search and coalescing to redo. *)
+let resolve_trace ~quick ~seed =
+  let topo =
+    {
+      Trace.servers = 3;
+      cores_per_socket = 8;
+      smartnic = true;
+      ofswitch = false;
+      no_pisa = false;
+      metron = false;
+    }
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench runtime: unknown argument %S\n\
-         usage: bench -- runtime [--seed N] [--events N] [--quick] [-j N] \
-         [--out FILE]\n"
-        arg;
-      2
-  | Ok () -> (
-      if !quick && !events = default_events then events := 60;
-      let trace = Trace.generate ~events:!events ~seed:!seed () in
-      Printf.printf
-        "## runtime: control-loop policies on trace seed %d (%d events, %d \
-         chains, %.3fs horizon)\n"
-        !seed !events
-        (List.length trace.Trace.chains)
-        trace.Trace.horizon;
-      let drive_trace ?move_budget ~seed policy trace =
-        let cfg =
-          Engine.default_config ~policy ~seed
-            ~check:Lemur_check.Runtime_check.checker ?move_budget ()
-        in
-        match Engine.run cfg trace with
-        | Ok (report, _) -> Ok report
-        | Error e -> Error (Engine.error_to_string e)
+  let chains =
+    [
+      "r0 slo(tmin='2.0Gbps', tmax='40Gbps') = ACL -> Monitor -> NAT -> \
+       Encrypt -> Tunnel -> IPv4Fwd";
+      "r1 slo(tmin='1.5Gbps', tmax='40Gbps') = BPF -> ACL -> Monitor -> NAT \
+       -> Tunnel -> IPv4Fwd";
+      "r2 slo(tmin='1.0Gbps', tmax='40Gbps') = Monitor -> ACL -> NAT -> \
+       Encrypt -> IPv4Fwd";
+    ]
+  in
+  let prng = Lemur_util.Prng.create ~seed in
+  let t = ref 0.0 in
+  let n = if quick then 40 else 120 in
+  let events =
+    List.init n (fun i ->
+        t := !t +. 0.005;
+        let chain_id = Printf.sprintf "r%d" (i mod 3) in
+        let rate = float_of_int (5 + Lemur_util.Prng.int prng 200) *. 1e8 in
+        { Trace.at = !t; action = Trace.Traffic { chain_id; rate } })
+  in
+  {
+    Trace.seed = None;
+    topo;
+    chains;
+    windows = [];
+    events;
+    horizon = !t +. 0.01;
+  }
+
+let main args =
+  let o = Bench_gate.parse ~seed:default_seed "runtime" args in
+  let quick = o.Bench_gate.quick in
+  let seed = Option.get o.Bench_gate.seed in
+  let events = if quick then 60 else 200 in
+  let trace = Trace.generate ~events ~seed () in
+  Printf.printf
+    "## runtime: control-loop policies on trace seed %d (%d events, %d \
+     chains, %.3fs horizon)\n"
+    seed events
+    (List.length trace.Trace.chains)
+    trace.Trace.horizon;
+  let drive_trace ?move_budget ~seed policy trace =
+    let cfg =
+      Engine.default_config ~policy ~seed
+        ~check:Lemur_check.Runtime_check.checker ?move_budget ()
+    in
+    match Engine.run cfg trace with
+    | Ok (report, _) -> Ok report
+    | Error e -> Error (Engine.error_to_string e)
+  in
+  let drive policy = drive_trace ~seed policy trace in
+  let run_all =
+    let policies =
+      [
+        ("immediate", Policy.Immediate);
+        ("debounced", Policy.default_debounced);
+        ("scheduled", Policy.Scheduled);
+      ]
+    in
+    List.fold_left
+      (fun acc (name, p) ->
+        Result.bind acc (fun rs ->
+            match drive p with
+            | Ok r -> Ok (rs @ [ (name, r) ])
+            | Error e -> Error (name ^ ": " ^ e)))
+      (Ok []) policies
+  in
+  (* The same demand-churn trace driven twice under the immediate policy
+     (oracle on), caches dropped before each run so neither inherits
+     warmth. The incremental engine keeps the placer's variant cache
+     across re-placements (demand events leave every chain clean, so the
+     whole pattern search replays from cache); the from-scratch one
+     clears it inside every timed decision. Placements — and therefore
+     report digests — must be byte-identical: the caches only change how
+     fast the same answer is derived. *)
+  let drive_incremental ~incremental =
+    Lemur_placer.Memo.clear ();
+    Lemur_placer.Strategy.clear_variant_cache ();
+    let cfg =
+      Engine.default_config ~policy:Policy.Immediate ~seed
+        ~check:Lemur_check.Runtime_check.checker ~incremental ()
+    in
+    match Engine.run cfg (resolve_trace ~quick ~seed) with
+    | Ok (report, _) -> Ok report
+    | Error e -> Error (Engine.error_to_string e)
+  in
+  match run_all with
+  | Error e -> Bench_gate.finish o [ Bench_gate.gate "policies" false e ] []
+  | Ok results ->
+      let digest name = Report.digest (List.assoc name results) in
+      (* determinism gate: replay immediate and compare digests *)
+      let replay_digest =
+        match drive Policy.Immediate with
+        | Ok r -> Report.digest r
+        | Error e -> e
       in
-      let drive policy = drive_trace ~seed:!seed policy trace in
-      let run_all =
-        let policies =
-          [
-            ("immediate", Policy.Immediate);
-            ("debounced", Policy.default_debounced);
-            ("scheduled", Policy.Scheduled);
-          ]
-        in
-        List.fold_left
-          (fun acc (name, p) ->
-            Result.bind acc (fun rs ->
-                match drive p with
-                | Ok r -> Ok (rs @ [ (name, r) ])
-                | Error e -> Error (name ^ ": " ^ e)))
-          (Ok []) policies
+      let table =
+        Lemur_util.Texttable.create
+          ~headers:
+            [
+              "policy"; "reconfigs"; "violation (chain-s)"; "marginal (Gbit)";
+              "decision mean (ms)";
+            ]
       in
-      (* Incremental re-placement vs from-scratch: a dedicated
-         demand-churn trace — longer chains than the policy trace, so a
-         re-solve actually has pattern search and coalescing to redo —
-         driven twice under the immediate policy (oracle on), caches
-         dropped before each run so neither inherits warmth. The
-         incremental engine keeps the placer's variant cache across
-         re-placements (demand events leave every chain clean, so the
-         whole pattern search replays from cache); the from-scratch one
-         clears it inside every timed decision.
-         Placements — and therefore report digests — must be
-         byte-identical: the caches only change how fast the same
-         answer is derived. *)
-      let resolve_trace =
-        let topo =
-          {
-            Trace.servers = 3;
-            cores_per_socket = 8;
-            smartnic = true;
-            ofswitch = false;
-            no_pisa = false;
-            metron = false;
-          }
-        in
-        let chains =
-          [
-            "r0 slo(tmin='2.0Gbps', tmax='40Gbps') = ACL -> Monitor -> NAT \
-             -> Encrypt -> Tunnel -> IPv4Fwd";
-            "r1 slo(tmin='1.5Gbps', tmax='40Gbps') = BPF -> ACL -> Monitor \
-             -> NAT -> Tunnel -> IPv4Fwd";
-            "r2 slo(tmin='1.0Gbps', tmax='40Gbps') = Monitor -> ACL -> NAT \
-             -> Encrypt -> IPv4Fwd";
-          ]
-        in
-        let prng = Lemur_util.Prng.create ~seed:!seed in
-        let t = ref 0.0 in
-        let n = if !quick then 40 else 120 in
-        let events =
-          List.init n (fun i ->
-              t := !t +. 0.005;
-              let chain_id = Printf.sprintf "r%d" (i mod 3) in
-              let rate =
-                float_of_int (5 + Lemur_util.Prng.int prng 200) *. 1e8
-              in
-              { Trace.at = !t; action = Trace.Traffic { chain_id; rate } })
-        in
-        {
-          Trace.seed = None;
-          topo;
-          chains;
-          windows = [];
-          events;
-          horizon = !t +. 0.01;
-        }
-      in
-      let drive_incremental ~incremental =
-        Lemur_placer.Memo.clear ();
-        Lemur_placer.Strategy.clear_variant_cache ();
-        let cfg =
-          Engine.default_config ~policy:Policy.Immediate ~seed:!seed
-            ~check:Lemur_check.Runtime_check.checker ~incremental ()
-        in
-        match Engine.run cfg resolve_trace with
-        | Ok (report, _) -> Ok report
-        | Error e -> Error (Engine.error_to_string e)
-      in
-      match run_all with
-      | Error e ->
-          Printf.eprintf "bench runtime: %s\n" e;
-          1
-      | Ok results ->
-          let digest name = Report.digest (List.assoc name results) in
-          (* determinism gate: replay immediate and compare digests *)
-          let replay_digest =
-            match drive Policy.Immediate with
-            | Ok r -> Report.digest r
-            | Error e -> e
-          in
-          let table =
-            Lemur_util.Texttable.create
-              ~headers:
+      List.iter
+        (fun (name, (r : Report.t)) ->
+          let mean, _, _ = latency_stats r.Report.decision_latency_s in
+          Lemur_util.Texttable.add_row table
+            [
+              name;
+              string_of_int r.Report.reconfigs;
+              Printf.sprintf "%.4f" r.Report.total_violation_s;
+              Printf.sprintf "%.2f" (r.Report.total_marginal_bits /. 1e9);
+              Printf.sprintf "%.2f" (mean *. 1000.0);
+            ])
+        results;
+      Lemur_util.Texttable.print table;
+      let imm = List.assoc "immediate" results in
+      let deb = List.assoc "debounced" results in
+      let deterministic = String.equal (digest "immediate") replay_digest in
+      let incremental_gate, incremental_json =
+        match
+          (drive_incremental ~incremental:true,
+           drive_incremental ~incremental:false)
+        with
+        | Error e, _ | _, Error e ->
+            ( Bench_gate.gate "incremental" false e,
+              Json.Obj [ ("error", Json.String e) ] )
+        | Ok inc, Ok scratch ->
+            let inc_mean, _, _ = latency_stats inc.Report.decision_latency_s in
+            let scratch_mean, _, _ =
+              latency_stats scratch.Report.decision_latency_s
+            in
+            let resolve_speedup =
+              if inc_mean > 0.0 then scratch_mean /. inc_mean else 0.0
+            in
+            let digests_equal =
+              String.equal (Report.digest inc) (Report.digest scratch)
+            in
+            Printf.printf
+              "incremental re-placement: mean decision %.2f ms vs %.2f ms \
+               from scratch (%.2fx)\n"
+              (inc_mean *. 1000.0) (scratch_mean *. 1000.0) resolve_speedup;
+            ( Bench_gate.gate "incremental" digests_equal
+                (Printf.sprintf "report digest %s %s from scratch"
+                   (Report.digest inc)
+                   (if digests_equal then "identical to" else "DIFFERS")),
+              Json.Obj
                 [
-                  "policy"; "reconfigs"; "violation (chain-s)";
-                  "marginal (Gbit)"; "decision mean (ms)";
-                ]
-          in
-          List.iter
-            (fun (name, (r : Report.t)) ->
-              let mean, _, _ = latency_stats r.Report.decision_latency_s in
-              Lemur_util.Texttable.add_row table
-                [
-                  name;
-                  string_of_int r.Report.reconfigs;
-                  Printf.sprintf "%.4f" r.Report.total_violation_s;
-                  Printf.sprintf "%.2f" (r.Report.total_marginal_bits /. 1e9);
-                  Printf.sprintf "%.2f" (mean *. 1000.0);
-                ])
-            results;
-          Lemur_util.Texttable.print table;
-          let imm = List.assoc "immediate" results in
-          let deb = List.assoc "debounced" results in
-          let deterministic = String.equal (digest "immediate") replay_digest in
-          let incremental_section =
-            match
-              (drive_incremental ~incremental:true,
-               drive_incremental ~incremental:false)
-            with
-            | Error e, _ | _, Error e -> Error e
-            | Ok inc, Ok scratch ->
-                let inc_mean, _, _ =
-                  latency_stats inc.Report.decision_latency_s
-                in
-                let scratch_mean, _, _ =
-                  latency_stats scratch.Report.decision_latency_s
-                in
-                let resolve_speedup =
-                  if inc_mean > 0.0 then scratch_mean /. inc_mean else 0.0
-                in
-                let digests_equal =
-                  String.equal (Report.digest inc) (Report.digest scratch)
-                in
-                Printf.printf
-                  "incremental re-placement: mean decision %.2f ms vs %.2f \
-                   ms from scratch (%.2fx), digests %s\n"
-                  (inc_mean *. 1000.0) (scratch_mean *. 1000.0)
-                  resolve_speedup
-                  (if digests_equal then "identical" else "MISMATCH");
-                Ok
-                  ( digests_equal,
-                    Json.Obj
-                      [
-                        ("reconfigs", Json.Int inc.Report.reconfigs);
-                        ( "incremental_decision_mean_s",
-                          Json.Float inc_mean );
-                        ( "scratch_decision_mean_s",
-                          Json.Float scratch_mean );
-                        ("resolve_speedup", Json.Float resolve_speedup);
-                        ("digests_equal", Json.Bool digests_equal);
-                        ( "incremental_digest",
-                          Json.String (Report.digest inc) );
-                      ] )
-          in
-          let ratio_ok =
-            deb.Report.reconfigs * 2 <= imm.Report.reconfigs
-          in
-          let budget =
-            violation_premium_abs
-            +. (violation_premium_rel *. imm.Report.total_violation_s)
-          in
-          let premium_ok = deb.Report.total_violation_s <= budget in
-          Printf.printf
-            "determinism: %s\nreconfig ratio: %d vs %d (%s)\n\
-             violation premium: %.4f vs budget %.4f chain-s (%s)\n"
-            (if deterministic then "ok" else "DIGEST MISMATCH")
-            imm.Report.reconfigs deb.Report.reconfigs
-            (if ratio_ok then "ok, >=2x fewer" else "FAILED: < 2x")
-            deb.Report.total_violation_s budget
-            (if premium_ok then "ok" else "FAILED");
-          let incremental_ok, incremental_json =
-            match incremental_section with
-            | Ok (equal, json) -> (equal, json)
-            | Error e ->
-                ( false,
-                  Json.Obj [ ("error", Json.String e) ] )
-          in
-          let proactive_ok, proactive_json =
-            run_corpus ~quick:!quick ~drive_trace
-          in
-          let budget_ok, budget_json =
-            run_budget ~quick:!quick ~jobs:!jobs ~drive_trace
-          in
-          let doc =
-            Json.Obj
-              [
-                ("schema", Json.String "lemur.bench.runtime/2");
-                ("trace_seed", Json.Int !seed);
-                ("trace_events", Json.Int !events);
-                ("quick", Json.Bool !quick);
-                ("horizon_s", Json.Float trace.Trace.horizon);
-                ( "policies",
-                  Json.List
-                    (List.map
-                       (fun (name, r) -> policy_json name r (digest name))
-                       results) );
-                ("deterministic", Json.Bool deterministic);
-                ("reconfig_ratio_ok", Json.Bool ratio_ok);
-                ("violation_premium_ok", Json.Bool premium_ok);
-                ("incremental", incremental_json);
-                ("proactive_corpus", proactive_json);
-                ("move_budget", budget_json);
-              ]
-          in
-          let oc = open_out !out in
-          output_string oc (Json.to_string doc);
-          output_string oc "\n";
-          close_out oc;
-          Printf.printf "wrote %s\n" !out;
-          if
-            deterministic && ratio_ok && premium_ok && incremental_ok
-            && proactive_ok && budget_ok
-          then 0
-          else 1)
+                  ("reconfigs", Json.Int inc.Report.reconfigs);
+                  ("incremental_decision_mean_s", Json.Float inc_mean);
+                  ("scratch_decision_mean_s", Json.Float scratch_mean);
+                  ("resolve_speedup", Json.Float resolve_speedup);
+                  ("digests_equal", Json.Bool digests_equal);
+                  ("incremental_digest", Json.String (Report.digest inc));
+                ] )
+      in
+      let ratio_ok = deb.Report.reconfigs * 2 <= imm.Report.reconfigs in
+      let budget =
+        violation_premium_abs
+        +. (violation_premium_rel *. imm.Report.total_violation_s)
+      in
+      let premium_ok = deb.Report.total_violation_s <= budget in
+      let proactive_gates, proactive_json = run_corpus ~quick ~drive_trace in
+      let budget_gates, budget_json =
+        run_budget ~quick ~jobs:o.Bench_gate.jobs ~drive_trace
+      in
+      Bench_gate.finish o
+        ([
+           Bench_gate.gate "determinism" deterministic
+             (Printf.sprintf "immediate report digest %s, replay %s"
+                (digest "immediate") replay_digest);
+           Bench_gate.gate "reconfig-ratio" ratio_ok
+             (Printf.sprintf "immediate %d, debounced %d (needs >= 2x fewer)"
+                imm.Report.reconfigs deb.Report.reconfigs);
+           Bench_gate.gate "violation-premium" premium_ok
+             (Printf.sprintf "debounced %.4f chain-s, budget %.4f"
+                deb.Report.total_violation_s budget);
+           incremental_gate;
+         ]
+        @ proactive_gates @ budget_gates)
+        [
+          ("trace_events", Json.Int events);
+          ("horizon_s", Json.Float trace.Trace.horizon);
+          ( "policies",
+            Json.List
+              (List.map
+                 (fun (name, r) -> policy_json name r (digest name))
+                 results) );
+          ("deterministic", Json.Bool deterministic);
+          ("reconfig_ratio_ok", Json.Bool ratio_ok);
+          ("violation_premium_ok", Json.Bool premium_ok);
+          ("incremental", incremental_json);
+          ("proactive_corpus", proactive_json);
+          ("move_budget", budget_json);
+        ]

@@ -10,10 +10,10 @@
      fabric-level oracle (Lemur_check.Fabric_check) — every shard
      oracle-clean, uplink budgets respected, no unbudgeted cross-rack
      chain;
-   - wall clock (hard gate): the parallel run must finish within
-     --budget-s seconds. The default scenario is the ROADMAP target —
-     50 racks / 2000 chains; --quick shrinks it to 4 racks / 64 chains
-     for CI smoke.
+   - wall clock (hard gate): the parallel run must finish within the
+     mode's budget. The full scenario is the ROADMAP target — 50 racks
+     / 2000 chains within 300 s; --quick shrinks it to 4 racks / 64
+     chains within 60 s for CI smoke.
 
    Wall-clock budgets are generous (the gate catches order-of-magnitude
    regressions, not noise); the JSON records the honest timing either
@@ -26,12 +26,6 @@ module Pool = Lemur_util.Pool
 module Json = Lemur_telemetry.Json
 
 let now = Unix.gettimeofday
-
-let timed_place ~jobs cfg demands =
-  let t0 = now () in
-  let outcome = Shard.place ~jobs cfg demands in
-  let wall = Lemur_util.Timing.duration ~start:t0 ~stop:(now ()) in
-  (outcome, wall)
 
 let run_json ~jobs ~chains (fp : Shard.fabric_placement) wall =
   Json.Obj
@@ -53,179 +47,93 @@ let run_json ~jobs ~chains (fp : Shard.fabric_placement) wall =
       ("digest", Json.String (Shard.digest fp));
     ]
 
+(* Place on [jobs] domains and report; an infeasible outcome digests to
+   a constant, so both job counts failing alike still count as
+   deterministic and the oracle gate reports the infeasibility. *)
+let timed_place cfg demands jobs =
+  let t0 = now () in
+  let outcome = Shard.place ~jobs cfg demands in
+  let wall = Lemur_util.Timing.duration ~start:t0 ~stop:(now ()) in
+  match outcome with
+  | Shard.Infeasible { errors; repairs } ->
+      Printf.printf "  -j %d: INFEASIBLE after %.2fs (%d repair move(s)):\n"
+        jobs wall (List.length repairs);
+      List.iter
+        (fun e -> Printf.printf "    %s\n" (Shard.error_to_string e))
+        errors;
+      ((None, wall), "infeasible")
+  | Shard.Placed fp ->
+      Printf.printf "  -j %d: %.2fs, %d repair move(s), %d cross-rack\n%!"
+        jobs wall
+        (List.length fp.Shard.repairs)
+        (List.length
+           (List.filter
+              (fun (a : Shard.assignment) -> a.Shard.a_cross)
+              fp.Shard.assignments));
+      ((Some fp, wall), Shard.digest fp)
+
 let main args =
-  let racks = ref 50
-  and chains = ref 2000
-  and tenants = ref None
-  and seed = ref 1
-  and jobs = ref None
-  and budget_s = ref None
-  and quick = ref false
-  and out = ref "BENCH_scale.json" in
-  let rec parse = function
-    | [] -> Ok ()
-    | "--racks" :: v :: rest ->
-        racks := int_of_string v;
-        parse rest
-    | "--chains" :: v :: rest ->
-        chains := int_of_string v;
-        parse rest
-    | "--tenants" :: v :: rest ->
-        tenants := Some (int_of_string v);
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse rest
-    | "--budget-s" :: v :: rest ->
-        budget_s := Some (float_of_string v);
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | arg :: _ -> Error arg
+  let o = Bench_gate.parse ~seed:1 "scale" args in
+  let quick = o.Bench_gate.quick and jobs = o.Bench_gate.jobs in
+  let seed = Option.get o.Bench_gate.seed in
+  let racks, chains, tenants, budget =
+    if quick then (4, 64, 8, 60.0) else (50, 2000, 100, 300.0)
   in
-  match parse args with
-  | Error arg ->
-      Printf.eprintf
-        "bench scale: unknown argument %S\n\
-         usage: bench -- scale [--quick] [--racks N] [--chains N] \
-         [--tenants N] [--seed N] [-j N] [--budget-s X] [--out FILE]\n"
-        arg;
-      2
-  | Ok () ->
-      if !quick then begin
-        racks := 4;
-        chains := 64
-      end;
-      let tenants =
-        match !tenants with Some t -> t | None -> max 4 (2 * !racks)
-      in
-      let budget =
-        match !budget_s with
-        | Some b -> b
-        | None -> if !quick then 60.0 else 300.0
-      in
-      let jobs =
-        match !jobs with
-        | Some j -> max 1 j
-        | None -> max 2 (Pool.recommended_domains ())
-      in
-      let fabric = Fabric.synthetic ~racks:!racks () in
-      let demands =
-        Fabric.expand
-          (Fabric.synthetic_tenants ~seed:!seed ~tenants ~chains:!chains
-             fabric)
-      in
-      let cfg = Shard.default_config fabric in
-      Printf.printf
-        "## scale: %d rack(s) (%d NF cores), %d tenant(s) -> %d chain(s), \
-         %.1f Gbps aggregate floor, -j 1 vs -j %d (host reports %d domain(s))\n\
-         %!"
-        !racks
-        (Fabric.total_nf_cores fabric)
-        tenants (List.length demands)
-        (Fabric.total_demand demands /. 1e9)
-        jobs
-        (Pool.recommended_domains ());
-      let seq, seq_wall = timed_place ~jobs:1 cfg demands in
-      let par, par_wall = timed_place ~jobs cfg demands in
-      let report label outcome wall =
-        match (outcome : Shard.outcome) with
-        | Shard.Infeasible { errors; repairs } ->
-            Printf.printf "  %s: INFEASIBLE after %.2fs (%d repair move(s)):\n"
-              label wall (List.length repairs);
-            List.iter
-              (fun e -> Printf.printf "    %s\n" (Shard.error_to_string e))
-              errors;
-            None
-        | Shard.Placed fp ->
-            Printf.printf
-              "  %s: %.2fs, %d repair move(s), %d cross-rack, digest %s\n%!"
-              label wall
-              (List.length fp.Shard.repairs)
-              (List.length
-                 (List.filter
-                    (fun (a : Shard.assignment) -> a.Shard.a_cross)
-                    fp.Shard.assignments))
-              (Shard.digest fp);
-            Some fp
-      in
-      let seq_fp = report "-j 1" seq seq_wall in
-      let par_fp = report (Printf.sprintf "-j %d" jobs) par par_wall in
-      (match (seq_fp, par_fp) with
-      | Some _, Some _ | None, None -> ()
-      | _ -> Printf.printf "  FEASIBILITY MISMATCH between job counts\n");
-      let digests_equal =
-        match (seq_fp, par_fp) with
-        | Some a, Some b -> String.equal (Shard.digest a) (Shard.digest b)
-        | None, None -> true (* both infeasible: the infeasibility gate fires *)
-        | _ -> false
-      in
-      let oracle_violations =
-        match par_fp with
-        | None -> [ "placement infeasible" ]
-        | Some fp -> (
-            match Fabric_check.check fp with
-            | Ok () -> []
-            | Error vs ->
-                List.map
-                  (fun v -> Format.asprintf "%a" Fabric_check.pp_violation v)
-                  vs)
-      in
-      let within_budget = par_wall <= budget in
-      Printf.printf "determinism: %s\n"
-        (if digests_equal then "ok, digests identical" else "DIGEST MISMATCH");
-      (match oracle_violations with
-      | [] -> Printf.printf "oracle: clean\n"
-      | vs ->
-          Printf.printf "oracle: %d VIOLATION(S)\n" (List.length vs);
-          List.iteri
-            (fun i v -> if i < 10 then Printf.printf "  %s\n" v)
-            vs);
-      Printf.printf "wall clock: %.2fs (budget %.0fs: %s)\n" par_wall budget
-        (if within_budget then "ok" else "EXCEEDED");
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "lemur.bench.scale/1");
-            ("seed", Json.Int !seed);
-            ("racks", Json.Int !racks);
-            ("tenants", Json.Int tenants);
-            ("chains", Json.Int (List.length demands));
-            ("fabric_nf_cores", Json.Int (Fabric.total_nf_cores fabric));
-            ( "aggregate_floor_gbps",
-              Json.Float (Fabric.total_demand demands /. 1e9) );
-            ("host_domains", Json.Int (Pool.recommended_domains ()));
-            ( "sequential",
-              match seq_fp with
-              | Some fp ->
-                  run_json ~jobs:1 ~chains:(List.length demands) fp seq_wall
-              | None -> Json.Obj [ ("infeasible", Json.Bool true) ] );
-            ( "parallel",
-              match par_fp with
-              | Some fp ->
-                  run_json ~jobs ~chains:(List.length demands) fp par_wall
-              | None -> Json.Obj [ ("infeasible", Json.Bool true) ] );
-            ("digests_equal", Json.Bool digests_equal);
-            ( "oracle_clean",
-              Json.Bool (oracle_violations = []) );
-            ("budget_s", Json.Float budget);
-            ("within_budget", Json.Bool within_budget);
-          ]
-      in
-      let oc = open_out !out in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" !out;
-      if
-        digests_equal && oracle_violations = [] && within_budget
-        && par_fp <> None
-      then 0
-      else 1
+  let fabric = Fabric.synthetic ~racks () in
+  let demands =
+    Fabric.expand (Fabric.synthetic_tenants ~seed ~tenants ~chains fabric)
+  in
+  let cfg = Shard.default_config fabric in
+  Printf.printf
+    "## scale: %d rack(s) (%d NF cores), %d tenant(s) -> %d chain(s), %.1f \
+     Gbps aggregate floor, -j 1 vs -j %d (host reports %d domain(s))\n%!"
+    racks
+    (Fabric.total_nf_cores fabric)
+    tenants (List.length demands)
+    (Fabric.total_demand demands /. 1e9)
+    jobs
+    (Pool.recommended_domains ());
+  let ((placed, wall), _), determinism =
+    Bench_gate.determinism ~jobs (timed_place cfg demands)
+  in
+  let oracle_violations =
+    match placed with
+    | None -> [ "placement infeasible" ]
+    | Some fp -> (
+        match Fabric_check.check fp with
+        | Ok () -> []
+        | Error vs ->
+            List.map
+              (fun v -> Format.asprintf "%a" Fabric_check.pp_violation v)
+              vs)
+  in
+  List.iteri
+    (fun i v -> if i < 10 then Printf.printf "  oracle: %s\n" v)
+    oracle_violations;
+  let within_budget = wall <= budget in
+  Bench_gate.finish o
+    [
+      determinism;
+      Bench_gate.gate "oracle" (oracle_violations = [])
+        (match oracle_violations with
+        | [] -> "clean"
+        | vs -> Printf.sprintf "%d violation(s)" (List.length vs));
+      Bench_gate.gate "wall-budget" within_budget
+        (Printf.sprintf "%.2fs at -j %d, budget %.0fs" wall jobs budget);
+    ]
+    [
+      ("racks", Json.Int racks);
+      ("tenants", Json.Int tenants);
+      ("chains", Json.Int (List.length demands));
+      ("fabric_nf_cores", Json.Int (Fabric.total_nf_cores fabric));
+      ( "aggregate_floor_gbps",
+        Json.Float (Fabric.total_demand demands /. 1e9) );
+      ( "parallel",
+        match placed with
+        | Some fp -> run_json ~jobs ~chains:(List.length demands) fp wall
+        | None -> Json.Obj [ ("infeasible", Json.Bool true) ] );
+      ("digests_equal", Json.Bool determinism.Bench_gate.ok);
+      ("oracle_clean", Json.Bool (oracle_violations = []));
+      ("budget_s", Json.Float budget);
+      ("within_budget", Json.Bool within_budget);
+    ]
