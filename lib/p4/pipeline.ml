@@ -25,9 +25,6 @@ let infra_table name action =
     entries_hint = 64;
   }
 
-let out_degree edges nf_id =
-  List.length (List.filter (fun (src, _) -> String.equal src nf_id) edges)
-
 let table_graph ~mode projections =
   let g = Tablegraph.create () in
   let dep before after = Tablegraph.add_dep g ~before ~after in
@@ -73,16 +70,28 @@ let table_graph ~mode projections =
               node.kind
           in
           List.iter (Tablegraph.add_table g) tables;
-          let names = List.map (fun t -> t.Tablegraph.table_name) tables in
-          List.iteri
-            (fun i name -> if i > 0 then dep (List.nth names (i - 1)) name)
-            names;
-          match names with
+          match List.map (fun t -> t.Tablegraph.table_name) tables with
           | [] -> ()
-          | hd :: _ ->
+          | hd :: tl ->
+              let last =
+                List.fold_left
+                  (fun prev name ->
+                    dep prev name;
+                    name)
+                  hd tl
+              in
               Hashtbl.replace first_table node.nf_id hd;
-              Hashtbl.replace last_table node.nf_id (List.nth names (List.length names - 1)))
+              Hashtbl.replace last_table node.nf_id last)
         proj.nf_nodes;
+      let out_degree = Hashtbl.create 8 in
+      List.iter
+        (fun (src, _) ->
+          Hashtbl.replace out_degree src
+            (1 + Option.value (Hashtbl.find_opt out_degree src) ~default:0))
+        proj.nf_edges;
+      let out_degree nf_id =
+        Option.value (Hashtbl.find_opt out_degree nf_id) ~default:0
+      in
       (* Branch split tables (Optimized only): a branching NF feeds a
          traffic-split table; arms depend on the split only, letting the
          compiler pack parallel branches into the same stages
@@ -93,7 +102,7 @@ let table_graph ~mode projections =
       if mode = Optimized then
         List.iter
           (fun node ->
-            if out_degree proj.nf_edges node.nf_id > 1 then begin
+            if out_degree node.nf_id > 1 then begin
               let split =
                 infra_table (node.nf_id ^ "_split") "traffic_split"
               in
@@ -128,13 +137,7 @@ let table_graph ~mode projections =
       if encap_needed then
         List.iter
           (fun node ->
-            let is_terminal =
-              not
-                (List.exists
-                   (fun (src, _) -> String.equal src node.nf_id)
-                   proj.nf_edges)
-            in
-            if is_terminal then
+            if out_degree node.nf_id = 0 then
               match exit_point node.nf_id with
               | Some last -> dep last "nsh_encap"
               | None -> ())

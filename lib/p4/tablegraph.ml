@@ -6,53 +6,74 @@ type table = {
   entries_hint : int;
 }
 
+(* Per-table adjacency, each list newest edge first — the order a filter
+   over the reversed dependency list would yield. *)
+type node = {
+  table : table;
+  mutable preds : string list;
+  mutable succs : string list;
+}
+
 type t = {
   mutable table_list : table list; (* reversed *)
   mutable dep_list : (string * string) list; (* (before, after), reversed *)
+  nodes : (string, node) Hashtbl.t;
+  dep_set : (string * string, unit) Hashtbl.t;
 }
 
-let create () = { table_list = []; dep_list = [] }
+let create () =
+  {
+    table_list = [];
+    dep_list = [];
+    nodes = Hashtbl.create 64;
+    dep_set = Hashtbl.create 64;
+  }
 
 let find t name =
-  List.find_opt (fun tab -> String.equal tab.table_name name) t.table_list
+  Option.map (fun n -> n.table) (Hashtbl.find_opt t.nodes name)
 
 let add_table t table =
-  if find t table.table_name <> None then
+  if Hashtbl.mem t.nodes table.table_name then
     invalid_arg
       (Printf.sprintf "Tablegraph.add_table: duplicate table %S" table.table_name);
+  Hashtbl.add t.nodes table.table_name { table; preds = []; succs = [] };
   t.table_list <- table :: t.table_list
 
 let add_dep t ~before ~after =
   if String.equal before after then
     invalid_arg "Tablegraph.add_dep: self-dependency";
-  if find t before = None then
-    invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" before);
-  if find t after = None then
-    invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" after);
-  if not (List.mem (before, after) t.dep_list) then
-    t.dep_list <- (before, after) :: t.dep_list
+  let node name =
+    match Hashtbl.find_opt t.nodes name with
+    | Some n -> n
+    | None ->
+        invalid_arg (Printf.sprintf "Tablegraph.add_dep: unknown table %S" name)
+  in
+  let b = node before in
+  let a = node after in
+  if not (Hashtbl.mem t.dep_set (before, after)) then begin
+    Hashtbl.add t.dep_set (before, after) ();
+    t.dep_list <- (before, after) :: t.dep_list;
+    b.succs <- after :: b.succs;
+    a.preds <- before :: a.preds
+  end
 
 let tables t = List.rev t.table_list
 let deps t = List.rev t.dep_list
-let table_count t = List.length t.table_list
+let table_count t = Hashtbl.length t.nodes
 
 let predecessors t name =
-  List.filter_map
-    (fun (before, after) -> if String.equal after name then Some before else None)
-    t.dep_list
-
-let successors t name =
-  List.filter_map
-    (fun (before, after) -> if String.equal before name then Some after else None)
-    t.dep_list
+  match Hashtbl.find_opt t.nodes name with Some n -> n.preds | None -> []
 
 let has_cycle t =
   (* Kahn's algorithm: if we cannot consume all tables, there is a cycle. *)
-  let names = List.map (fun tab -> tab.table_name) (tables t) in
-  let in_deg = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace in_deg n (List.length (predecessors t n))) names;
+  let in_deg = Hashtbl.create (Hashtbl.length t.nodes) in
   let queue = Queue.create () in
-  List.iter (fun n -> if Hashtbl.find in_deg n = 0 then Queue.add n queue) names;
+  Hashtbl.iter
+    (fun name n ->
+      let d = List.length n.preds in
+      Hashtbl.replace in_deg name d;
+      if d = 0 then Queue.add n queue)
+    t.nodes;
   let consumed = ref 0 in
   while not (Queue.is_empty queue) do
     let n = Queue.pop queue in
@@ -61,10 +82,10 @@ let has_cycle t =
       (fun succ ->
         let d = Hashtbl.find in_deg succ - 1 in
         Hashtbl.replace in_deg succ d;
-        if d = 0 then Queue.add succ queue)
-      (successors t n)
+        if d = 0 then Queue.add (Hashtbl.find t.nodes succ) queue)
+      n.succs
   done;
-  !consumed <> List.length names
+  !consumed <> Hashtbl.length t.nodes
 
 let critical_path t =
   let memo = Hashtbl.create 16 in

@@ -1,6 +1,6 @@
 (** Structural identity of placer inputs: the keys of the variant cache
-    ({!Strategy.lemur_variants}) and of the canonical placement
-    renderings the cache-soundness checks compare.
+    ({!Strategy.lemur_variants}), of the stage verdict table, and of the
+    canonical placement renderings the cache-soundness checks compare.
 
     {!config_sig} digests the {e content} of a {!Plan.config} —
     topology records field by field, profiler signature, packet size,

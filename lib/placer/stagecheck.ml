@@ -38,9 +38,6 @@ let check config plans =
   | Conflict _ -> tally "conflicts");
   verdict
 
-let stages_used config plans =
-  match check config plans with Fits n -> Some n | Overflow _ | Conflict _ -> None
-
 let movable_switch_nodes config plan =
   let graph = plan.Plan.input.Plan.graph in
   List.filter_map

@@ -13,9 +13,6 @@ type verdict =
 
 val check : Plan.config -> Plan.plan list -> verdict
 
-val stages_used : Plan.config -> Plan.plan list -> int option
-(** [Some stages] when the placement fits. *)
-
 val movable_switch_nodes :
   Plan.config -> Plan.plan -> (Lemur_spec.Graph.node_id * float) list
 (** Switch-placed NFs that also have a server implementation, paired

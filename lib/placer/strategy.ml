@@ -179,6 +179,63 @@ let check_latency plans =
            (Lemur_util.Units.to_us p.Plan.input.Plan.slo.Lemur_slo.Slo.d_max))
   | None -> Ok ()
 
+(* ------------------------------------------------------------------ *)
+(* Domain-local placer state: the variant cache (below) and the stage
+   verdict table. Both are dropped together by [clear_variant_cache], so
+   a cold placement is cold in both. *)
+
+let vc_hits = Atomic.make 0
+let vc_misses = Atomic.make 0
+let vc_max_entries = 16
+let vc_max_verdicts = 1024
+
+type vc_state = {
+  mutable vc_entries : (string * Plan.plan list list) list;
+      (* MRU assoc: key -> per-variant list of per-chain plans *)
+  vc_verdicts : (Digest.t, Stagecheck.verdict) Hashtbl.t;
+      (* switch-projection key -> compiler verdict; reset when full *)
+}
+
+let vc_key : vc_state Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { vc_entries = []; vc_verdicts = Hashtbl.create 64 })
+
+let variant_cache_stats () = (Atomic.get vc_hits, Atomic.get vc_misses)
+
+let clear_variant_cache () =
+  let st = Domain.DLS.get vc_key in
+  st.vc_entries <- [];
+  Hashtbl.reset st.vc_verdicts
+
+(* The compiler-in-the-loop check, compiled once per switch projection.
+   A plan's projection is a function of its chain id, graph and
+   locations — exactly [Memo.plan_sig] — and the compiler reads only the
+   ToR's PISA parameters, which [Memo.config_sig] covers; so the verdict
+   is stored under a digest of those signatures in list order. The
+   placer's variants, spare-core policies and ranking walk re-check the
+   same switch sets many times over; [Stagecheck.check] itself stays
+   uncached, so the oracle always compiles afresh. *)
+let stage_verdict config plans =
+  let tm = Lemur_telemetry.Telemetry.current () in
+  let st = Domain.DLS.get vc_key in
+  let key =
+    Digest.string
+      (String.concat ";" (Memo.config_sig config :: List.map Memo.plan_sig plans))
+  in
+  match Hashtbl.find_opt st.vc_verdicts key with
+  | Some verdict ->
+      Lemur_telemetry.Counter.incr
+        (Lemur_telemetry.Telemetry.counter tm "placer.stageverdict.hits");
+      verdict
+  | None ->
+      Lemur_telemetry.Counter.incr
+        (Lemur_telemetry.Telemetry.counter tm "placer.stageverdict.misses");
+      let verdict = Stagecheck.check config plans in
+      if Hashtbl.length st.vc_verdicts >= vc_max_verdicts then
+        Hashtbl.reset st.vc_verdicts;
+      Hashtbl.add st.vc_verdicts key verdict;
+      verdict
+
 (* Allocate + LP + stage check for a fixed set of plans. *)
 let finalize strategy config policy plans ~elapsed_start =
   Lemur_telemetry.Telemetry.with_span
@@ -194,7 +251,7 @@ let finalize strategy config policy plans ~elapsed_start =
           match Alloc.evaluate config allocs with
           | None -> Infeasible { reason = "rate LP infeasible (SLOs unsatisfiable)" }
           | Some lp -> (
-              match Stagecheck.check config plans with
+              match stage_verdict config plans with
               | Stagecheck.Overflow n ->
                   Infeasible
                     { reason = Printf.sprintf "switch stages exceeded (%d needed)" n }
@@ -215,7 +272,7 @@ let evict_to_fit config plans =
   Lemur_telemetry.Telemetry.with_span tm "placer.evict_to_fit" @@ fun () ->
   let evictions = Lemur_telemetry.Telemetry.counter tm "placer.evict.evictions" in
   let rec go plans =
-    match Stagecheck.check config plans with
+    match stage_verdict config plans with
     | Stagecheck.Fits _ -> Some plans
     | Stagecheck.Conflict _ | Stagecheck.Overflow _ -> (
         let candidates =
@@ -412,26 +469,8 @@ let min_bounce_pattern config input =
    engine skip the whole pattern search when a dynamics event only
    moved demand (t_max) or the latency bound (d_max). Chains whose
    graph or t_min did change alter the key, so the dirty set
-   invalidates exactly itself. Entries are domain-local; the hit/miss
-   totals are process-wide. *)
-
-let vc_hits = Atomic.make 0
-let vc_misses = Atomic.make 0
-let vc_max_entries = 16
-
-type vc_state = {
-  mutable vc_entries : (string * Plan.plan list list) list;
-      (* MRU assoc: key -> per-variant list of per-chain plans *)
-}
-
-let vc_key : vc_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { vc_entries = [] })
-
-let variant_cache_stats () = (Atomic.get vc_hits, Atomic.get vc_misses)
-
-let clear_variant_cache () =
-  let st = Domain.DLS.get vc_key in
-  st.vc_entries <- []
+   invalidates exactly itself. Entries live in the domain-local state
+   above; the hit/miss totals are process-wide. *)
 
 let variant_key config inputs =
   String.concat ";"
@@ -787,7 +826,7 @@ let optimal_placement config inputs start =
       | [] -> Infeasible { reason = "no ranked placement fits the switch" }
       | (_, combo, allocs, lp) :: rest -> (
           let plans = List.map (fun c -> c.oc_plan) combo in
-          match Stagecheck.check config plans with
+          match stage_verdict config plans with
           | Stagecheck.Fits stages ->
               Placed
                 (build_placement Optimal config allocs lp stages

@@ -94,8 +94,9 @@ val variant_cache_stats : unit -> int * int
 (** Process-lifetime [(hits, misses)] of the variant cache. *)
 
 val clear_variant_cache : unit -> unit
-(** Drop the calling domain's cached variant entries; the next
-    placement of any chain set solves from scratch. *)
+(** Drop the calling domain's cached variant entries and stage verdicts;
+    the next placement of any chain set solves and compiles from
+    scratch. *)
 
 val evaluate_plans :
   ?policy:Alloc.spare_policy -> t -> Plan.config -> Plan.plan list -> outcome

@@ -320,6 +320,91 @@ let test_mae_run_drop_guard () =
   let env = Mae.run [] [ dropper; setter ] in
   Alcotest.(check int) "later tables skipped after drop" 0 (Mae.get env "seen")
 
+(* The O(V·E) list scheduler [Stagepack.pack] replaced, kept as the
+   reference the linear packer must match: each round rescans the whole
+   dependency list (newest first) for every unplaced table, in
+   insertion order. Also returns the number of rounds it took. *)
+let reference_predecessors g name =
+  List.filter_map
+    (fun (before, after) -> if String.equal after name then Some before else None)
+    (List.rev (Tablegraph.deps g))
+
+let reference_pack ~capacity g =
+  let names = List.map (fun t -> t.Tablegraph.table_name) (Tablegraph.tables g) in
+  let stage_of = Hashtbl.create 16 in
+  let loads = Hashtbl.create 16 in
+  let load s = Option.value (Hashtbl.find_opt loads s) ~default:0 in
+  let remaining = ref names and rounds = ref 0 in
+  while !remaining <> [] do
+    incr rounds;
+    let still = ref [] in
+    List.iter
+      (fun name ->
+        let preds = reference_predecessors g name in
+        if List.for_all (Hashtbl.mem stage_of) preds then begin
+          let stage =
+            ref (List.fold_left (fun acc p -> max acc (Hashtbl.find stage_of p + 1)) 0 preds)
+          in
+          while load !stage >= capacity do
+            incr stage
+          done;
+          Hashtbl.replace stage_of name !stage;
+          Hashtbl.replace loads !stage (load !stage + 1)
+        end
+        else still := name :: !still)
+      !remaining;
+    if List.length !still = List.length !remaining then failwith "cycle";
+    remaining := List.rev !still
+  done;
+  let stage_of_table = List.map (fun n -> (n, Hashtbl.find stage_of n)) names in
+  let stages_used = List.fold_left (fun acc (_, s) -> max acc (s + 1)) 0 stage_of_table in
+  ({ Stagepack.stages_used; stage_of_table }, !rounds)
+
+(* A random DAG over [n] tables inserted in index order: edges run from
+   lower to higher rank under a random permutation, so the insertion
+   order is not topological. Some edges are added twice. *)
+let random_dag ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let rank = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = rank.(i) in
+    rank.(i) <- rank.(j);
+    rank.(j) <- t
+  done;
+  let g = Tablegraph.create () in
+  let name i = Printf.sprintf "t%d" i in
+  for i = 0 to n - 1 do
+    Tablegraph.add_table g
+      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a"; entries_hint = 1 }
+  done;
+  for _ = 1 to 2 * n do
+    let a = Random.State.int rng n and b = Random.State.int rng n in
+    if rank.(a) < rank.(b) then Tablegraph.add_dep g ~before:(name a) ~after:(name b)
+  done;
+  g
+
+let test_stagepack_matches_reference () =
+  (* Inserted in reverse dependency order: one table per round. *)
+  let g = Tablegraph.create () in
+  let name i = Printf.sprintf "t%d" i in
+  for i = 5 downto 0 do
+    Tablegraph.add_table g
+      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a"; entries_hint = 1 }
+  done;
+  for i = 0 to 4 do
+    Tablegraph.add_dep g ~before:(name i) ~after:(name (i + 1))
+  done;
+  let expected, rounds = reference_pack ~capacity:2 g in
+  Alcotest.(check int) "six rounds" 6 rounds;
+  let got = Stagepack.pack ~capacity:2 g in
+  Alcotest.(check (list (pair string int))) "stage_of_table"
+    expected.Stagepack.stage_of_table got.Stagepack.stage_of_table;
+  Alcotest.(check int) "stages_used" expected.Stagepack.stages_used got.Stagepack.stages_used;
+  Tablegraph.add_dep g ~before:(name 5) ~after:(name 0);
+  Alcotest.check_raises "cycle" (Invalid_argument "Stagepack.pack: dependency cycle")
+    (fun () -> ignore (Stagepack.pack ~capacity:2 g))
+
 let qcheck_cases =
   let open QCheck in
   let p4_kinds = List.filter P4nf.supports Kind.all in
@@ -358,6 +443,24 @@ let qcheck_cases =
           asg.Stagepack.stage_of_table;
         let capacity_ok = Hashtbl.fold (fun _ l acc -> acc && l <= capacity) loads true in
         deps_ok && capacity_ok);
+    (* The linear packer agrees with the reference list scheduler on
+       random non-topologically inserted DAGs, and predecessor lists
+       keep the reference's newest-first order. *)
+    Test.make ~name:"packer matches reference scheduler" ~count:300
+      (* no shrinker: a new seed is a new graph, not a smaller one *)
+      (make
+         ~print:(fun (c, n, seed) -> Printf.sprintf "capacity %d, %d tables, seed %d" c n seed)
+         Gen.(triple (int_range 1 4) (int_range 1 40) (int_bound 1_000_000)))
+      (fun (capacity, n, seed) ->
+        let g = random_dag ~seed n in
+        let expected, _ = reference_pack ~capacity g in
+        let got = Stagepack.pack ~capacity g in
+        got = expected
+        && List.for_all
+             (fun t ->
+               let name = t.Tablegraph.table_name in
+               Tablegraph.predecessors g name = reference_predecessors g name)
+             (Tablegraph.tables g));
     (* Merging any two NF parsers never loses headers. *)
     Test.make ~name:"parser merge preserves headers" ~count:50
       (pair (oneofl p4_kinds) (oneofl p4_kinds))
@@ -378,6 +481,7 @@ let suite =
     Alcotest.test_case "tablegraph basics" `Quick test_tablegraph_basics;
     Alcotest.test_case "stagepack respects deps" `Quick test_stagepack_respects_deps;
     Alcotest.test_case "stagepack capacity" `Quick test_stagepack_capacity;
+    Alcotest.test_case "stagepack matches reference" `Quick test_stagepack_matches_reference;
     Alcotest.test_case "extreme config (10 NAT) stages" `Quick test_extreme_config_stages;
     Alcotest.test_case "opt (a): no NSH when all-switch" `Quick
       test_optimization_a_no_nsh_for_switch_only;

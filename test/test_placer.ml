@@ -643,6 +643,89 @@ let test_variant_cache_rebinds_slo () =
   Alcotest.(check string) "cached outcome byte-identical to scratch" scratch
     (render_outcome cached)
 
+(* Run [f] under a fresh telemetry registry; returns its result and a
+   reader for the registry's counters. *)
+let with_counters f =
+  let tm = Lemur_telemetry.Telemetry.create () in
+  let prev = Lemur_telemetry.Telemetry.current () in
+  Lemur_telemetry.Telemetry.set_current tm;
+  let r = Fun.protect ~finally:(fun () -> Lemur_telemetry.Telemetry.set_current prev) f in
+  (r, fun name -> Lemur_telemetry.Counter.value (Lemur_telemetry.Telemetry.counter tm name))
+
+let verdict_strategies =
+  Strategy.[ Hw_preferred; Greedy; Sw_preferred; Min_bounce; Lemur; No_core_alloc ]
+
+(* Every strategy placed in turn with the stage verdict table carried
+   from one to the next (so Lemur's eviction walk and every finalize
+   re-read verdicts the earlier strategies stored) must render exactly
+   as each strategy placed from a dropped table. *)
+let check_verdict_table_exact label c inputs =
+  let cold =
+    List.map
+      (fun s ->
+        Strategy.clear_variant_cache ();
+        render_outcome (Strategy.place s c inputs))
+      verdict_strategies
+  in
+  Strategy.clear_variant_cache ();
+  let warm, counter =
+    with_counters (fun () ->
+        List.map (fun s -> render_outcome (Strategy.place s c inputs)) verdict_strategies)
+  in
+  List.iter2
+    (fun s (warm, cold) ->
+      Alcotest.(check string) (Printf.sprintf "%s %s" label (Strategy.name s)) cold warm)
+    verdict_strategies (List.combine warm cold);
+  counter "placer.stageverdict.hits"
+
+let test_verdict_table_exact () =
+  let c = config () in
+  let hits = ref 0 in
+  List.iter
+    (fun set ->
+      List.iter
+        (fun delta ->
+          hits :=
+            !hits
+            + check_verdict_table_exact
+                (Printf.sprintf "fig2 {%s} delta %g"
+                   (String.concat "," (List.map string_of_int set)) delta)
+                c (canonical_inputs delta set))
+        [ 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0 ])
+    [ [ 1; 2; 3; 4 ]; [ 1; 2; 3 ]; [ 1; 2; 4 ]; [ 1; 3; 4 ]; [ 2; 3; 4 ] ];
+  for seed = 1 to 40 do
+    let sc = Lemur_check.Scenario.generate ~seed () in
+    hits :=
+      !hits
+      + check_verdict_table_exact (Printf.sprintf "scenario seed %d" seed)
+          (Lemur_check.Scenario.config sc) (Lemur_check.Scenario.inputs sc)
+  done;
+  Alcotest.(check bool) "warm runs read stored verdicts" true (!hits > 0)
+
+let test_oracle_compiles_afresh () =
+  (* The verdict table serves the placer only: with it warm for exactly
+     this placement, the oracle still runs the compiler itself. *)
+  let c = config () in
+  let inputs = canonical_inputs 1.0 [ 1; 2; 3 ] in
+  Strategy.clear_variant_cache ();
+  let placement =
+    match Strategy.place Strategy.Lemur c inputs with
+    | Strategy.Placed p -> p
+    | Strategy.Infeasible { reason } -> Alcotest.failf "infeasible: %s" reason
+  in
+  let (), counter =
+    with_counters (fun () ->
+        ignore (Strategy.place Strategy.Lemur c inputs);
+        Alcotest.(check bool) "oracle accepts" true
+          (Lemur_check.Oracle.check c placement = Ok ()))
+  in
+  Alcotest.(check bool) "placer re-read stored verdicts" true
+    (counter "placer.stageverdict.hits" > 0);
+  Alcotest.(check int) "placer compiled nothing new" 0
+    (counter "placer.stageverdict.misses");
+  Alcotest.(check int) "the oracle's compile is the only one" 1
+    (counter "placer.stagecheck.checks")
+
 let qcheck_cases =
   let open QCheck in
   let kinds_with_server =
@@ -781,6 +864,8 @@ let suite =
     Alcotest.test_case "config signature is structural" `Quick test_config_sig_structural;
     Alcotest.test_case "variant cache exact under demand shift" `Quick test_variant_cache_demand_shift;
     Alcotest.test_case "variant cache rebinds the caller's SLO" `Quick test_variant_cache_rebinds_slo;
+    Alcotest.test_case "stage verdict table exact" `Quick test_verdict_table_exact;
+    Alcotest.test_case "oracle compiles afresh" `Quick test_oracle_compiles_afresh;
     Alcotest.test_case "evaluate_plans sweeps spare policies" `Quick
       test_evaluate_plans_sweep;
     Alcotest.test_case "min bounce matches full elaboration (Table 2)" `Quick
