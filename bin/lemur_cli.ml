@@ -765,15 +765,7 @@ let trace_cmd =
 
 let failover_cmd =
   let fail_arg =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "pisa" -> Ok Lemur.Failover.Pisa_failed
-      | "smartnic" -> Ok Lemur.Failover.Smartnic_failed
-      | "ofswitch" -> Ok Lemur.Failover.Ofswitch_failed
-      | other when String.length other > 6 && String.sub other 0 6 = "server" ->
-          Ok (Lemur.Failover.Server_failed other)
-      | other -> Error (`Msg (Printf.sprintf "unknown element %S" other))
-    in
+    let parse s = Result.map_error (fun e -> `Msg e) (Lemur.Failover.of_string s) in
     let print ppf f = Lemur.Failover.pp_failure ppf f in
     Arg.(
       value
@@ -784,16 +776,37 @@ let failover_cmd =
   let run strategy servers cps smartnic ofswitch no_pisa metron failures tfile file =
     with_telemetry tfile @@ fun () ->
     let topo = topology servers cps smartnic ofswitch no_pisa in
-    match deploy strategy topo metron file with
-    | Error e ->
+    (* An element the rack does not have is bad input, not a missing
+       fallback. *)
+    let rec racks = function
+      | [] -> Ok []
+      | f :: rest -> (
+          match Lemur.Failover.degrade topo f with
+          | Error e ->
+              Error (Printf.sprintf "--fail %s: %s" (Lemur.Failover.to_string f) e)
+          | Ok rack -> Result.map (fun l -> (f, rack) :: l) (racks rest))
+    in
+    match (deploy strategy topo metron file, racks failures) with
+    | Error e, _ | _, Error e ->
         Printf.eprintf "error: %s\n" e;
         1
-    | Ok d ->
+    | Ok d, Ok racks ->
+        (* Each fallback re-places the primary's chains on its degraded
+           rack, as the runtime engine's [Fail] step does. *)
+        let inputs =
+          List.map
+            (fun r -> r.Lemur_placer.Strategy.plan.Lemur_placer.Plan.input)
+            d.Lemur.Deployment.placement.Lemur_placer.Strategy.chain_reports
+        in
         let failed = ref false in
         List.iter
-          (fun failure ->
+          (fun (failure, topology) ->
             Format.printf "@.== after %a ==@." Lemur.Failover.pp_failure failure;
-            match Lemur.Failover.react d failure with
+            match
+              Lemur.Deployment.deploy ~strategy
+                { d.Lemur.Deployment.config with Lemur_placer.Plan.topology }
+                inputs
+            with
             | Error e ->
                 failed := true;
                 Printf.printf "no fallback: %s\n" e
@@ -805,12 +818,14 @@ let failover_cmd =
                   p.Lemur_placer.Strategy.chain_reports;
                 Format.printf "fallback aggregate %a@." Lemur_util.Units.pp_rate
                   p.Lemur_placer.Strategy.total_rate)
-          failures;
+          racks;
         if !failed then 2 else 0
   in
   Cmd.v
     (Cmd.info "failover"
-       ~doc:"Show the fallback placement after hardware failures (reactive mode).")
+       ~doc:
+         "Show the fallback placement for each anticipated hardware failure, \
+          each placed on the rack degraded by that failure alone.")
     Term.(
       const run $ strategy $ servers $ cores_per_socket $ smartnic $ ofswitch
       $ no_pisa $ metron $ fail_arg $ telemetry $ spec_file)

@@ -6,6 +6,21 @@ type failure =
   | Ofswitch_failed
   | Server_failed of string
 
+let to_string = function
+  | Pisa_failed -> "pisa"
+  | Smartnic_failed -> "smartnic"
+  | Ofswitch_failed -> "ofswitch"
+  | Server_failed s -> s
+
+let of_string s =
+  match String.lowercase_ascii s with
+  | "pisa" -> Ok Pisa_failed
+  | "smartnic" -> Ok Smartnic_failed
+  | "ofswitch" -> Ok Ofswitch_failed
+  | other when String.length other > 6 && String.sub other 0 6 = "server" ->
+      Ok (Server_failed other)
+  | other -> Error (Printf.sprintf "unknown element %S" other)
+
 let pp_failure ppf = function
   | Pisa_failed -> Format.pp_print_string ppf "PISA pipeline failed"
   | Smartnic_failed -> Format.pp_print_string ppf "SmartNIC failed"
@@ -50,122 +65,3 @@ let degrade topo failure =
                   (fun n -> not (String.equal n.Lemur_platform.Smartnic.host name))
                   topo.Topology.smartnics;
             }
-
-(* The inverse of [degrade]: copy the element back from a reference
-   (pristine) rack. Restored lists keep the reference's order so a
-   degrade/recover round-trip reproduces the original topology. *)
-let restore reference topo failure =
-  match failure with
-  | Pisa_failed ->
-      if topo.Topology.tor.Lemur_platform.Pisa.stages > 0 then
-        Error "the ToR pipeline is not failed"
-      else if reference.Topology.tor.Lemur_platform.Pisa.stages = 0 then
-        Error "the reference rack has no usable ToR pipeline"
-      else
-        Ok
-          {
-            topo with
-            Topology.tor =
-              {
-                topo.Topology.tor with
-                Lemur_platform.Pisa.stages =
-                  reference.Topology.tor.Lemur_platform.Pisa.stages;
-              };
-          }
-  | Smartnic_failed ->
-      if topo.Topology.smartnics <> [] then Error "no SmartNIC is failed"
-      else
-        let live host =
-          List.exists
-            (fun s -> String.equal s.Lemur_platform.Server.name host)
-            topo.Topology.servers
-        in
-        let nics =
-          List.filter
-            (fun n -> live n.Lemur_platform.Smartnic.host)
-            reference.Topology.smartnics
-        in
-        if nics = [] then
-          Error "the reference rack has no SmartNIC on a live server"
-        else Ok { topo with Topology.smartnics = nics }
-  | Ofswitch_failed -> (
-      if topo.Topology.ofswitch <> None then Error "no OpenFlow switch is failed"
-      else
-        match reference.Topology.ofswitch with
-        | None -> Error "the reference rack has no OpenFlow switch"
-        | Some _ as sw -> Ok { topo with Topology.ofswitch = sw })
-  | Server_failed name ->
-      if
-        List.exists
-          (fun s -> String.equal s.Lemur_platform.Server.name name)
-          topo.Topology.servers
-      then Error (Printf.sprintf "server %S is not failed" name)
-      else if
-        not
-          (List.exists
-             (fun s -> String.equal s.Lemur_platform.Server.name name)
-             reference.Topology.servers)
-      then Error (Printf.sprintf "the reference rack has no server %S" name)
-      else
-        let back s =
-          String.equal s.Lemur_platform.Server.name name
-          || List.exists
-               (fun t ->
-                 String.equal t.Lemur_platform.Server.name
-                   s.Lemur_platform.Server.name)
-               topo.Topology.servers
-        in
-        let servers = List.filter back reference.Topology.servers in
-        (* the recovered server brings its own SmartNICs back *)
-        let nic_back n =
-          String.equal n.Lemur_platform.Smartnic.host name
-          || List.exists
-               (fun m ->
-                 String.equal m.Lemur_platform.Smartnic.host
-                   n.Lemur_platform.Smartnic.host)
-               topo.Topology.smartnics
-        in
-        let smartnics = List.filter nic_back reference.Topology.smartnics in
-        Ok { topo with Topology.servers; smartnics }
-
-let recover ?reference (d : Deployment.t) failure =
-  let reference =
-    match reference with Some r -> r | None -> Topology.testbed ()
-  in
-  match
-    restore reference d.Deployment.config.Lemur_placer.Plan.topology failure
-  with
-  | Error e -> Error e
-  | Ok topo ->
-      let config = { d.Deployment.config with Lemur_placer.Plan.topology = topo } in
-      Deployment.deploy config (Dynamics.inputs_of d)
-
-let react (d : Deployment.t) failure =
-  match degrade d.Deployment.config.Lemur_placer.Plan.topology failure with
-  | Error e -> Error e
-  | Ok topo ->
-      let config = { d.Deployment.config with Lemur_placer.Plan.topology = topo } in
-      Deployment.deploy config (Dynamics.inputs_of d)
-
-let proactive config inputs failures =
-  match Deployment.deploy config inputs with
-  | Error e -> Error ("primary placement: " ^ e)
-  | Ok primary ->
-      let fallbacks =
-        List.fold_left
-          (fun acc failure ->
-            Result.bind acc (fun fbs ->
-                match degrade config.Lemur_placer.Plan.topology failure with
-                | Error e ->
-                    Error (Format.asprintf "%a: %s" pp_failure failure e)
-                | Ok topo -> (
-                    let cfg = { config with Lemur_placer.Plan.topology = topo } in
-                    match Deployment.deploy cfg inputs with
-                    | Ok d -> Ok (fbs @ [ (failure, d) ])
-                    | Error e ->
-                        Error
-                          (Format.asprintf "no fallback for %a: %s" pp_failure
-                             failure e))))
-          (Ok []) failures
-      in
-      Result.map (fun fbs -> (primary, fbs)) fallbacks

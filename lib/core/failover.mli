@@ -1,10 +1,12 @@
-(** Failure handling (§7 "Failures").
+(** Failure handling (§7 "Failures"): the rack edits.
 
     Lemur leverages on-path hardware; when an accelerator fails it
     re-routes and re-places, falling back to server-based NFs when the
-    degraded rack lacks offload resources. The Placer can run
-    {e reactively} (after a failure) or {e proactively} (pre-reserving
-    spare capacity so a failover placement is known ahead of time). *)
+    degraded rack lacks offload resources. This module is only the pure
+    rack edit; re-placing on the degraded rack, and recovering, is the
+    runtime engine's job ([Lemur_runtime.Engine]). [lemur failover]
+    precomputes one fallback per anticipated failure the same way:
+    {!degrade}, then {!Deployment.deploy}. *)
 
 type failure =
   | Pisa_failed  (** ToR keeps forwarding but its pipeline is unusable *)
@@ -12,37 +14,17 @@ type failure =
   | Ofswitch_failed
   | Server_failed of string
 
+val to_string : failure -> string
+(** The element's name: [pisa], [smartnic], [ofswitch], or the server's
+    own name. *)
+
+val of_string : string -> (failure, string) result
+(** The inverse of {!to_string}, case-insensitive: server names must
+    start with [server]. *)
+
 val degrade :
   Lemur_topology.Topology.t -> failure -> (Lemur_topology.Topology.t, string) result
 (** The rack after the failure. [Error] when the failed element is not
     present, or the last server fails (nothing left to run software NFs). *)
-
-val react : Deployment.t -> failure -> (Deployment.t, string) result
-(** Reactive failover: re-place the deployment's chains on the degraded
-    rack. [Error] if no feasible fallback exists (e.g. an SLO that only
-    the accelerator could satisfy). *)
-
-val recover :
-  ?reference:Lemur_topology.Topology.t ->
-  Deployment.t ->
-  failure ->
-  (Deployment.t, string) result
-(** The failure→recovery path {!react} lacks: restore the failed
-    element by copying it back from [reference] (default: the paper's
-    testbed rack, {!Lemur_topology.Topology.testbed}[ ()]) and re-place
-    the deployment's chains on the repaired rack. Restored servers and
-    SmartNICs keep the reference's order, so a degrade/recover
-    round-trip reproduces the original topology; a recovered server
-    brings its own SmartNICs back with it. [Error] when the element is
-    not in a failed state, the reference rack does not contain it, or
-    no feasible placement exists on the repaired rack. *)
-
-val proactive :
-  Lemur_placer.Plan.config ->
-  Lemur_placer.Plan.chain_input list ->
-  failure list ->
-  (Deployment.t * (failure * Deployment.t) list, string) result
-(** Proactive planning: the primary deployment plus a precomputed
-    fallback for each anticipated failure. All must be feasible. *)
 
 val pp_failure : Format.formatter -> failure -> unit

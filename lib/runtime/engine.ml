@@ -215,7 +215,8 @@ type state = {
   mutable config : Plan.config;  (** the live rack *)
   mutable failed : Lemur.Failover.failure list;
   mutable window : string option;
-  mutable schedule : Lemur.Dynamics.Schedule.t option;
+  mutable schedule : (string * Lemur.Deployment.t) list option;
+      (** one precomputed placement per window label *)
   mutable now : float;
   mutable deployment : Lemur.Deployment.t;
   (* Accumulators *)
@@ -474,6 +475,27 @@ let consider st ~at ~trigger ~reason =
     Continue
   end
 
+(* Place every window's contract up front, in trace order (§7: "Lemur
+   can precompute chain placements for those SLOs and install them
+   accordingly"); [Error] names the first infeasible window. *)
+let precompute_windows st =
+  let inputs = contract_inputs st in
+  List.fold_left
+    (fun acc (label, slos) ->
+      Result.bind acc (fun schedule ->
+          let adjusted =
+            List.map
+              (fun (i : Plan.chain_input) ->
+                match List.assoc_opt i.Plan.id slos with
+                | Some slo -> { i with Plan.slo }
+                | None -> i)
+              inputs
+          in
+          match Lemur.Deployment.deploy st.config adjusted with
+          | Ok d -> Ok (schedule @ [ (label, d) ])
+          | Error e -> Error (Printf.sprintf "window %s: %s" label e)))
+    (Ok []) st.trace.Trace.windows
+
 (* Install a precomputed per-window placement (§7 time-varying SLOs) —
    the Scheduled policy's only voluntary reconfiguration path. *)
 let install_window st ~at label =
@@ -481,25 +503,18 @@ let install_window st ~at label =
     match st.schedule with
     | Some s -> Ok s
     | None ->
-        let windows =
-          List.map
-            (fun (label, slos) -> { Lemur.Dynamics.Schedule.label; slos })
-            st.trace.Trace.windows
-        in
         timed st.m (fun () ->
             fresh st.cfg;
             Result.map
               (fun s ->
                 st.schedule <- Some s;
                 s)
-              (guarded st.m (fun () ->
-                   Lemur.Dynamics.Schedule.precompute st.config
-                     (contract_inputs st) windows)))
+              (guarded st.m (fun () -> precompute_windows st)))
   in
   match sched with
   | Error e -> infeasible st at ("schedule: " ^ e)
   | Ok s -> (
-      match Lemur.Dynamics.Schedule.deployment s label with
+      match List.assoc_opt label s with
       | None ->
           infeasible st at (Printf.sprintf "window %s not in schedule" label)
       | Some d ->

@@ -17,8 +17,8 @@
       the deployment depends on) bypass it. The accumulator decays
       with a {!violation_half_life_s} half-life, so only {e recent}
       violation counts against the budget.
-    - [Scheduled] only reconfigures on {!Lemur.Dynamics.Schedule}
-      window switches (installing precomputed placements) and on
+    - [Scheduled] only reconfigures on window switches (installing the
+      placements the engine precomputed for every window) and on
       mandatory events.
     - [Proactive] forecasts each chain's demand ({!Forecast}) and
       reconfigures when the forecast predicts an SLO breach within

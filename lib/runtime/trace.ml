@@ -101,21 +101,6 @@ let dynamics_event = function
 (* Shortest exact decimal round-trip. *)
 let fl = Lemur_util.Units.exact_string
 
-let failure_to_string = function
-  | Lemur.Failover.Pisa_failed -> "pisa"
-  | Lemur.Failover.Smartnic_failed -> "smartnic"
-  | Lemur.Failover.Ofswitch_failed -> "ofswitch"
-  | Lemur.Failover.Server_failed s -> s
-
-let failure_of_string s =
-  match String.lowercase_ascii s with
-  | "pisa" -> Ok Lemur.Failover.Pisa_failed
-  | "smartnic" -> Ok Lemur.Failover.Smartnic_failed
-  | "ofswitch" -> Ok Lemur.Failover.Ofswitch_failed
-  | other when String.length other > 6 && String.sub other 0 6 = "server" ->
-      Ok (Lemur.Failover.Server_failed other)
-  | other -> Error (Printf.sprintf "unknown element %S" other)
-
 let slo_kvs (slo : Lemur_slo.Slo.t) =
   let open Lemur_slo.Slo in
   List.concat
@@ -172,8 +157,8 @@ let action_to_string = function
       Printf.sprintf "slo %s %s" chain_id (String.concat " " (slo_kvs slo))
   | Add_chain { decl } -> "add " ^ decl
   | Remove_chain id -> "remove " ^ id
-  | Fail f -> "fail " ^ failure_to_string f
-  | Recover f -> "recover " ^ failure_to_string f
+  | Fail f -> "fail " ^ Lemur.Failover.to_string f
+  | Recover f -> "recover " ^ Lemur.Failover.to_string f
   | Window label -> "window " ^ label
 
 let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
@@ -296,11 +281,11 @@ let parse ?file source =
     | "add" :: _ :: _ -> Ok (Add_chain { decl = strip_head 1 rest })
     | "remove" :: id :: [] -> Ok (Remove_chain id)
     | "fail" :: el :: [] -> (
-        match failure_of_string el with
+        match Lemur.Failover.of_string el with
         | Ok f -> Ok (Fail f)
         | Error m -> err lineno m)
     | "recover" :: el :: [] -> (
-        match failure_of_string el with
+        match Lemur.Failover.of_string el with
         | Ok f -> Ok (Recover f)
         | Error m -> err lineno m)
     | "window" :: label :: [] -> Ok (Window label)

@@ -44,7 +44,7 @@ type t = {
   chains : string list;
       (** initial chain declarations (spec language, sans [chain]) *)
   windows : (string * (string * Lemur_slo.Slo.t) list) list;
-      (** label -> per-chain SLO overrides ({!Lemur.Dynamics.Schedule}
+      (** label -> per-chain SLO overrides (§7 time-varying SLO
           windows) *)
   events : event list;  (** sorted by [at], ascending *)
   horizon : float;  (** run length, seconds *)
