@@ -13,7 +13,6 @@ type opts = {
   harness : string;
   quick : bool;
   seed : int option;  (* [Some] exactly when the harness takes --seed *)
-  count : int option;  (* [Some] only when --count was given *)
   jobs : int;
   out : string;
 }
@@ -22,21 +21,18 @@ type gate = { name : string; ok : bool; detail : string }
 
 let gate name ok detail = { name; ok; detail }
 
-(* [seed] is the harness's default seed and makes --seed acceptable;
-   [count] makes --count acceptable. --quick, -j/--jobs and --out are
-   accepted everywhere. A bad argument prints the usage line and exits
-   2 here, so no harness sees an unparsed value. *)
-let parse ?seed ?(count = false) harness args =
+(* [seed] is the harness's default seed and makes --seed acceptable.
+   --quick, -j/--jobs and --out are accepted everywhere. A bad argument
+   prints the usage line and exits 2 here, so no harness sees an
+   unparsed value. *)
+let parse ?seed harness args =
   let valued =
-    [ "-j"; "--jobs"; "--out" ]
-    @ (if seed <> None then [ "--seed" ] else [])
-    @ if count then [ "--count" ] else []
+    [ "-j"; "--jobs"; "--out" ] @ if seed <> None then [ "--seed" ] else []
   in
   let usage =
-    Printf.sprintf "usage: bench -- %s [--quick]%s%s [-j N] [--out FILE]"
+    Printf.sprintf "usage: bench -- %s [--quick]%s [-j N] [--out FILE]"
       harness
       (if seed <> None then " [--seed N]" else "")
-      (if count then " [--count N]" else "")
   in
   let fail fmt =
     Printf.ksprintf
@@ -56,8 +52,6 @@ let parse ?seed ?(count = false) harness args =
     | [ flag ] when List.mem flag valued -> fail "%s needs a value" flag
     | "--seed" :: v :: rest when seed <> None ->
         go { o with seed = Some (int_arg "--seed" ~min:0 v) } rest
-    | "--count" :: v :: rest when count ->
-        go { o with count = Some (int_arg "--count" ~min:1 v) } rest
     | (("-j" | "--jobs") as flag) :: v :: rest ->
         go { o with jobs = int_arg flag ~min:1 v } rest
     | "--out" :: v :: rest -> go { o with out = v } rest
@@ -68,7 +62,6 @@ let parse ?seed ?(count = false) harness args =
       harness;
       quick = false;
       seed;
-      count = None;
       jobs = max 2 (Pool.recommended_domains ());
       out = Printf.sprintf "BENCH_%s.json" harness;
     }

@@ -818,7 +818,6 @@ let () =
   | _ :: "perf" :: rest -> exit (Perf.main rest)
   | _ :: "runtime" :: rest -> exit (Runtime_bench.main rest)
   | _ :: "scale" :: rest -> exit (Scale_bench.main rest)
-  | _ :: "packets" :: rest -> exit (Packet_bench.main rest)
   | _ :: "classify" :: rest -> exit (Classify_bench.main rest)
   | _ -> ());
   let telemetry_dir, argv_rest =

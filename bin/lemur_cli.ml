@@ -142,44 +142,28 @@ let fabric_demands ~fabric ~seed ~tenants ~chains ~replicas file =
       Ok
         (Fabric.expand (Fabric.synthetic_tenants ~seed ~tenants ~chains fabric))
   | Some file -> (
-      match Lemur_spec.Loader.load (read_file file) with
-      | exception Lemur_spec.Parser.Error { line; message } ->
-          Error (Printf.sprintf "parse error at line %d: %s" line message)
-      | exception Lemur_spec.Lexer.Error { line; col; message } ->
-          Error (Printf.sprintf "lexical error at %d:%d: %s" line col message)
-      | exception Lemur_spec.Graph.Invalid message -> Error message
-      | [] -> Error "specification declares no chains"
-      | chains -> (
+      match Lemur.Chains.inputs_of_spec (read_file file) with
+      | Error e -> Error e
+      | Ok inputs ->
           let rack_names = Fabric.rack_names fabric in
           let n = List.length rack_names in
-          match
-            List.concat
-              (List.mapi
-                 (fun i (c : Lemur_spec.Loader.chain_spec) ->
-                   let slo =
-                     match c.Lemur_spec.Loader.slo_args with
-                     | None -> Lemur_slo.Slo.best_effort
-                     | Some args -> Lemur_slo.Slo.of_params args
-                   in
-                   let home = List.nth rack_names (i mod n) in
-                   List.init replicas (fun k ->
-                       {
-                         Fabric.d_id =
-                           (if replicas = 1 then c.Lemur_spec.Loader.chain_name
-                            else
-                              Printf.sprintf "%s/%d"
-                                c.Lemur_spec.Loader.chain_name k);
-                         d_tenant = c.Lemur_spec.Loader.chain_name;
-                         d_graph = c.Lemur_spec.Loader.graph;
-                         d_slo = slo;
-                         d_home = Some home;
-                         d_pinned = false;
-                       }))
-                 chains)
-          with
-          | exception Lemur_slo.Slo.Invalid message ->
-              Error ("bad SLO: " ^ message)
-          | demands -> Ok demands))
+          Ok
+            (List.concat
+               (List.mapi
+                  (fun i (c : Lemur_placer.Plan.chain_input) ->
+                    let home = List.nth rack_names (i mod n) in
+                    List.init replicas (fun k ->
+                        {
+                          Fabric.d_id =
+                            (if replicas = 1 then c.Lemur_placer.Plan.id
+                             else Printf.sprintf "%s/%d" c.Lemur_placer.Plan.id k);
+                          d_tenant = c.Lemur_placer.Plan.id;
+                          d_graph = c.Lemur_placer.Plan.graph;
+                          d_slo = c.Lemur_placer.Plan.slo;
+                          d_home = Some home;
+                          d_pinned = false;
+                        }))
+                  inputs)))
 
 let place_fabric ~strategy ~servers ~cps ~num_racks ~spines ~uplink_gbps ~seed
     ~tenants ~chains ~replicas ~jobs file =

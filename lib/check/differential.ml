@@ -217,7 +217,7 @@ let run ?(quick = true) ?(sim = true) ?(engine = true) scenario =
               inputs
           in
           let t_min = input.Plan.slo.Lemur_slo.Slo.t_min in
-          let floor = (0.98 *. t_min) -. quantization in
+          let floor = (Lemur_slo.Slo.throughput_tolerance *. t_min) -. quantization in
           if
             t_min >= sim_floor_threshold
             && cr.Lemur_dataplane.Sim.delivered < floor

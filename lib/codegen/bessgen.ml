@@ -1,6 +1,8 @@
 open Lemur_placer
 open Lemur_bess
 
+type core = { server : string; core : int; socket : int }
+
 type server_artifact = {
   server : string;
   graph : Module_graph.t;
@@ -20,6 +22,23 @@ let subgroups_on report server =
 let nf_module_id chain_id sg_index instance_index node_name =
   Printf.sprintf "%s_sg%d_i%d_%s" chain_id sg_index instance_index node_name
 
+let replica_cores config reports =
+  let next_core = Hashtbl.create 4 in
+  List.map
+    (fun report ->
+      Array.of_list
+        (List.mapi
+           (fun sg_index sg ->
+             let server = List.assoc sg.Plan.sg_segment report.Strategy.seg_server in
+             let s = Lemur_topology.Topology.find_server config.Plan.topology server in
+             Array.init report.Strategy.cores.(sg_index) (fun _ ->
+                 (* core 0 is the reserved demux core *)
+                 let core = Option.value (Hashtbl.find_opt next_core server) ~default:1 in
+                 Hashtbl.replace next_core server (core + 1);
+                 { server; core; socket = core / s.Lemur_platform.Server.cores_per_socket }))
+           report.Strategy.plan.Plan.subgroups))
+    reports
+
 let generate config reports =
   let servers =
     Lemur_util.Listx.uniq String.equal
@@ -27,22 +46,18 @@ let generate config reports =
          (fun r -> List.map snd r.Strategy.seg_server)
          reports)
   in
+  let pinned = replica_cores config reports in
   List.filter_map
     (fun server ->
       let graph = Module_graph.create ~server in
       let scheduler = ref (Scheduler.create ~server) in
-      let next_core = ref 1 (* core 0 is the reserved demux core *) in
-      let socket_of_core core =
-        let s = Lemur_topology.Topology.find_server config.Plan.topology server in
-        core / s.Lemur_platform.Server.cores_per_socket
-      in
       Module_graph.add graph { Module_graph.module_id = "port_inc"; kind = Module_graph.Port_inc };
       Module_graph.add graph { Module_graph.module_id = "nsh_demux"; kind = Module_graph.Nsh_decap };
       Module_graph.add graph { Module_graph.module_id = "port_out"; kind = Module_graph.Port_out };
       Module_graph.connect graph ~src:"port_inc" ~dst:"nsh_demux";
       let placed = ref false in
-      List.iter
-        (fun report ->
+      List.iter2
+        (fun report sg_cores ->
           let chain_id = report.Strategy.plan.Plan.input.Plan.id in
           let t_max = report.Strategy.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max in
           List.iter
@@ -69,8 +84,7 @@ let generate config reports =
                   kind = Module_graph.Nsh_encap;
                 };
               for instance = 0 to cores - 1 do
-                let core = !next_core in
-                incr next_core;
+                let { core; socket; _ } = sg_cores.(sg_index).(instance) in
                 let prev = ref entry in
                 List.iter
                   (fun node_id ->
@@ -94,13 +108,13 @@ let generate config reports =
                   else None
                 in
                 scheduler :=
-                  Scheduler.assign !scheduler ~core ~socket:(socket_of_core core)
+                  Scheduler.assign !scheduler ~core ~socket
                     ~task:(Printf.sprintf "%s_sg%d_i%d" chain_id sg_index instance)
                     ~chain_id ?rate_limit ()
               done;
               Module_graph.connect graph ~src:encap_id ~dst:"port_out")
             (subgroups_on report server))
-        reports;
+        reports pinned;
       if not !placed then None
       else begin
         (* Render the script. *)

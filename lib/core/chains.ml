@@ -46,6 +46,30 @@ let graph n =
   | [ spec ] -> spec.Loader.graph
   | _ -> assert false
 
+let inputs_of_spec source =
+  match Loader.load source with
+  | exception Parser.Error { line; message } ->
+      Error (Printf.sprintf "parse error at line %d: %s" line message)
+  | exception Lexer.Error { line; col; message } ->
+      Error (Printf.sprintf "lexical error at %d:%d: %s" line col message)
+  | exception Graph.Invalid message -> Error message
+  | [] -> Error "specification declares no chains"
+  | chains -> (
+      match
+        List.map
+          (fun (c : Loader.chain_spec) ->
+            {
+              Lemur_placer.Plan.id = c.Loader.chain_name;
+              graph = c.Loader.graph;
+              slo =
+                Option.fold ~none:Lemur_slo.Slo.best_effort
+                  ~some:Lemur_slo.Slo.of_params c.Loader.slo_args;
+            })
+          chains
+      with
+      | exception Lemur_slo.Slo.Invalid message -> Error ("bad SLO: " ^ message)
+      | inputs -> Ok inputs)
+
 let chain_input ?(slo = Lemur_slo.Slo.best_effort) n =
   {
     Lemur_placer.Plan.id = Printf.sprintf "chain%d" n;

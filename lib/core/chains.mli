@@ -13,6 +13,13 @@ val spec_text : int -> string
 val graph : int -> Lemur_spec.Graph.t
 (** Parsed and elaborated chain [n]. *)
 
+val inputs_of_spec : string -> (Lemur_placer.Plan.chain_input list, string) result
+(** Parse a specification into Placer inputs, one per declared chain,
+    each with its [slo(...)] clause or best effort. [Error] reads
+    ["parse error at line L: ..."], ["lexical error at L:C: ..."], the
+    graph validation message, ["bad SLO: ..."], or ["specification
+    declares no chains"]. *)
+
 val chain_input :
   ?slo:Lemur_slo.Slo.t -> int -> Lemur_placer.Plan.chain_input
 (** Chain [n] as Placer input (default SLO: best effort). *)

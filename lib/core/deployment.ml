@@ -25,13 +25,9 @@ let deploy ?(strategy = Strategy.Lemur) config inputs =
 
 let of_spec ?strategy ?(topology = Lemur_topology.Topology.testbed ()) ?profiler
     ?(metron = false) ?acl_algo source =
-  match Lemur_spec.Loader.load source with
-  | exception Lemur_spec.Parser.Error { line; message } ->
-      Error (Printf.sprintf "parse error at line %d: %s" line message)
-  | exception Lemur_spec.Lexer.Error { line; col; message } ->
-      Error (Printf.sprintf "lexical error at %d:%d: %s" line col message)
-  | exception Lemur_spec.Graph.Invalid message -> Error message
-  | chains -> (
+  match Chains.inputs_of_spec source with
+  | Error e -> Error e
+  | Ok inputs ->
       let base_config =
         {
           (Plan.default_config topology) with
@@ -44,24 +40,7 @@ let of_spec ?strategy ?(topology = Lemur_topology.Topology.testbed ()) ?profiler
         | None -> base_config
         | Some p -> { base_config with Plan.profiler = p }
       in
-      match
-        List.map
-          (fun c ->
-            let slo =
-              match c.Lemur_spec.Loader.slo_args with
-              | None -> Lemur_slo.Slo.best_effort
-              | Some args -> Lemur_slo.Slo.of_params args
-            in
-            {
-              Plan.id = c.Lemur_spec.Loader.chain_name;
-              graph = c.Lemur_spec.Loader.graph;
-              slo;
-            })
-          chains
-      with
-      | exception Lemur_slo.Slo.Invalid message -> Error ("bad SLO: " ^ message)
-      | [] -> Error "specification declares no chains"
-      | inputs -> deploy ?strategy config inputs)
+      deploy ?strategy config inputs
 
 let measure ?seed ?duration ?batch_pkts ?overdrive ?traffic t =
   Lemur_dataplane.Sim.run ?seed ?duration ?batch_pkts ?overdrive ?traffic
@@ -79,7 +58,7 @@ let slo_report t result =
       in
       let t_min = r.Strategy.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_min in
       ( r.Strategy.plan.Plan.input.Plan.id,
-        chain.Lemur_dataplane.Sim.delivered >= t_min *. 0.98,
+        chain.Lemur_dataplane.Sim.delivered >= t_min *. Lemur_slo.Slo.throughput_tolerance,
         chain.Lemur_dataplane.Sim.delivered,
         t_min ))
     t.placement.Strategy.chain_reports

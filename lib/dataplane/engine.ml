@@ -36,8 +36,11 @@ type result = {
   hops_per_sec : float;
 }
 
-let wire_delay = 350.0 (* ns one way, same constant as Sim *)
-let demux_cycles_per_pkt = 150.0
+let warmup = Units.ms 1.0
+let batch_pkts = 32
+let ring_capacity = 512
+let pool_capacity = 16384
+let max_slice = 50_000.0
 let drain_slack = Units.ms 5.0
 
 (* One NF's per-packet cycles: a draw from its datasheet law, or a
@@ -111,12 +114,10 @@ type meter = {
 
 type chain_rt = {
   idx : int;
-  id : string;
+  layout : Route.chain;
   hops : element array array array;  (* route -> hop -> replicas *)
   fractions : float array;
-  sw_nodes : int list array;  (* per route: NFs absorbed into the ToR *)
   route_injected : int array;  (* per route: packets offered to it *)
-  offered_rate : float;
   interval : float;  (* ns between generated packets *)
   t_max : float;
   m : meter;
@@ -132,7 +133,6 @@ type chain_rt = {
   tm_dropped : Lemur_telemetry.Counter.t;
   tm_shaped : Lemur_telemetry.Counter.t;
   tm_latency : Lemur_telemetry.Histogram.t;
-  tm_nf_pkts : Lemur_telemetry.Counter.t array;
 }
 
 let[@inline] cycles prng (pool : Packet.pool) p = function
@@ -166,19 +166,14 @@ let[@inline] service prng (pool : Packet.pool) e p =
       ((0.0 +. !acc) +. Lemur_bess.Cost.nsh_overhead_cycles +. lb)
       /. clock *. 1e9
 
-let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
-    ?(batch_pkts = 32) ?(ring_capacity = 512) ?(pool_capacity = 16384)
-    ?(slice = 50_000.0) ?(overdrive = 1.08) ?(offered = []) ~config ~placement
-    () =
+let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
+    ?(offered = []) ~config ~placement () =
   let tm = Lemur_telemetry.Telemetry.current () in
   Lemur_telemetry.Telemetry.with_span tm "dataplane.engine.run" @@ fun () ->
   let prng = Prng.create ~seed in
   let pool = Packet.create_pool ~capacity:pool_capacity in
   let topo = config.Plan.topology in
   let tor_latency = topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.latency in
-  let port_cap =
-    topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.port_capacity
-  in
   let pkt_bits = Units.bytes_to_bits config.Plan.pkt_bytes in
   let bucket_quantum = pkt_bits *. float_of_int batch_pkts in
   let workers_rev = ref [] in
@@ -218,9 +213,9 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
     elements_rev := e :: !elements_rev;
     e
   in
-  (* Per-server workers, then per-placement subgroup cores with the same
-     core-assignment order as Sim and the BESS code generator (core 0 =
-     demux; NF cores from 1), so NUMA-dependent cycle sampling matches. *)
+  let layouts = Route.layout ~offered ~overdrive config placement in
+  (* Per-server workers, then one worker per replica core in layout
+     order, then the OpenFlow link: worker order is breathing order. *)
   let servers = Hashtbl.create 4 in
   List.iter
     (fun s ->
@@ -235,46 +230,27 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
     topo.Lemur_topology.Topology.servers;
   let chain_cores =
     List.map
-      (Array.map
-         (Array.map (fun (c : Route.core) ->
-              (new_worker (Printf.sprintf "%s.core%d" c.Route.server c.Route.core),
-               c.Route.socket))))
-      (Route.cores topo placement)
+      (fun (l : Route.chain) ->
+        Array.map
+          (fun (sg : Route.subgroup) ->
+            Array.map
+              (fun (c : Lemur_codegen.Bessgen.core) ->
+                new_worker (Printf.sprintf "%s.core%d" c.server c.core))
+              sg.Route.replicas)
+          l.subgroups)
+      layouts
   in
   let of_link = new_worker "of_link" in
   (* With [acl_algo] on, ACL elements classify each packet's 5-tuple
      header instead of sampling the datasheet law. *)
   let acl_cls = Nf_cost.acl_classifier config in
   (* Compile each chain's routes into hop arrays of replica elements. *)
-  let nic_host =
-    match topo.Lemur_topology.Topology.smartnics with
-    | nic :: _ -> Some nic.Lemur_platform.Smartnic.host
-    | [] -> None
-  in
   let chains =
     Array.of_list
       (List.mapi
-         (fun idx (report, sg_cores) ->
-           let chain_id = report.Strategy.plan.Plan.input.Plan.id in
-           let graph = report.Strategy.plan.Plan.input.Plan.graph in
-           let slo = report.Strategy.plan.Plan.input.Plan.slo in
-           let offered_rate = Route.offered_rate ~offered ~overdrive ~port_cap report in
-           let routes = Route.build ?nic_host report in
-           let tm_nf_pkts =
-             let arr =
-               Array.init (Lemur_spec.Graph.size graph) (fun _ ->
-                   Lemur_telemetry.Counter.make "unplaced")
-             in
-             List.iter
-               (fun node ->
-                 arr.(node.Lemur_spec.Graph.id) <-
-                   Lemur_telemetry.Telemetry.counter tm
-                     (Printf.sprintf "dataplane.nf.%s.%d.%s.pkts" chain_id
-                        node.Lemur_spec.Graph.id
-                        node.Lemur_spec.Graph.instance.Lemur_nf.Instance.name))
-               (Lemur_spec.Graph.nodes graph);
-             arr
-           in
+         (fun idx ((layout : Route.chain), core_workers) ->
+           let chain_id = layout.report.Strategy.plan.Plan.input.Plan.id in
+           let graph = layout.report.Strategy.plan.Plan.input.Plan.graph in
            (* Flow id -> 5-tuple header, which classified hops look up. *)
            let headers = Nf_cost.flow_headers acl_cls graph in
            let nf ~socket id =
@@ -298,7 +274,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                          hops :=
                            [| el ~worker:of_link ~role:"of"
                                 ~work:(Tx sw.Lemur_platform.Ofswitch.capacity)
-                                ~wire:((2.0 *. wire_delay)
+                                ~wire:((2.0 *. Route.wire_delay)
                                        +. sw.Lemur_platform.Ofswitch.latency)
                                 ~lead:tor_latency () |]
                            :: !hops)
@@ -308,7 +284,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                      in
                      hops :=
                        [| el ~worker:link_in ~role:"down" ~work:(Tx capacity)
-                            ~wire:wire_delay ~lead:tor_latency () |]
+                            ~wire:Route.wire_delay ~lead:tor_latency () |]
                        :: !hops;
                      if nic_nodes <> [] then begin
                        let ids = Array.of_list nic_nodes in
@@ -323,7 +299,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                        let nfs = Array.map (nf ~socket:Nf_cost.nic_socket) ids in
                        hops :=
                          [| el ~worker:nic ~role:"nic"
-                              ~tm_nfs:(Array.map (Array.get tm_nf_pkts) ids)
+                              ~tm_nfs:(Array.map (Array.get layout.nf_counters) ids)
                               ~work:(Nic { clock; speed; nfs }) ~wire:0.0
                               ~lead:0.0 () |]
                          :: !hops
@@ -331,58 +307,45 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
                      if subgroups <> [] && not config.Plan.metron_steering then
                        hops :=
                          [| el ~worker:demux ~role:"demux"
-                              ~work:(Fixed (demux_cycles_per_pkt /. clock *. 1e9))
+                              ~work:(Fixed (Route.demux_cycles_per_pkt /. clock *. 1e9))
                               ~wire:0.0 ~lead:0.0 () |]
                          :: !hops;
                      List.iter
                        (fun sg_index ->
-                         let cores = sg_cores.(sg_index) in
-                         let lb =
-                           if Array.length cores > 1 && not config.Plan.metron_steering
-                           then Lemur_bess.Cost.multicore_lb_cycles
-                           else 0.0
-                         in
-                         let ids =
-                           Array.of_list
-                             (List.nth report.Strategy.plan.Plan.subgroups sg_index)
-                               .Plan.sg_nodes
-                         in
+                         let sg = layout.subgroups.(sg_index) in
+                         let ids = sg.Route.sg_nodes in
                          let replicas =
-                           Array.map
-                             (fun (core, socket) ->
-                               let nfs = Array.map (nf ~socket) ids in
+                           Array.map2
+                             (fun core (c : Lemur_codegen.Bessgen.core) ->
+                               let nfs = Array.map (nf ~socket:c.socket) ids in
                                el ~worker:core
                                  ~role:(Printf.sprintf "sg%d" sg_index)
-                                 ~tm_nfs:(Array.map (Array.get tm_nf_pkts) ids)
-                                 ~work:(Core { clock; lb; nfs })
+                                 ~tm_nfs:(Array.map (Array.get layout.nf_counters) ids)
+                                 ~work:(Core { clock; lb = sg.Route.lb; nfs })
                                  ~wire:0.0 ~lead:0.0 ())
-                             cores
+                             core_workers.(sg_index) sg.Route.replicas
                          in
                          hops := replicas :: !hops)
                        subgroups;
                      hops :=
                        [| el ~worker:link_out ~role:"up" ~work:(Tx capacity)
-                            ~wire:wire_delay ~lead:0.0 () |]
+                            ~wire:Route.wire_delay ~lead:0.0 () |]
                        :: !hops)
                route.Route.visits;
              Array.of_list (List.rev !hops)
            in
            let interval =
-             if offered_rate <= 0.0 then infinity
-             else pkt_bits /. offered_rate *. 1e9
+             if layout.offered <= 0.0 then infinity
+             else pkt_bits /. layout.offered *. 1e9
            in
            {
              idx;
-             id = chain_id;
-             hops = Array.of_list (List.mapi compile_route routes);
-             fractions =
-               Array.of_list (List.map (fun r -> r.Route.fraction) routes);
-             sw_nodes =
-               Array.of_list (List.map (fun r -> r.Route.sw_nodes) routes);
-             route_injected = Array.make (List.length routes) 0;
-             offered_rate;
+             layout;
+             hops = Array.mapi compile_route layout.routes;
+             fractions = layout.fractions;
+             route_injected = Array.make (Array.length layout.routes) 0;
              interval;
-             t_max = slo.Lemur_slo.Slo.t_max;
+             t_max = layout.report.Strategy.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max;
              m =
                {
                  next_gen = 0.0;
@@ -419,9 +382,8 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
              tm_latency =
                Lemur_telemetry.Telemetry.histogram tm
                  (Printf.sprintf "dataplane.engine.chain.%s.latency_ns" chain_id);
-             tm_nf_pkts;
            })
-         (List.combine placement.Strategy.chain_reports chain_cores))
+         (List.combine layouts chain_cores))
   in
   let workers = Array.of_list (List.rev !workers_rev) in
   Array.iter
@@ -447,7 +409,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
         if c.interval < infinity then
           Float.min s (0.5 *. float_of_int ring_capacity *. c.interval)
         else s)
-      slice chains
+      max_slice chains
   in
   (* The hot path below only bumps ints and writes float arrays and
      all-float records; telemetry receives the tallies after the run. *)
@@ -615,12 +577,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
     !elements_rev;
   Array.iter
     (fun c ->
-      Array.iteri
-        (fun r nodes ->
-          List.iter
-            (fun nid -> Counter.incr ~by:c.route_injected.(r) c.tm_nf_pkts.(nid))
-            nodes)
-        c.sw_nodes;
+      Route.credit_switch_nfs c.layout c.route_injected;
       Counter.incr ~by:c.injected c.tm_injected;
       Counter.incr ~by:c.delivered_pkts c.tm_delivered;
       Counter.incr ~by:c.dropped c.tm_dropped;
@@ -634,8 +591,8 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(warmup = Units.ms 1.0)
          (fun c ->
            let mean, p50, p99, max_lat = Stats.tail_summary c.lats c.n_lats in
            {
-             chain_id = c.id;
-             offered = c.offered_rate;
+             chain_id = c.layout.report.Strategy.plan.Plan.input.Plan.id;
+             offered = c.layout.offered;
              delivered = c.m.delivered_bits /. duration *. 1e9;
              mean_latency = mean;
              p50_latency = p50;

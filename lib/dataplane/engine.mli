@@ -72,20 +72,17 @@ type result = {
 val run :
   ?seed:int ->
   ?duration:float ->
-  ?warmup:float ->
-  ?batch_pkts:int ->
-  ?ring_capacity:int ->
-  ?pool_capacity:int ->
-  ?slice:float ->
   ?overdrive:float ->
   ?offered:(string * float) list ->
   config:Lemur_placer.Plan.config ->
   placement:Lemur_placer.Strategy.placement ->
   unit ->
   result
-(** Defaults: seed 7, duration 10 ms, warmup 1 ms, 32-packet run-loop
-    batches, 512-packet rings, a 16384-packet pool, 50 us breathing
-    slices, overdrive 1.08. [overdrive] and [offered] carry {!Sim.run}
+(** Defaults: seed 7, duration 10 ms, overdrive 1.08. Every run first
+    warms up for 1 ms, which [duration] does not include, and uses
+    32-packet run-loop batches, 512-packet rings, a 16384-packet pool
+    and breathing slices of at most 50 us. [overdrive] and [offered]
+    carry {!Sim.run}
     semantics: each chain is driven at [overdrive x] its LP-allocated
     rate (capped at [t_max] and the ToR port rate) unless [offered]
     pins an explicit rate. Offered rates and route choices use the same

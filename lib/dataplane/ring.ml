@@ -36,22 +36,6 @@ let take t =
     x
   end
 
-let push_batch t xs =
-  let n = min (Array.length xs) (t.cap - length t) in
-  for i = 0 to n - 1 do
-    t.buf.((t.tail + i) mod t.cap) <- xs.(i)
-  done;
-  t.tail <- t.tail + n;
-  n
-
-let pop_batch t out =
-  let n = min (Array.length out) (length t) in
-  for i = 0 to n - 1 do
-    out.(i) <- t.buf.((t.head + i) mod t.cap)
-  done;
-  t.head <- t.head + n;
-  n
-
 let iter f t =
   for i = t.head to t.tail - 1 do
     f t.buf.(i mod t.cap)

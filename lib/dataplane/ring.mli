@@ -43,20 +43,12 @@ val top : t -> int
 (** The handle [take] would return, without removing it; {!none} if
     empty. *)
 
-val push_batch : t -> int array -> int
-(** Enqueue the array front-to-back until the ring fills; returns how
-    many were accepted (a prefix of the array). *)
-
-val pop_batch : t -> int array -> int
-(** Dequeue into the array until it is full or the ring empties;
-    returns how many were written (FIFO order from index 0). *)
-
 val iter : (int -> unit) -> t -> unit
 (** Visit queued handles oldest-first without consuming them — the
     engine's end-of-run in-flight accounting. *)
 
 val pushed : t -> int
-(** Total handles ever accepted by [push]/[push_batch]. *)
+(** Total handles ever accepted by [push]. *)
 
 val popped : t -> int
-(** Total handles ever removed by [take]/[pop_batch]. *)
+(** Total handles ever removed by [take]. *)

@@ -15,7 +15,7 @@ type t = {
   sw_nodes : int list;
 }
 
-let build ?nic_host report =
+let routes ~nic_host report =
   let plan = report.Strategy.plan in
   let graph = plan.Plan.input.Plan.graph in
   let sg_index_of_node =
@@ -29,7 +29,6 @@ let build ?nic_host report =
     let sg = List.nth plan.Plan.subgroups i in
     List.assoc sg.Plan.sg_segment report.Strategy.seg_server
   in
-  let nic_host = Option.value nic_host ~default:"server0" in
   (* Each hop resolves to a physical site: SmartNIC work happens on the
      NIC's host, server work on the segment's assigned server. Adjacent
      hops fuse into one visit only when they share a site — segments of
@@ -93,24 +92,23 @@ let pick fractions r =
   done;
   !chosen
 
-type core = { server : string; core : int; socket : int }
+let wire_delay = 350.0
+let demux_cycles_per_pkt = 150.0
 
-let cores topo placement =
-  let next_core = Hashtbl.create 4 in
-  List.map
-    (fun report ->
-      Array.of_list
-        (List.mapi
-           (fun sg_index sg ->
-             let server = List.assoc sg.Plan.sg_segment report.Strategy.seg_server in
-             let s_decl = Lemur_topology.Topology.find_server topo server in
-             Array.init report.Strategy.cores.(sg_index) (fun _ ->
-                 let core = Option.value (Hashtbl.find_opt next_core server) ~default:1 in
-                 Hashtbl.replace next_core server (core + 1);
-                 let socket = core / s_decl.Lemur_platform.Server.cores_per_socket in
-                 { server; core; socket }))
-           report.Strategy.plan.Plan.subgroups))
-    placement.Strategy.chain_reports
+type subgroup = {
+  sg_nodes : int array;
+  replicas : Lemur_codegen.Bessgen.core array;
+  lb : float;
+}
+
+type chain = {
+  report : Strategy.chain_report;
+  offered : float;
+  routes : t array;
+  fractions : float array;
+  subgroups : subgroup array;
+  nf_counters : Lemur_telemetry.Counter.t array;
+}
 
 let offered_rate ~offered ~overdrive ~port_cap report =
   let slo = report.Strategy.plan.Plan.input.Plan.slo in
@@ -120,3 +118,63 @@ let offered_rate ~offered ~overdrive ~port_cap report =
       Float.min
         (Float.min (report.Strategy.rate *. overdrive) slo.Lemur_slo.Slo.t_max)
         port_cap
+
+let layout ~offered ~overdrive config placement =
+  let tm = Lemur_telemetry.Telemetry.current () in
+  let topo = config.Plan.topology in
+  let port_cap = topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.port_capacity in
+  let nic_host =
+    match topo.Lemur_topology.Topology.smartnics with
+    | nic :: _ -> nic.Lemur_platform.Smartnic.host
+    | [] -> "server0"
+  in
+  let reports = placement.Strategy.chain_reports in
+  List.map2
+    (fun report sg_cores ->
+      let chain_id = report.Strategy.plan.Plan.input.Plan.id in
+      let graph = report.Strategy.plan.Plan.input.Plan.graph in
+      let routes = Array.of_list (routes ~nic_host report) in
+      let nf_counters =
+        Array.init (Lemur_spec.Graph.size graph) (fun _ ->
+            Lemur_telemetry.Counter.make "unplaced")
+      in
+      List.iter
+        (fun node ->
+          nf_counters.(node.Lemur_spec.Graph.id) <-
+            Lemur_telemetry.Telemetry.counter tm
+              (Printf.sprintf "dataplane.nf.%s.%d.%s.pkts" chain_id
+                 node.Lemur_spec.Graph.id
+                 node.Lemur_spec.Graph.instance.Lemur_nf.Instance.name))
+        (Lemur_spec.Graph.nodes graph);
+      {
+        report;
+        offered = offered_rate ~offered ~overdrive ~port_cap report;
+        routes;
+        fractions = Array.map (fun r -> r.fraction) routes;
+        subgroups =
+          Array.of_list
+            (List.mapi
+               (fun i sg ->
+                 let replicas = sg_cores.(i) in
+                 {
+                   sg_nodes = Array.of_list sg.Plan.sg_nodes;
+                   replicas;
+                   (* with Metron tagging the ToR picks the replica *)
+                   lb =
+                     (if Array.length replicas > 1 && not config.Plan.metron_steering
+                      then Lemur_bess.Cost.multicore_lb_cycles
+                      else 0.0);
+                 })
+               report.Strategy.plan.Plan.subgroups);
+        nf_counters;
+      })
+    reports
+    (Lemur_codegen.Bessgen.replica_cores config reports)
+
+let credit_switch_nfs chain per_route =
+  Array.iteri
+    (fun r route ->
+      List.iter
+        (fun id -> Lemur_telemetry.Counter.incr ~by:per_route.(r) chain.nf_counters.(id))
+        route.sw_nodes)
+    chain.routes

@@ -19,7 +19,7 @@ type result = {
   duration : float;
 }
 
-(* The static route structure lives in {!Route}, shared with the
+(* The deployment's layout lives in {!Route}, shared with the
    packet-level Engine so both executors walk identical service paths.
    [run] compiles each route into an array of hops whose servers, cores
    and NF costs are resolved up front, so the event loop does no
@@ -75,12 +75,10 @@ type meter = {
 }
 
 type chain_rt = {
-  report : Strategy.chain_report;
+  layout : Route.chain;
   routes : hop array array;
   fractions : float array;
-  sw_nodes : int list array;
   route_batches : int array;  (* per route: batches admitted to it *)
-  offered_rate : float;
   batch_interval : float;
   t_max : float;
   gen : event;
@@ -92,13 +90,11 @@ type chain_rt = {
   (* telemetry instruments, fed once the run ends *)
   tm_drops : Lemur_telemetry.Counter.t;
   tm_latency : Lemur_telemetry.Histogram.t;
-  tm_nf_pkts : Lemur_telemetry.Counter.t array;  (** indexed by graph node id *)
 }
 
 let link_queue_limit = Units.ms 1.0
 let core_queue_limit = Units.ms 2.0
-let wire_delay = 350.0 (* ns one way *)
-let demux_cycles_per_pkt = 150.0
+let warmup = Units.ms 5.0
 
 type traffic = Long_lived | Short_flows
 
@@ -111,9 +107,9 @@ let[@inline] cycles prng = function
   | Draw law -> Prng.sample prng law
   | Mean m -> m
 
-let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
-    ?(batch_pkts = 32) ?(overdrive = 1.08) ?(traffic = Long_lived)
-    ?(offered = []) ~config ~placement () =
+let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(batch_pkts = 32)
+    ?(overdrive = 1.08) ?(traffic = Long_lived) ?(offered = []) ~config
+    ~placement () =
   let tm = Lemur_telemetry.Telemetry.current () in
   Lemur_telemetry.Telemetry.with_span tm "dataplane.sim.run" @@ fun () ->
   let prng = Prng.create ~seed in
@@ -139,22 +135,13 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
     topo.Lemur_topology.Topology.servers;
   let acl_cls = Nf_cost.acl_classifier config in
   let short_flows = traffic = Short_flows in
-  let nic_host =
-    match topo.Lemur_topology.Topology.smartnics with
-    | nic :: _ -> Some nic.Lemur_platform.Smartnic.host
-    | [] -> None
-  in
-  let port_cap =
-    topo.Lemur_topology.Topology.tor.Lemur_platform.Pisa.port_capacity
-  in
   let chains =
     Array.of_list
       (List.mapi
-         (fun i (report, sg_cores) ->
-           let chain_id = report.Strategy.plan.Plan.input.Plan.id in
-           let graph = report.Strategy.plan.Plan.input.Plan.graph in
-           let slo = report.Strategy.plan.Plan.input.Plan.slo in
-           let offered = Route.offered_rate ~offered ~overdrive ~port_cap report in
+         (fun i (layout : Route.chain) ->
+           let chain_id = layout.report.Strategy.plan.Plan.input.Plan.id in
+           let graph = layout.report.Strategy.plan.Plan.input.Plan.graph in
+           let offered = layout.offered in
            (* Classified ACL nodes cost their mean cycles over the same
               header corpus Engine injects. *)
            let acl_mean = Array.make (Lemur_spec.Graph.size graph) None in
@@ -174,25 +161,19 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
            in
            (* Cores are shared by every route through the subgroup. *)
            let subgroups_rt =
-             Array.of_list
-               (List.mapi
-                  (fun sg_index sg ->
-                    let sg_nodes = Array.of_list sg.Plan.sg_nodes in
-                    let cores = sg_cores.(sg_index) in
-                    {
-                      sg_nodes;
-                      lb =
-                        (if Array.length cores > 1 && not metron then
-                           Lemur_bess.Cost.multicore_lb_cycles
-                         else 0.0);
-                      replicas =
-                        Array.map
-                          (fun (core : Route.core) ->
-                            let nfs = Array.map (nf ~socket:core.Route.socket) sg_nodes in
-                            ({ busy_until = 0.0 }, nfs))
-                          cores;
-                    })
-                  report.Strategy.plan.Plan.subgroups)
+             Array.map
+               (fun (sg : Route.subgroup) ->
+                 {
+                   sg_nodes = sg.Route.sg_nodes;
+                   lb = sg.Route.lb;
+                   replicas =
+                     Array.map
+                       (fun (core : Lemur_codegen.Bessgen.core) ->
+                         let nfs = Array.map (nf ~socket:core.socket) sg.Route.sg_nodes in
+                         ({ busy_until = 0.0 }, nfs))
+                       sg.Route.replicas;
+                 })
+               layout.subgroups
            in
            let compile_visit = function
              | Route.Of_visit ->
@@ -215,23 +196,19 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
                  in
                  Some (Server_hop { srv = Hashtbl.find servers server; nic; sgs })
            in
-           let routes = Route.build ?nic_host report in
            let batch_interval =
              if offered <= 0.0 then infinity else batch_bits /. offered *. 1e9
            in
            {
-             report;
+             layout;
              routes =
-               Array.of_list
-                 (List.map
-                    (fun r -> Array.of_list (List.filter_map compile_visit r.Route.visits))
-                    routes);
-             fractions = Array.of_list (List.map (fun r -> r.Route.fraction) routes);
-             sw_nodes = Array.of_list (List.map (fun r -> r.Route.sw_nodes) routes);
-             route_batches = Array.make (List.length routes) 0;
-             offered_rate = offered;
+               Array.map
+                 (fun r -> Array.of_list (List.filter_map compile_visit r.Route.visits))
+                 layout.routes;
+             fractions = layout.fractions;
+             route_batches = Array.make (Array.length layout.routes) 0;
              batch_interval;
-             t_max = slo.Lemur_slo.Slo.t_max;
+             t_max = layout.report.Strategy.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max;
              gen = Generate i;
              m = { tokens = batch_bits *. 4.0; last_refill = 0.0; delivered_bits = 0.0 };
              dropped = 0;
@@ -249,22 +226,8 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
              tm_latency =
                Lemur_telemetry.Telemetry.histogram tm
                  (Printf.sprintf "dataplane.chain.%s.latency_ns" chain_id);
-             tm_nf_pkts =
-               (let arr =
-                  Array.init (Lemur_spec.Graph.size graph) (fun _ ->
-                      Lemur_telemetry.Counter.make "unplaced")
-                in
-                List.iter
-                  (fun node ->
-                    arr.(node.Lemur_spec.Graph.id) <-
-                      Lemur_telemetry.Telemetry.counter tm
-                        (Printf.sprintf "dataplane.nf.%s.%d.%s.pkts" chain_id
-                           node.Lemur_spec.Graph.id
-                           node.Lemur_spec.Graph.instance.Lemur_nf.Instance.name))
-                  (Lemur_spec.Graph.nodes graph);
-                arr);
            })
-         (List.combine placement.Strategy.chain_reports (Route.cores topo placement)))
+         (Route.layout ~offered ~overdrive config placement))
   in
   let events = Heap.create () in
   let horizon = warmup +. duration in
@@ -299,7 +262,7 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
             of_link.busy_until <- start +. tx;
             batch.next <- batch.next + 1;
             Heap.push events
-              (start +. tx +. (2.0 *. wire_delay) +. sw.Lemur_platform.Ofswitch.latency)
+              (start +. tx +. (2.0 *. Route.wire_delay) +. sw.Lemur_platform.Ofswitch.latency)
               ev
           end
       | Server_hop { srv; nic; sgs } ->
@@ -311,7 +274,7 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
           else begin
             srv.link_in.busy_until <- start +. tx;
             (* inline SmartNIC processing on ingress *)
-            let t = ref (start +. tx +. wire_delay) in
+            let t = ref (start +. tx +. Route.wire_delay) in
             for k = 0 to Array.length nic - 1 do
               let id, cost, speed = nic.(k) in
               c.nf_pkts.(id) <- c.nf_pkts.(id) + batch_pkts;
@@ -322,7 +285,7 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
             if Array.length sgs > 0 then begin
               let demux_service =
                 if metron then 0.0
-                else demux_cycles_per_pkt *. pkts /. srv.clock *. 1e9
+                else Route.demux_cycles_per_pkt *. pkts /. srv.clock *. 1e9
               in
               let dstart = if metron then !t else start_on srv.demux !t in
               if (not metron) && dstart -. !t > core_queue_limit then ok := false
@@ -366,7 +329,7 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
               let ustart = start_on srv.link_out !t in
               srv.link_out.busy_until <- ustart +. tx;
               batch.next <- batch.next + 1;
-              Heap.push events (ustart +. tx +. wire_delay) ev
+              Heap.push events (ustart +. tx +. Route.wire_delay) ev
             end
           end
   in
@@ -409,14 +372,9 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
   let module Counter = Lemur_telemetry.Counter in
   Array.iter
     (fun c ->
-      Array.iteri
-        (fun r nodes ->
-          List.iter
-            (fun id ->
-              c.nf_pkts.(id) <- c.nf_pkts.(id) + (batch_pkts * c.route_batches.(r)))
-            nodes)
-        c.sw_nodes;
-      Array.iteri (fun id n -> Counter.incr ~by:n c.tm_nf_pkts.(id)) c.nf_pkts;
+      Route.credit_switch_nfs c.layout
+        (Array.map (fun n -> batch_pkts * n) c.route_batches);
+      Array.iteri (fun id n -> Counter.incr ~by:n c.layout.nf_counters.(id)) c.nf_pkts;
       Counter.incr ~by:c.dropped c.tm_drops;
       (* arrival order: [Stats.tail_summary] below sorts the buffer *)
       Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
@@ -427,8 +385,8 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
          (fun c ->
            let mean, p50, p99, max_lat = Stats.tail_summary c.lats c.n_lats in
            {
-             chain_id = c.report.Strategy.plan.Plan.input.Plan.id;
-             offered = c.offered_rate;
+             chain_id = c.layout.report.Strategy.plan.Plan.input.Plan.id;
+             offered = c.layout.offered;
              delivered = c.m.delivered_bits /. duration *. 1e9;
              mean_latency = mean;
              p50_latency = p50;
@@ -440,16 +398,17 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(warmup = Units.ms 5.0)
          chains)
   in
   (* Post-run SLO conformance tallies: delivered rate vs t_min (same
-     0.98 tolerance as Deployment.slo_report) and p99 latency vs d_max. *)
+     tolerance as Deployment.slo_report) and p99 latency vs d_max. *)
   List.iter2
     (fun c r ->
-      let slo = c.report.Strategy.plan.Plan.input.Plan.slo in
+      let slo = c.layout.report.Strategy.plan.Plan.input.Plan.slo in
       let tally suffix =
         Lemur_telemetry.Counter.incr
           (Lemur_telemetry.Telemetry.counter tm ("dataplane.slo." ^ suffix))
       in
       tally
-        (if r.delivered >= slo.Lemur_slo.Slo.t_min *. 0.98 then "throughput_ok"
+        (if r.delivered >= slo.Lemur_slo.Slo.t_min *. Lemur_slo.Slo.throughput_tolerance
+         then "throughput_ok"
          else "throughput_violations");
       let d_max = slo.Lemur_slo.Slo.d_max in
       if d_max < infinity then

@@ -41,7 +41,6 @@ type traffic =
 val run :
   ?seed:int ->
   ?duration:float ->
-  ?warmup:float ->
   ?batch_pkts:int ->
   ?overdrive:float ->
   ?traffic:traffic ->
@@ -50,10 +49,11 @@ val run :
   placement:Lemur_placer.Strategy.placement ->
   unit ->
   result
-(** Defaults: seed 7, duration 50 ms, warmup 5 ms, 32-packet batches,
-    overdrive 1.08 (each chain is offered [overdrive x] its LP-allocated
-    rate, capped at [t_max], to expose whether the placement actually
-    sustains its allocation).
+(** Defaults: seed 7, duration 50 ms, 32-packet batches, overdrive 1.08
+    (each chain is offered [overdrive x] its LP-allocated rate, capped
+    at [t_max], to expose whether the placement actually sustains its
+    allocation). Every run first warms up for 5 ms, which [duration]
+    does not include.
 
     [offered] overrides the generator's per-chain offered rate (bit/s)
     for the chains it lists — still capped at the chain's [t_max] and

@@ -547,7 +547,7 @@ let forecast_alarm st =
                   st.deployment.Lemur.Deployment.placement
                     .Strategy.chain_reports
               with
-              | Some r -> rhat *. Monitor.tolerance > r.Strategy.rate
+              | Some r -> rhat *. Lemur_slo.Slo.throughput_tolerance > r.Strategy.rate
               | None -> rhat > 0.0)
           | _ -> false)
         st.chains

@@ -14,13 +14,11 @@ type chain_obs = {
 
 type epoch = { ep_start : float; ep_len : float; ep_obs : chain_obs list }
 
-let tolerance = 0.98
-
 let classify ~offered ~delivered ~p99_latency ~batches_delivered ~t_min ~d_max
     =
   (* the floor only binds up to what the generator offered *)
   let target = Float.min offered t_min in
-  let thr_violated = target > 0.0 && delivered < target *. tolerance in
+  let thr_violated = target > 0.0 && delivered < target *. Lemur_slo.Slo.throughput_tolerance in
   let lat_violated =
     d_max < infinity
     &&

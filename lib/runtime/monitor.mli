@@ -9,7 +9,8 @@
 
     - {e throughput}: delivered rate below [min (offered, t_min)] (the
       floor only binds up to what was actually offered), with the same
-      2% tolerance as {!Lemur.Deployment.slo_report};
+      {!Lemur_slo.Slo.throughput_tolerance} as
+      {!Lemur.Deployment.slo_report};
     - {e latency}: measured p99 above [d_max]; a chain with a finite
       [d_max] that was offered traffic but delivered {e no} batches is
       latency-violated too (unbounded queueing delay), not vacuously
@@ -38,9 +39,6 @@ type epoch = {
   ep_len : float;  (** seconds *)
   ep_obs : chain_obs list;  (** deployment order *)
 }
-
-val tolerance : float
-(** 0.98 — matches {!Lemur.Deployment.slo_report}. *)
 
 val classify :
   offered:float ->

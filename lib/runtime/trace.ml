@@ -46,33 +46,8 @@ let config t =
    line holds everything after the [chain] keyword. *)
 
 let parse_chain_decls decls =
-  let source =
-    String.concat "\n" (List.map (fun d -> "chain " ^ d) decls)
-  in
-  match Lemur_spec.Loader.load source with
-  | exception Lemur_spec.Parser.Error { line; message } ->
-      Error (Printf.sprintf "chain parse error at line %d: %s" line message)
-  | exception Lemur_spec.Lexer.Error { line; col; message } ->
-      Error (Printf.sprintf "chain lexical error at %d:%d: %s" line col message)
-  | exception Lemur_spec.Graph.Invalid message -> Error message
-  | chains -> (
-      match
-        List.map
-          (fun c ->
-            let slo =
-              match c.Lemur_spec.Loader.slo_args with
-              | None -> Lemur_slo.Slo.best_effort
-              | Some args -> Lemur_slo.Slo.of_params args
-            in
-            {
-              Lemur_placer.Plan.id = c.Lemur_spec.Loader.chain_name;
-              graph = c.Lemur_spec.Loader.graph;
-              slo;
-            })
-          chains
-      with
-      | exception Lemur_slo.Slo.Invalid message -> Error ("bad SLO: " ^ message)
-      | inputs -> Ok inputs)
+  Lemur.Chains.inputs_of_spec
+    (String.concat "\n" (List.map (fun d -> "chain " ^ d) decls))
 
 let parse_chain_decl decl =
   match parse_chain_decls [ decl ] with

@@ -1,5 +1,7 @@
 type t = { t_min : float; t_max : float; d_max : float; weight : float }
 
+let throughput_tolerance = 0.98
+
 exception Invalid of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt

@@ -28,20 +28,6 @@ let seq_map f xs =
   List.mapi (fun i x -> try Ok (f x) with exn -> capture_error i exn |> Result.error) xs
 
 (* ------------------------------------------------------------------ *)
-(* Per-executor busy-time accounting. Slot 0 is the submitting domain;
-   slot [w] is worker [w]. Atomics, because the reader (a bench
-   computing an imbalance metric) may sample while workers from an
-   earlier run are still draining their last chunk. *)
-
-let busy : int Atomic.t array =
-  Array.init (hard_cap + 1) (fun _ -> Atomic.make 0)
-
-let add_busy slot seconds =
-  ignore (Atomic.fetch_and_add busy.(slot) (int_of_float (seconds *. 1e9)))
-
-let reset_busy () = Array.iter (fun a -> Atomic.set a 0) busy
-
-(* ------------------------------------------------------------------ *)
 (* A [run] is one [map]'s worth of work: an array of item thunks that
    executors claim by atomically bumping [next] in fixed-size chunks —
    self-scheduling work stealing. A straggler holds at most one chunk
@@ -67,16 +53,14 @@ type run = {
   latch_done : Condition.t;
 }
 
-let participate run slot =
+let participate run =
   let rec claim () =
     let start = Atomic.fetch_and_add run.next run.chunk in
     if start < run.n then begin
-      let t0 = Timing.now () in
       let stop = min run.n (start + run.chunk) in
       for i = start to stop - 1 do
         run.exec i
       done;
-      add_busy slot (Timing.elapsed t0);
       let batch = stop - start in
       (* The atomic add publishes this chunk's result writes; the mutex
          around the signal pairs with the submitter's wait loop so the
@@ -107,7 +91,7 @@ type pool = {
   mutable workers : unit Domain.t list;  (** newest first *)
 }
 
-let worker_loop pool slot () =
+let worker_loop pool () =
   Domain.DLS.set in_worker true;
   let last = ref 0 in
   let rec loop () =
@@ -127,7 +111,7 @@ let worker_loop pool slot () =
     | None -> ()
     | Some run ->
         last := run.run_id;
-        if Atomic.fetch_and_add run.tickets (-1) > 0 then participate run slot;
+        if Atomic.fetch_and_add run.tickets (-1) > 0 then participate run;
         loop ()
   in
   loop ()
@@ -168,8 +152,8 @@ let ensure_pool want =
   in
   let have = List.length p.workers in
   if have < want then
-    for slot = have + 1 to want do
-      p.workers <- Domain.spawn (worker_loop p slot) :: p.workers
+    for _ = have + 1 to want do
+      p.workers <- Domain.spawn (worker_loop p) :: p.workers
     done;
   p
 
@@ -209,7 +193,7 @@ let pool_map ~executors f xs =
      nested maps inside [f] stay sequential instead of re-entering the
      pool. *)
   Domain.DLS.set in_worker true;
-  participate run 0;
+  participate run;
   Domain.DLS.set in_worker false;
   Mutex.lock run.latch_mu;
   while Atomic.get run.completed < n do
@@ -225,9 +209,6 @@ let map ?domains f xs =
   if domains <= 1 || List.compare_length_with xs 1 <= 0 || Domain.DLS.get in_worker
   then seq_map f xs
   else pool_map ~executors:domains f xs
-
-let busy_ns () =
-  Array.init (1 + pool_size ()) (fun i -> Atomic.get busy.(i))
 
 let all results =
   let rec go acc = function

@@ -56,14 +56,6 @@ val pool_size : unit -> int
     pool never shrinks short of {!shutdown}, so this is the high-water
     mark of [~domains - 1] across all calls. *)
 
-val busy_ns : unit -> int array
-(** Cumulative per-executor busy time in nanoseconds since the last
-    {!reset_busy}: slot 0 is the submitting domain, slot [w] is worker
-    [w]. Feeds the parallel bench's imbalance metric
-    (max/mean over participating executors). *)
-
-val reset_busy : unit -> unit
-
 val shutdown : unit -> unit
 (** Join and discard the cached global pool (idempotent). Subsequent
     [map] calls re-create it on demand. *)

@@ -326,6 +326,55 @@ let test_openflow_artifacts () =
         | None -> Alcotest.fail "expected OpenFlow rules"
       end
 
+(* Every generated artifact text — the P4 source, each BESS script, the
+   eBPF C and the OpenFlow rules — over the Fig 2 sweep on the testbed,
+   a two-server SmartNIC + OpenFlow rack and a two-server Metron rack,
+   folded into one digest. A generator change that moves any byte of
+   any artifact moves it. *)
+let test_artifact_digest () =
+  let testbed = config () in
+  let rack =
+    Plan.default_config
+      (Lemur_topology.Topology.testbed ~num_servers:2 ~smartnic:true ~ofswitch:true ())
+  in
+  let metron =
+    { (Plan.default_config (Lemur_topology.Topology.testbed ~num_servers:2 ())) with
+      Plan.metron_steering = true }
+  in
+  let fig2 =
+    List.concat_map
+      (fun set ->
+        List.map (fun delta -> (testbed, set, delta))
+          [ 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0 ])
+      [ [ 1; 2; 3; 4 ]; [ 1; 2; 3 ]; [ 1; 2; 4 ]; [ 1; 3; 4 ]; [ 2; 3; 4 ] ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (c, set, delta) ->
+      Printf.bprintf b "== %s delta %g\n"
+        (String.concat "," (List.map string_of_int set)) delta;
+      match Strategy.place Strategy.Lemur c (Lemur.Chains.inputs_for_delta c ~delta set) with
+      | Strategy.Infeasible _ -> Buffer.add_string b "infeasible\n"
+      | Strategy.Placed p ->
+          let art = Codegen.compile c p in
+          Option.iter
+            (fun prog -> Printf.bprintf b "-- p4\n%s" prog.P4gen.source)
+            art.Codegen.p4;
+          List.iter
+            (fun a -> Printf.bprintf b "-- bess %s\n%s" a.Bessgen.server a.Bessgen.script)
+            art.Codegen.bess;
+          List.iter
+            (fun a -> Printf.bprintf b "-- ebpf %s\n%s" a.Ebpfgen.nf_id a.Ebpfgen.c_source)
+            art.Codegen.ebpf;
+          Option.iter
+            (fun prog ->
+              Buffer.add_string b
+                (Format.asprintf "-- openflow@.%a@." Lemur_openflow.Openflow.pp prog))
+            art.Codegen.openflow)
+    (fig2 @ [ (rack, [ 4; 5 ], 1.0); (metron, [ 1; 2; 4 ], 0.5) ]);
+  Alcotest.(check string) "artifact digest" "12660feb0c0db89d05b46aaf1305bd35"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "SPI/SI assignment" `Quick test_spi_assignment;
@@ -340,4 +389,5 @@ let suite =
     Alcotest.test_case "semantic pipeline: canonical chains" `Quick test_semantic_pipeline_canonical_chains;
     Alcotest.test_case "metron codegen" `Quick test_metron_codegen;
     Alcotest.test_case "OpenFlow artifacts" `Quick test_openflow_artifacts;
+    Alcotest.test_case "artifact digest" `Quick test_artifact_digest;
   ]

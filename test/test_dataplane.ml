@@ -345,6 +345,14 @@ let golden_cases () =
   in
   let c = config () in
   let nic = Plan.default_config (Lemur_topology.Topology.testbed ~smartnic:true ()) in
+  let rack =
+    Plan.default_config
+      (Lemur_topology.Topology.testbed ~num_servers:2 ~smartnic:true ~ofswitch:true ())
+  in
+  let metron =
+    { (Plan.default_config (Lemur_topology.Topology.testbed ~num_servers:2 ())) with
+      Plan.metron_steering = true }
+  in
   [
     ("single chain", (c, simple_placement c));
     (* chain2 runs on 8 replica cores behind the HashLB *)
@@ -355,6 +363,10 @@ let golden_cases () =
         ~topology:(Lemur_topology.Topology.no_pisa_testbed ~ofswitch:false ())
         ~acl_algo:(Some Lemur_classifier.Classifier.Computed)
         "chain cls slo(tmin='0.2Gbps', tmax='10Gbps') = ACL(rules=4096) -> Encrypt" );
+    (* both servers, SmartNIC and OpenFlow hops, replicated subgroups *)
+    ("two servers, nic + of", (rack, place rack (Lemur.Chains.inputs_for_delta rack ~delta:1.0 [ 4; 5 ])));
+    (* Metron tagging: no demux element, no LB cycles on replicas *)
+    ("metron", (metron, place metron (Lemur.Chains.inputs_for_delta metron ~delta:0.5 [ 1; 2; 4 ])));
   ]
 
 let telemetry_lines tm =
@@ -418,13 +430,17 @@ let sim_digest (c, p) =
     [ Sim.Long_lived; Sim.Short_flows ];
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Recorded before the executors' hot loops were made allocation-free. *)
+(* The first four were recorded before the executors' hot loops were
+   made allocation-free, the last two before Sim and Engine shared one
+   layout. *)
 let golden =
   [
     ("single chain", "09c377a0ac00b76a978fc1fc238f7d7d", "464ecf9f8820ff045990b3d2f3747e0b");
     ("fig2c delta 0.5", "5c60187d1230bf13ee6da634b4c54522", "c867f9db4ddcf710932a353ae7926366");
     ("smartnic", "b7b6d00e99c75afe36ef13921edda92d", "484ac924f84f7afea2f1cd25d5a8221c");
     ("acl classified", "9d637bc2f8e75adbafec0747c9a03632", "3a5bdcc025165a7b41f20365e46e9911");
+    ("two servers, nic + of", "611c021a17ce2c67d59b38453e0efe56", "9f80706f0d063ec2412df36c773ffc4a");
+    ("metron", "bb373836463759a27b1ad3ed0feea643", "ba4c4a17d2f31054727c33d127143354");
   ]
 
 let test_golden_executors () =
@@ -521,39 +537,6 @@ let ring_qcheck_cases =
          Ring.is_empty r && Ring.take r = Ring.none && Ring.top r = Ring.none
          && Ring.pushed r = capacity
          && Ring.popped r = capacity));
-    Test.make ~name:"ring batch ops agree with 1-at-a-time" ~count:100
-      (make
-         Gen.(
-           triple (int_range 1 8)
-             (list_size (int_range 0 20) (int_range 0 15))
-             (int_range 1 16)))
-      (fun (capacity, pushes, batch) ->
-        (* push_batch/pop_batch must accept/return exactly the prefix
-           the scalar ops would. *)
-        let a = Ring.create ~capacity in
-        let b = Ring.create ~capacity in
-        let arr = Array.of_list pushes in
-        let accepted_batch = Ring.push_batch a arr in
-        let accepted_scalar = ref 0 in
-        (try
-           Array.iter
-             (fun v ->
-               if Ring.push b v then incr accepted_scalar
-               else raise Exit)
-             arr
-         with Exit -> ());
-        let out = Array.make batch (-1) in
-        let popped_batch = Ring.pop_batch a out in
-        let popped_scalar = ref [] in
-        for _ = 1 to batch do
-          let v = Ring.take b in
-          if v <> Ring.none then popped_scalar := v :: !popped_scalar
-        done;
-        accepted_batch = !accepted_scalar
-        && popped_batch = List.length !popped_scalar
-        && Array.to_list (Array.sub out 0 popped_batch)
-           = List.rev !popped_scalar
-        && Ring.length a = Ring.length b);
     Test.make ~name:"pool accounting under random take/free" ~count:200
       (make
          Gen.(pair (int_range 1 8) (list_size (int_range 0 200) (pair bool nat))))
