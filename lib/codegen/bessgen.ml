@@ -119,7 +119,7 @@ let generate config reports =
       else begin
         (* Render the script. *)
         let b = Buffer.create 2048 in
-        let line fmt = Format.kasprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+        let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
         line "# BESS configuration for %s generated by the Lemur meta-compiler" server;
         line "port0 = PMDPort(port_id=0)";
         List.iter
@@ -154,7 +154,8 @@ let generate config reports =
             graph;
             scheduler = !scheduler;
             script;
-            generated_lines = List.length (String.split_on_char '\n' script) - 1;
+            generated_lines =
+              String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 script;
           }
       end)
     servers

@@ -25,19 +25,24 @@ type emitter = {
 
 let emitter () = { buf = Buffer.create 4096; lib = 0; gen = 0; steer = 0 }
 
+(* Format straight into the buffer, then count the lines just added
+   (one, plus any newline inside the formatted text) in place. *)
 let emit e section fmt =
-  Format.kasprintf
-    (fun s ->
-      let lines = 1 + (String.length s - String.length (String.concat "" (String.split_on_char '\n' s))) in
+  let start = Buffer.length e.buf in
+  Printf.kbprintf
+    (fun buf ->
+      let lines = ref 1 in
+      for i = start to Buffer.length buf - 1 do
+        if Buffer.nth buf i = '\n' then incr lines
+      done;
       (match section with
-      | Library -> e.lib <- e.lib + lines
-      | Generated -> e.gen <- e.gen + lines
+      | Library -> e.lib <- e.lib + !lines
+      | Generated -> e.gen <- e.gen + !lines
       | Steering ->
-          e.gen <- e.gen + lines;
-          e.steer <- e.steer + lines);
-      Buffer.add_string e.buf s;
-      Buffer.add_char e.buf '\n')
-    fmt
+          e.gen <- e.gen + !lines;
+          e.steer <- e.steer + !lines);
+      Buffer.add_char buf '\n')
+    e.buf fmt
 
 (* ------------------------------------------------------------------ *)
 (* Library templates: the standalone P4 NF implementations, mangled per

@@ -7,10 +7,17 @@ type t = {
 }
 
 let of_placement config placement =
-  match Lemur_codegen.Codegen.compile config placement with
+  let tm = Lemur_telemetry.Telemetry.current () in
+  match
+    Lemur_telemetry.Telemetry.with_span tm "codegen.compile" (fun () ->
+        Lemur_codegen.Codegen.compile config placement)
+  with
   | artifact -> (
       (* Validate the emitted steering before calling it deployed. *)
-      match Lemur_codegen.Routing_check.verify placement artifact with
+      match
+        Lemur_telemetry.Telemetry.with_span tm "codegen.routing_check" (fun () ->
+            Lemur_codegen.Routing_check.verify placement artifact)
+      with
       | Ok () -> Ok { config; placement; artifact }
       | Error msg -> Error ("generated routing is inconsistent: " ^ msg))
   | exception Lemur_codegen.Ebpfgen.Rejected msg ->

@@ -6,14 +6,6 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* replace the first occurrence of [needle] in [hay] with [by] *)
-let replace_first hay needle by =
-  let nl = String.length needle and hl = String.length hay in
-  let rec find i = if i + nl > hl then None else if String.sub hay i nl = needle then Some i else find (i + 1) in
-  match find 0 with
-  | None -> hay
-  | Some i -> String.sub hay 0 i ^ by ^ String.sub hay (i + nl) (hl - i - nl)
-
 let config () = Plan.default_config (Lemur_topology.Topology.testbed ())
 
 let place_chains ?(delta = 0.5) ?(set = [ 1; 2; 3; 4 ]) c =
@@ -155,35 +147,251 @@ let test_ebpf_artifacts () =
             (contains e.Ebpfgen.c_source "SEC(\"xdp\")"))
         art.Codegen.ebpf
 
-let test_routing_check () =
+(* The Scanf line parser the routing check used before it prefiltered
+   and indexed its input: every line goes through Scanf. It stays here
+   as the reference the library parser must agree with. *)
+let reference_parse_entries source =
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      match
+        Scanf.sscanf line "/* entry */ set (spi=%d, si=%d) -> steer(%d, %d, %s@)"
+          (fun a b c d p ->
+            { Routing_check.e_spi = a; e_si = b; next_spi = c; next_si = d; port = p })
+      with
+      | entry -> Some entry
+      | exception Scanf.Scan_failure _ | exception End_of_file
+      | exception Failure _ ->
+          None)
+    (String.split_on_char '\n' source)
+
+let scan_set line =
+  match reference_parse_entries line with [ e ] -> Some e | _ -> None
+
+(* The steering-entry line, as P4gen emits it. *)
+let set_line (e : Routing_check.entry) =
+  Printf.sprintf "  /* entry */ set (spi=%d, si=%d) -> steer(%d, %d, %s);" e.e_spi e.e_si
+    e.next_spi e.next_si e.port
+
+(* [source] with its first line satisfying [pick] replaced by [by]'s
+   lines ([[]] drops it), or [None] when no line matches. *)
+let rewrite_first source pick by =
+  let rec go = function
+    | [] -> None
+    | l :: rest -> (
+        match pick l with
+        | Some x -> Some (by l x @ rest)
+        | None -> Option.map (fun rest -> l :: rest) (go rest))
+  in
+  Option.map (String.concat "\n") (go (String.split_on_char '\n' source))
+
+(* The first entry of service path 1 at an SI [at] accepts. *)
+let path1_entry at l =
+  match scan_set l with
+  | Some e when e.Routing_check.e_spi = 1 && at e -> Some e
+  | _ -> None
+
+let classify_line l = if contains l "/* entry */ classify" then Some () else None
+
+(* The fig2a program at [delta], corrupted one way at a time: the
+   routing check and the oracle must both reject every corruption. *)
+let check_routing_corruptions delta =
   let c = config () in
-  let p = place_chains c in
+  let p = place_chains ~delta c in
   let art = Codegen.compile c p in
   (match Routing_check.verify p art with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "routing check failed: %s" e);
-  (* corrupt a steering entry: the checker must catch it *)
-  match art.Codegen.p4 with
-  | None -> Alcotest.fail "expected p4"
-  | Some prog ->
-      let corrupt line =
-        if
-          contains line "/* entry */ set (spi=1, si="
-          && contains line "server_port"
-        then
-          (* misdirect one hop *)
-          replace_first line "server_port" "nic_port"
-        else line
-      in
-      let lines = String.split_on_char '\n' prog.P4gen.source in
-      let source' = String.concat "\n" (List.map corrupt lines) in
-      let art' =
-        { art with Codegen.p4 = Some { prog with P4gen.source = source' } }
-      in
-      if source' <> prog.P4gen.source then
-        match Routing_check.verify p art' with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "corrupted steering must fail the check"
+  | Error e -> Alcotest.failf "δ=%g: routing check failed: %s" delta e);
+  let prog =
+    match art.Codegen.p4 with None -> Alcotest.fail "expected p4" | Some prog -> prog
+  in
+  let src = prog.P4gen.source in
+  let corruptions =
+    [
+      ( "misdirected hop",
+        rewrite_first src
+          (path1_entry (fun e -> e.e_si >= 1 && e.port = "server_port"))
+          (fun _ e -> [ set_line { e with port = "nic_port" } ]) );
+      ( "misclassified path",
+        rewrite_first src classify_line (fun l () ->
+            [ String.sub l 0 (String.index l '>' + 1) ^ " steer(999, 0, pipeline);" ]) );
+      ("duplicated classification", rewrite_first src classify_line (fun l () -> [ l; l ]));
+      ("dropped classification", rewrite_first src classify_line (fun _ () -> []));
+      ("dropped entry", rewrite_first src (path1_entry (fun e -> e.e_si >= 1)) (fun _ _ -> []));
+      ( "wrong SI advance",
+        rewrite_first src
+          (path1_entry (fun e -> e.e_si >= 1))
+          (fun _ e -> [ set_line { e with next_si = e.e_si } ]) );
+      ( "wrong next SPI",
+        rewrite_first src
+          (path1_entry (fun e -> e.e_si >= 1))
+          (fun _ e -> [ set_line { e with next_spi = e.next_spi + 100 } ]) );
+      ( "non-egress terminal entry",
+        rewrite_first src
+          (path1_entry (fun e -> e.e_si = 0))
+          (fun _ e -> [ set_line { e with port = "server_port" } ]) );
+    ]
+  in
+  List.iter
+    (fun (name, source') ->
+      match source' with
+      | None -> Alcotest.failf "δ=%g %s: no line to corrupt" delta name
+      | Some source' -> (
+          if String.equal source' src then
+            Alcotest.failf "δ=%g %s: source unchanged" delta name;
+          let art' = { art with Codegen.p4 = Some { prog with P4gen.source = source' } } in
+          (match Routing_check.verify p art' with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "δ=%g %s must fail the routing check" delta name);
+          match Lemur_check.Oracle.check ~artifact:art' c p with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "δ=%g %s must fail the oracle" delta name))
+    corruptions
+
+let test_routing_check () = List.iter check_routing_corruptions [ 0.5; 1.0 ]
+
+let reference_classifications source =
+  List.filter_map
+    (fun line ->
+      match
+        Scanf.sscanf (String.trim line)
+          "/* entry */ classify (aggregate=%s@/path%d) -> steer(%d, %d, %s@)"
+          (fun chain_id path s i p ->
+            { Routing_check.chain_id; path; to_spi = s; to_si = i; to_port = p })
+      with
+      | c -> Some c
+      | exception Scanf.Scan_failure _ | exception End_of_file
+      | exception Failure _ ->
+          None)
+    (String.split_on_char '\n' source)
+
+let parsers_agree source =
+  let t = Routing_check.parse source in
+  let reference = reference_parse_entries source in
+  Routing_check.entries t = reference
+  && Routing_check.classifications t = reference_classifications source
+  && List.for_all
+       (fun e ->
+         let spi = e.Routing_check.e_spi and si = e.Routing_check.e_si in
+         Routing_check.find t ~spi ~si
+         = List.find_opt
+             (fun r -> r.Routing_check.e_spi = spi && r.Routing_check.e_si = si)
+             reference)
+       reference
+  && Routing_check.find t ~spi:(-7) ~si:0 = None
+
+(* Generated P4 programs the mutations start from: the testbed at fig2a
+   δ=1.0 and a two-server Metron rack. *)
+let p4_sources =
+  lazy
+    (List.map
+       (fun (c, set) ->
+         match (Codegen.compile c (place_chains ~delta:1.0 ~set c)).Codegen.p4 with
+         | Some prog -> prog.P4gen.source
+         | None -> Alcotest.fail "expected p4")
+       [
+         (config (), [ 1; 2; 3; 4 ]);
+         ( { (Plan.default_config (Lemur_topology.Topology.testbed ~num_servers:2 ())) with
+             Plan.metron_steering = true },
+           [ 1; 2; 4 ] );
+       ])
+
+let stray_comments =
+  [|
+    "/* -- library NF: ACL on src/dst fields -- */";
+    "  /* rule */ add c1_acl entry 0: dst 10.0.0.0/8 -> c1_permit;";
+    "/* entry set (spi=1, si=2) -> steer(1, 1, server_port); */";
+    "/* entry */ sets (spi=1, si=1) -> steer(1, 0, pipeline);";
+    "/* entry */ set (spi=x, si=1) -> steer(1, 0, pipeline);";
+    "/* entry */ set (spi=99999999999999999999, si=1) -> steer(1, 0, pipeline);";
+    "/* entry */ classify (aggregate=nopath) -> steer(1, 1, pipeline);";
+    "/*";
+    "/";
+    "";
+  |]
+
+(* One mutation of line [i]: re-spacing (each space becomes none, one,
+   two or a tab), tab indentation, truncation, a stray comment before
+   it, or a duplicate of its key with another target, placed before or
+   after it. Returns the lines that replace it. *)
+let mutate rng line =
+  match Lemur_util.Prng.int rng 6 with
+  | 0 ->
+      let b = Buffer.create (String.length line) in
+      String.iter
+        (fun ch ->
+          if ch = ' ' then
+            Buffer.add_string b
+              (Lemur_util.Prng.choose rng [| ""; " "; "  "; "\t" |])
+          else Buffer.add_char b ch)
+        line;
+      [ Buffer.contents b ]
+  | 1 -> [ "\t" ^ String.trim line ]
+  | 2 -> [ String.sub line 0 (Lemur_util.Prng.int rng (String.length line + 1)) ]
+  | 3 -> [ Lemur_util.Prng.choose rng stray_comments; line ]
+  | _ -> (
+      match scan_set line with
+      | None -> [ line; line ]
+      | Some e ->
+          let dup = set_line { e with next_spi = e.next_spi + 1; port = "dup_port" } in
+          if Lemur_util.Prng.bool rng then [ dup; line ] else [ line; dup ])
+
+let mutated_source seed =
+  let rng = Lemur_util.Prng.create ~seed in
+  let sources = Array.of_list (Lazy.force p4_sources) in
+  let lines = ref (Array.of_list (String.split_on_char '\n' (Lemur_util.Prng.choose rng sources))) in
+  for _ = 1 to 1 + Lemur_util.Prng.int rng 8 do
+    let arr = !lines in
+    let entries =
+      List.filter (fun i -> contains arr.(i) "/* entry */") (List.init (Array.length arr) Fun.id)
+    in
+    let i =
+      if entries <> [] && Lemur_util.Prng.int rng 5 > 0 then
+        Lemur_util.Prng.choose rng (Array.of_list entries)
+      else Lemur_util.Prng.int rng (Array.length arr)
+    in
+    lines :=
+      Array.concat
+        [
+          Array.sub arr 0 i;
+          Array.of_list (mutate rng arr.(i));
+          Array.sub arr (i + 1) (Array.length arr - i - 1);
+        ]
+  done;
+  String.concat "\n" (Array.to_list !lines)
+
+let test_parser_cases () =
+  let src = List.hd (Lazy.force p4_sources) in
+  let check name source =
+    if not (parsers_agree source) then Alcotest.failf "%s: parsers disagree" name
+  in
+  check "generated" src;
+  List.iter
+    (fun (name, line) -> check name line)
+    [
+      ("unspaced", "/*entry*/set(spi=1,si=2)->steer(1,1,server_port)");
+      ("over-spaced", "  /*  entry  */   set  (spi=1,   si=2)  ->  steer(1,  1,  server_port);");
+      ("tab-indented", "\t/* entry */ set (spi=1, si=2) -> steer(1, 1, server_port);");
+      ("truncated", "  /* entry */ set (spi=1, si=2) -> ste");
+      ("unspaced classify", "/*entry*/classify(aggregate=c1/path1)->steer(1,4,pipeline)");
+      ("CR line ends", "/* entry */ set (spi=1, si=2) -> steer(1, 1, server_port);\r\n");
+    ];
+  Array.iter (check "stray comment") stray_comments;
+  let t = Routing_check.parse "/*entry*/set(spi=1,si=2)->steer(1,1,server_port)" in
+  Alcotest.(check bool) "unspaced entry parses" true
+    (Routing_check.find t ~spi:1 ~si:2 <> None);
+  (* duplicate keys: the first entry in source order wins *)
+  let first = set_line { e_spi = 3; e_si = 2; next_spi = 3; next_si = 1; port = "nic_port" } in
+  let second = set_line { e_spi = 3; e_si = 2; next_spi = 3; next_si = 1; port = "pipeline" } in
+  let t = Routing_check.parse (String.concat "\n" [ first; second ]) in
+  Alcotest.(check (option string)) "first duplicate wins" (Some "nic_port")
+    (Option.map (fun e -> e.Routing_check.port) (Routing_check.find t ~spi:3 ~si:2));
+  Alcotest.(check int) "every duplicate listed" 2 (List.length (Routing_check.entries t))
+
+let parser_qcheck =
+  QCheck.Test.make ~count:200 ~name:"prefiltered steering parser == Scanf reference"
+    (QCheck.int_bound 1_000_000)
+    (fun seed -> parsers_agree (mutated_source seed))
 
 (* Execute the semantic pipeline model: one Mae.run per switch
    traversal; port 0 recirculates, 1 = server bounce, 9 = egress. *)
@@ -326,12 +534,10 @@ let test_openflow_artifacts () =
         | None -> Alcotest.fail "expected OpenFlow rules"
       end
 
-(* Every generated artifact text — the P4 source, each BESS script, the
-   eBPF C and the OpenFlow rules — over the Fig 2 sweep on the testbed,
-   a two-server SmartNIC + OpenFlow rack and a two-server Metron rack,
-   folded into one digest. A generator change that moves any byte of
-   any artifact moves it. *)
-let test_artifact_digest () =
+(* The artifact sweep: the Fig 2 sweep on the testbed, a two-server
+   SmartNIC + OpenFlow rack and a two-server Metron rack. [f] gets each
+   cell's header line and its artifact, or [None] when infeasible. *)
+let iter_sweep f =
   let testbed = config () in
   let rack =
     Plan.default_config
@@ -348,15 +554,28 @@ let test_artifact_digest () =
           [ 0.5; 1.0; 1.5; 2.0; 2.5; 3.0; 3.5; 4.0 ])
       [ [ 1; 2; 3; 4 ]; [ 1; 2; 3 ]; [ 1; 2; 4 ]; [ 1; 3; 4 ]; [ 2; 3; 4 ] ]
   in
-  let b = Buffer.create 65536 in
   List.iter
     (fun (c, set, delta) ->
-      Printf.bprintf b "== %s delta %g\n"
-        (String.concat "," (List.map string_of_int set)) delta;
+      let header =
+        Printf.sprintf "== %s delta %g\n"
+          (String.concat "," (List.map string_of_int set)) delta
+      in
       match Strategy.place Strategy.Lemur c (Lemur.Chains.inputs_for_delta c ~delta set) with
-      | Strategy.Infeasible _ -> Buffer.add_string b "infeasible\n"
-      | Strategy.Placed p ->
-          let art = Codegen.compile c p in
+      | Strategy.Infeasible _ -> f header None
+      | Strategy.Placed p -> f header (Some (Codegen.compile c p)))
+    (fig2 @ [ (rack, [ 4; 5 ], 1.0); (metron, [ 1; 2; 4 ], 0.5) ])
+
+(* Every generated artifact text — the P4 source, each BESS script, the
+   eBPF C and the OpenFlow rules — over the sweep, folded into one
+   digest. A generator change that moves any byte of any artifact moves
+   it. *)
+let test_artifact_digest () =
+  let b = Buffer.create 65536 in
+  iter_sweep (fun header art ->
+      Buffer.add_string b header;
+      match art with
+      | None -> Buffer.add_string b "infeasible\n"
+      | Some art ->
           Option.iter
             (fun prog -> Printf.bprintf b "-- p4\n%s" prog.P4gen.source)
             art.Codegen.p4;
@@ -370,9 +589,46 @@ let test_artifact_digest () =
             (fun prog ->
               Buffer.add_string b
                 (Format.asprintf "-- openflow@.%a@." Lemur_openflow.Openflow.pp prog))
-            art.Codegen.openflow)
-    (fig2 @ [ (rack, [ 4; 5 ], 1.0); (metron, [ 1; 2; 4 ], 0.5) ]);
+            art.Codegen.openflow);
   Alcotest.(check string) "artifact digest" "12660feb0c0db89d05b46aaf1305bd35"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* What the text digest does not see, over the same sweep: the line
+   statistics the emitters count as they write, the BESS scheduler trees
+   (they hold each chain's t_max rate limit), the eBPF instruction
+   counts and the OpenFlow rule count. *)
+let test_structure_digest () =
+  let b = Buffer.create 16384 in
+  iter_sweep (fun header art ->
+      Buffer.add_string b header;
+      match art with
+      | None -> Buffer.add_string b "infeasible\n"
+      | Some art ->
+          let loc = Codegen.loc art in
+          Printf.bprintf b "loc %d %d %d %h\n" loc.Codegen.library_loc
+            loc.Codegen.generated_loc loc.Codegen.steering_loc
+            loc.Codegen.generated_fraction;
+          Option.iter
+            (fun prog ->
+              let s = prog.P4gen.stats in
+              Printf.bprintf b "p4 %d %d %d %d\n" s.P4gen.total_lines
+                s.P4gen.library_lines s.P4gen.generated_lines s.P4gen.steering_lines)
+            art.Codegen.p4;
+          List.iter
+            (fun a ->
+              Printf.bprintf b "bess %s %d\n%s" a.Bessgen.server a.Bessgen.generated_lines
+                (Format.asprintf "%a" Lemur_bess.Scheduler.pp a.Bessgen.scheduler))
+            art.Codegen.bess;
+          List.iter
+            (fun a ->
+              Printf.bprintf b "ebpf %s %d %d\n" a.Ebpfgen.nf_id
+                a.Ebpfgen.instruction_count a.Ebpfgen.generated_lines)
+            art.Codegen.ebpf;
+          Option.iter
+            (fun prog ->
+              Printf.bprintf b "openflow %d\n" (Lemur_openflow.Openflow.rule_count prog))
+            art.Codegen.openflow);
+  Alcotest.(check string) "structure digest" "541c92a36a9ecd52f4da0454650f7a60"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let suite =
@@ -385,9 +641,12 @@ let suite =
     Alcotest.test_case "BESS multi-core LB" `Quick test_bess_multicore_lb;
     Alcotest.test_case "eBPF artifacts" `Quick test_ebpf_artifacts;
     Alcotest.test_case "routing check" `Quick test_routing_check;
+    Alcotest.test_case "steering parser edge cases" `Quick test_parser_cases;
     Alcotest.test_case "semantic pipeline execution" `Quick test_semantic_pipeline_execution;
     Alcotest.test_case "semantic pipeline: canonical chains" `Quick test_semantic_pipeline_canonical_chains;
     Alcotest.test_case "metron codegen" `Quick test_metron_codegen;
     Alcotest.test_case "OpenFlow artifacts" `Quick test_openflow_artifacts;
     Alcotest.test_case "artifact digest" `Quick test_artifact_digest;
+    Alcotest.test_case "structure digest" `Quick test_structure_digest;
+    QCheck_alcotest.to_alcotest ~long:false parser_qcheck;
   ]
