@@ -56,8 +56,7 @@ let quantization ~pkt_bytes ~(engine : Engine.result) ~(sim : Sim.result) =
   (2.0 *. batch_bits /. sim.Sim.duration *. 1e9)
   +. (2.0 *. pkt_bits /. engine.Engine.duration *. 1e9)
 
-let check ?(rel_tol = rel_tol) ?(latency_slack = latency_slack) ~pkt_bytes
-    ~engine ~sim () =
+let check ~pkt_bytes ~engine ~sim () =
   let quant = quantization ~pkt_bytes ~engine ~sim in
   let compared = ref 0 in
   let exempt = ref 0 in

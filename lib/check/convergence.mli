@@ -59,7 +59,7 @@ type verdict = {
 }
 
 val rel_tol : float
-(** Default relative throughput tolerance (0.05). *)
+(** Relative throughput tolerance (0.05). *)
 
 val latency_slack : float
 (** Absolute ns the engine's p99 may sit above Sim's (1 ms). *)
@@ -70,14 +70,13 @@ val sim_floor_threshold : float
     this for its own SLO-floor stage. *)
 
 val check :
-  ?rel_tol:float ->
-  ?latency_slack:float ->
   pkt_bytes:int ->
   engine:Lemur_dataplane.Engine.result ->
   sim:Lemur_dataplane.Sim.result ->
   unit ->
   verdict
-(** Chains are matched by id; a chain present in only one result is
+(** Holds the two results to {!rel_tol} and {!latency_slack}. Chains
+    are matched by id; a chain present in only one result is
     ignored (the caller runs both executors on the same placement, so
     a mismatch there is its bug, not a divergence). *)
 

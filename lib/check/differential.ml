@@ -60,7 +60,7 @@ let baselines =
 
 let obj_tol x = (0.01 *. Float.abs x) +. 1e6
 
-let run ?(quick = true) ?(sim = true) ?(engine = true) scenario =
+let run ?(quick = true) ?(sim = true) scenario =
   let failures = ref [] in
   let fail f = failures := f :: !failures in
   let cfg = Scenario.config scenario in
@@ -185,20 +185,15 @@ let run ?(quick = true) ?(sim = true) ?(engine = true) scenario =
          rates packet-by-packet and hold the two executors' measured
          rates together. Runs inside the sim stage because the check
          is exactly a comparison against [result]. *)
-      if engine then begin
-        let er =
-          Lemur_dataplane.Engine.run
-            ~seed:(scenario.Scenario.sc_seed + 13)
-            ~overdrive:1.0 ~config:cfg ~placement:p ()
-        in
-        let verdict =
-          Convergence.check ~pkt_bytes:cfg.Plan.pkt_bytes ~engine:er
-            ~sim:result ()
-        in
-        List.iter
-          (fun d -> fail (Engine_divergence d))
-          verdict.Convergence.divergences
-      end;
+      let er =
+        Lemur_dataplane.Engine.run
+          ~seed:(scenario.Scenario.sc_seed + 13)
+          ~overdrive:1.0 ~config:cfg ~placement:p ()
+      in
+      let verdict =
+        Convergence.check ~pkt_bytes:cfg.Plan.pkt_bytes ~engine:er ~sim:result ()
+      in
+      List.iter (fun d -> fail (Engine_divergence d)) verdict.Convergence.divergences;
       (* The simulator counts whole 32-packet batches over the measure
          window, so delivered rates quantize in batch_bits/duration
          steps; allow two steps of slack on top of the 2% tolerance or
@@ -241,7 +236,7 @@ let run ?(quick = true) ?(sim = true) ?(engine = true) scenario =
         outcomes;
     milp_checked;
     sim_checked = sim_targets <> [];
-    engine_checked = engine && sim_targets <> [];
+    engine_checked = sim_targets <> [];
     failures = List.rev !failures;
   }
 

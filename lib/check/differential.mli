@@ -56,7 +56,7 @@ type report = {
   infeasible : string list;
   milp_checked : bool;
   sim_checked : bool;
-  engine_checked : bool;
+  engine_checked : bool;  (** always equal to [sim_checked] *)
   failures : failure list;
 }
 
@@ -64,10 +64,10 @@ val sim_floor_threshold : float
 (** Minimum [t_min] (bit/s) for the simulator-delivery check — an
     alias of {!Convergence.sim_floor_threshold}. *)
 
-val run : ?quick:bool -> ?sim:bool -> ?engine:bool -> Scenario.t -> report
+val run : ?quick:bool -> ?sim:bool -> Scenario.t -> report
 (** [quick] (default [true]) shortens the simulated window and executes
     only the Lemur placement; [sim] (default [true]) gates the
-    simulator stage entirely; [engine] (default [true]) gates the
-    packet-engine convergence check inside that stage. *)
+    simulator stage entirely, the packet-engine convergence check inside
+    it included. *)
 
 val failed : report -> bool

@@ -56,7 +56,9 @@ let greedy_select dim rules =
 
 let all_dims = [ Dsrc; Ddst; Dsport; Ddport ]
 
-let build ?(max_isets = 8) rs =
+let max_isets = 8
+
+let build rs =
   let isets = ref [] in
   let pool = ref (Array.to_list (Ruleset.rules rs)) in
   let continue = ref true in

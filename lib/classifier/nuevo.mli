@@ -25,7 +25,9 @@ type outcome = {
 
 type t
 
-val build : ?max_isets:int -> Ruleset.t -> t
+val build : Ruleset.t -> t
+(** Greedily partitions the rules into at most 8 iSets; the rest form
+    the remainder. *)
 
 val isets : t -> int
 val iset_sizes : t -> int list

@@ -25,27 +25,29 @@ let openflow_segments spi reports =
       else
         List.concat_map
           (fun path ->
-            let hops =
-              List.filter
-                (fun id -> plan.Plan.locs.(id) = Plan.Ofswitch)
-                path.Spi.nodes
+            (* A node's SI is its distance from the end of the path. *)
+            let len = List.length path.Spi.nodes in
+            let close run runs = if run = [] then runs else List.rev run :: runs in
+            let run, runs =
+              List.fold_left
+                (fun (run, runs) (si, id) ->
+                  if plan.Plan.locs.(id) = Plan.Ofswitch then ((si, id) :: run, runs)
+                  else ([], close run runs))
+                ([], [])
+                (List.mapi (fun i id -> (len - i, id)) path.Spi.nodes)
             in
-            match hops with
-            | [] -> []
-            | first :: _ ->
-                let entry_si =
-                  Option.value (Spi.si_of spi ~spi:path.Spi.spi first) ~default:0
-                in
+            List.rev_map
+              (fun run ->
                 let kinds =
                   List.map
-                    (fun id ->
+                    (fun (_, id) ->
                       (Lemur_spec.Graph.node plan.Plan.input.Plan.graph id)
                         .Lemur_spec.Graph.instance
                         .Lemur_nf.Instance.kind)
-                    hops
+                    run
                 in
-                (* VLAN vid packs SPI/SI into 12 bits. *)
-                [ (path.Spi.spi land Lemur_nsh.Nsh.Vlan.max_spi, min entry_si Lemur_nsh.Nsh.Vlan.max_si, kinds) ])
+                (path.Spi.spi, fst (List.hd run), kinds))
+              (close run runs))
           (Spi.paths_of_chain spi plan.Plan.input.Plan.id))
     reports
 

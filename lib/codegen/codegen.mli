@@ -25,7 +25,9 @@ type loc_stats = {
 val compile :
   Lemur_placer.Plan.config -> Lemur_placer.Strategy.placement -> artifact
 (** @raise Ebpfgen.Rejected or [Lemur_openflow.Openflow.Unplaceable] on
-    placements the Placer should not have produced. *)
+    placements the artifacts cannot express: ones the Placer should not
+    have produced, and OpenFlow hops whose (SPI, SI) does not fit the
+    VLAN vid. *)
 
 val loc : artifact -> loc_stats
 

@@ -11,7 +11,6 @@ type stats = {
 type program = {
   source : string;
   stats : stats;
-  semantic : Lemur_p4.Mae.table list;
 }
 
 type section = Library | Generated | Steering
@@ -231,168 +230,6 @@ let parser_decl e (tree : Lemur_p4.Parsetree.t) =
           emit e Generated "}")
     (headers tree)
 
-(* port encoding for the semantic steering model *)
-let port_code = function
-  | Plan.Switch -> 0 (* recirculate through the pipeline *)
-  | Plan.Server -> 1
-  | Plan.Smartnic -> 2
-  | Plan.Ofswitch -> 3
-
-let egress_code = 9
-
-(* parse "a.b.c.d/p" into a ternary (value, mask) pair *)
-let ternary_of_cidr cidr =
-  match String.split_on_char '/' cidr with
-  | [ addr; prefix ] -> (
-      match
-        (String.split_on_char '.' addr |> List.map int_of_string_opt,
-         int_of_string_opt prefix)
-      with
-      | [ Some a; Some b; Some c; Some d ], Some p when p >= 0 && p <= 32 ->
-          let v = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d in
-          let mask = if p = 0 then 0 else lnot 0 lsl (32 - p) land 0xFFFFFFFF in
-          Some (v land mask, mask)
-      | _ -> None)
-  | _ -> None
-
-(* Executable model of the generated pipeline: classification and
-   per-hop steering entries, then the switch NFs' populated tables
-   (currently ACL rules), each guarded by its post-steering (SPI, SI)
-   position so one NF fires per traversal. *)
-let semantic_tables spi plans =
-  let open Lemur_p4.Mae in
-  let steering_entries = ref [] in
-  let nf_tables = ref [] in
-  List.iteri
-    (fun chain_index plan ->
-      let chain_id = plan.Plan.input.Plan.id in
-      List.iteri
-        (fun path_index path ->
-          (* ingress classification: fresh packet of this aggregate *)
-          steering_entries :=
-            {
-              priority = 5;
-              matchers =
-                [
-                  { field = "meta.spi"; kind = `Exact 0 };
-                  { field = "pkt.aggregate"; kind = `Exact chain_index };
-                  { field = "pkt.path_choice"; kind = `Exact path_index };
-                ];
-              ops =
-                [
-                  Set ("meta.spi", path.Spi.spi);
-                  Set ("meta.si", List.length path.Spi.nodes);
-                  Set ("meta.egress", 0);
-                ];
-            }
-            :: !steering_entries;
-          (* per-hop entries *)
-          List.iter
-            (fun node_id ->
-              match Spi.si_of spi ~spi:path.Spi.spi node_id with
-              | None -> ()
-              | Some si ->
-                  steering_entries :=
-                    {
-                      priority = 10;
-                      matchers =
-                        [
-                          { field = "meta.spi"; kind = `Exact path.Spi.spi };
-                          { field = "meta.si"; kind = `Exact si };
-                        ];
-                      ops =
-                        [
-                          Set ("meta.si", si - 1);
-                          Set
-                            ( "meta.egress",
-                              port_code plan.Plan.locs.(node_id) );
-                        ];
-                    }
-                    :: !steering_entries)
-            path.Spi.nodes;
-          (* egress entry *)
-          steering_entries :=
-            {
-              priority = 10;
-              matchers =
-                [
-                  { field = "meta.spi"; kind = `Exact path.Spi.spi };
-                  { field = "meta.si"; kind = `Exact 0 };
-                ];
-              ops = [ Set ("meta.egress", egress_code) ];
-            }
-            :: !steering_entries)
-        (Spi.paths_of_chain spi chain_id);
-      (* switch NF tables with populated entries *)
-      List.iter
-        (fun n ->
-          let node_id = n.Lemur_spec.Graph.id in
-          if plan.Plan.locs.(node_id) = Plan.Switch then begin
-            let instance = n.Lemur_spec.Graph.instance in
-            let nf_id =
-              Printf.sprintf "%s_%s" chain_id instance.Lemur_nf.Instance.name
-            in
-            (* position guards: (spi, si - 1) for every path through it *)
-            let guards =
-              List.filter_map
-                (fun path ->
-                  Option.map
-                    (fun si -> (path.Spi.spi, si - 1))
-                    (Spi.si_of spi ~spi:path.Spi.spi node_id))
-                (Spi.paths_of_chain spi chain_id)
-            in
-            let rule_entries =
-              match
-                (instance.Lemur_nf.Instance.kind,
-                 Lemur_nf.Params.find instance.Lemur_nf.Instance.params "rules")
-              with
-              | Kind.Acl, Some (Lemur_nf.Params.List rules) ->
-                  List.concat_map
-                    (fun rule ->
-                      match rule with
-                      | Lemur_nf.Params.Dict fields ->
-                          let tern =
-                            match List.assoc_opt "dst_ip" fields with
-                            | Some (Lemur_nf.Params.Str s) -> ternary_of_cidr s
-                            | _ -> None
-                          in
-                          let drop =
-                            match List.assoc_opt "drop" fields with
-                            | Some (Lemur_nf.Params.Bool b) -> b
-                            | _ -> false
-                          in
-                          List.concat_map
-                            (fun (g_spi, g_si) ->
-                              [
-                                {
-                                  priority = 10;
-                                  matchers =
-                                    [
-                                      { field = "meta.spi"; kind = `Exact g_spi };
-                                      { field = "meta.si"; kind = `Exact g_si };
-                                    ]
-                                    @ (match tern with
-                                      | Some (v, m) ->
-                                          [ { field = "ipv4.dst_addr"; kind = `Ternary (v, m) } ]
-                                      | None -> []);
-                                  ops = (if drop then [ Drop ] else []);
-                                };
-                              ])
-                            guards
-                      | _ -> [])
-                    rules
-              | _ -> []
-            in
-            if rule_entries <> [] then
-              nf_tables :=
-                { t_name = nf_id ^ "_acl"; entries = rule_entries; default = [] }
-                :: !nf_tables
-          end)
-        (Lemur_spec.Graph.nodes plan.Plan.input.Plan.graph))
-    plans;
-  { t_name = "ingress_steering"; entries = !steering_entries; default = [] }
-  :: List.rev !nf_tables
-
 let generate config spi plans =
   let projections = List.map Plan.switch_projection plans in
   let parser = Lemur_p4.Pipeline.unified_parser projections in
@@ -513,21 +350,19 @@ let generate config spi plans =
           emit e Steering
             "  /* entry */ classify (aggregate=%s/path%d) -> steer(%d, %d, pipeline);"
             proj.Lemur_p4.Pipeline.chain_id path.Spi.spi path.Spi.spi len;
-          List.iter
-            (fun node_id ->
-              match Spi.si_of spi ~spi:path.Spi.spi node_id with
-              | None -> ()
-              | Some si ->
-                  let port =
-                    match plan.Plan.locs.(node_id) with
-                    | Plan.Switch -> "pipeline"
-                    | Plan.Server -> "server_port"
-                    | Plan.Smartnic -> "nic_port"
-                    | Plan.Ofswitch -> "ofswitch_port"
-                  in
-                  emit e Steering
-                    "  /* entry */ set (spi=%d, si=%d) -> steer(%d, %d, %s);"
-                    path.Spi.spi si path.Spi.spi (max 0 (si - 1)) port)
+          List.iteri
+            (fun i node_id ->
+              let si = len - i in
+              let port =
+                match plan.Plan.locs.(node_id) with
+                | Plan.Switch -> "pipeline"
+                | Plan.Server -> "server_port"
+                | Plan.Smartnic -> "nic_port"
+                | Plan.Ofswitch -> "ofswitch_port"
+              in
+              emit e Steering
+                "  /* entry */ set (spi=%d, si=%d) -> steer(%d, %d, %s);"
+                path.Spi.spi si path.Spi.spi (si - 1) port)
             path.Spi.nodes;
           emit e Steering
             "  /* entry */ set (spi=%d, si=0) -> steer(0, 0, egress_port);"
@@ -587,5 +422,4 @@ let generate config spi plans =
         generated_lines = e.gen;
         steering_lines = e.steer;
       };
-    semantic = semantic_tables spi plans;
   }

@@ -21,13 +21,9 @@ type stats = {
 
 type program = {
   source : string;
+      (** the P4 program text. It is the deployment: its steering
+          entries are what {!Routing_check} and the oracle walk. *)
   stats : stats;
-  semantic : Lemur_p4.Mae.table list;
-      (** executable model of the generated pipeline, in execution
-          order: the steering table (classification, per-hop SPI/SI
-          advance, egress) and the switch NFs' tables with their
-          spec-supplied entries. One {!Lemur_p4.Mae.run} models one
-          switch traversal; tests recirculate/bounce by re-running. *)
 }
 
 val generate :

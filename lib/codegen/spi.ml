@@ -31,17 +31,6 @@ let assign plans =
 
 let paths t = t.path_list
 
-let si_of t ~spi node =
-  match List.find_opt (fun p -> p.spi = spi) t.path_list with
-  | None -> None
-  | Some p ->
-      let len = List.length p.nodes in
-      let rec find i = function
-        | [] -> None
-        | n :: rest -> if n = node then Some (len - i) else find (i + 1) rest
-      in
-      find 0 p.nodes
-
 let spi_count t = List.length t.path_list
 
 let paths_of_chain t chain_id =

@@ -14,15 +14,14 @@ val assign : Lemur_placer.Plan.plan list -> t
 type path_info = {
   spi : int;
   chain_id : string;
-  nodes : Lemur_spec.Graph.node_id list;  (** entry-to-exit order *)
+  nodes : Lemur_spec.Graph.node_id list;
+      (** entry-to-exit order. The node at index [i] has SI
+          [List.length nodes - i]: the number of NFs left to execute,
+          including it. *)
   fraction : float;
 }
 
 val paths : t -> path_info list
-
-val si_of : t -> spi:int -> Lemur_spec.Graph.node_id -> int option
-(** SI of a node on a given service path ([None] if not on the path).
-    SI = number of NFs left to execute including this one. *)
 
 val spi_count : t -> int
 

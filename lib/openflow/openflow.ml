@@ -73,6 +73,13 @@ let compile switch segments =
     List.concat_map
       (fun (spi, entry_si, kinds) ->
         check_placeable switch kinds;
+        (* The vid is the steering key: a masked or capped SPI/SI would
+           alias another hop's. *)
+        let open Lemur_nsh.Nsh.Vlan in
+        if spi > max_spi || entry_si > max_si then
+          unplaceable
+            "service path %d at SI %d does not fit the VLAN vid (SPI <= %d, SI <= %d)" spi
+            entry_si max_spi max_si;
         steering_rules ~spi ~entry_si kinds)
       segments
   in

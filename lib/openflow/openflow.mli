@@ -44,7 +44,9 @@ val compile :
   program
 (** [compile switch segments] with [segments = (spi, entry_si, kinds)]:
     checks placeability of each segment and emits all rules.
-    @raise Unplaceable. *)
+    @raise Unplaceable, also when a segment's SPI or entry SI does not
+    fit the vid ({!Lemur_nsh.Nsh.Vlan.max_spi},
+    {!Lemur_nsh.Nsh.Vlan.max_si}). *)
 
 val rule_count : program -> int
 val pp_rule : Format.formatter -> rule -> unit

@@ -82,35 +82,27 @@ let table ~nf_id name match_fields action entries_hint =
     entries_hint;
   }
 
-let tables ~nf_id ?entries_hint kind =
+let tables ~nf_id kind =
   require_support kind;
-  let hint default = Option.value entries_hint ~default in
   match kind with
   | Kind.Acl ->
-      [
-        table ~nf_id "acl" [ "ipv4.src_addr"; "ipv4.dst_addr" ] "permit_or_drop"
-          (hint 1024);
-      ]
+      [ table ~nf_id "acl" [ "ipv4.src_addr"; "ipv4.dst_addr" ] "permit_or_drop" 1024 ]
   | Kind.Nat ->
       [
         table ~nf_id "nat_translate"
           [ "ipv4.src_addr"; "ipv4.dst_addr"; "tcp.src_port"; "tcp.dst_port" ]
-          "rewrite_addr_port" (hint 12000);
-        table ~nf_id "nat_state" [ "meta.nat_index" ] "update_port_state"
-          (hint 12000);
+          "rewrite_addr_port" 12000;
+        table ~nf_id "nat_state" [ "meta.nat_index" ] "update_port_state" 12000;
       ]
   | Kind.Lb ->
-      [
-        table ~nf_id "lb_select" [ "ipv4.dst_addr"; "tcp.dst_port" ]
-          "pick_backend" (hint 64);
-      ]
+      [ table ~nf_id "lb_select" [ "ipv4.dst_addr"; "tcp.dst_port" ] "pick_backend" 64 ]
   | Kind.Bpf ->
-      [ table ~nf_id "bpf_match" [ "ipv4.protocol"; "tcp.dst_port" ] "classify" (hint 32) ]
+      [ table ~nf_id "bpf_match" [ "ipv4.protocol"; "tcp.dst_port" ] "classify" 32 ]
   | Kind.Tunnel ->
-      [ table ~nf_id "vlan_push" [ "meta.traffic_class" ] "push_vlan" (hint 16) ]
-  | Kind.Detunnel -> [ table ~nf_id "vlan_pop" [ "vlan.vid" ] "pop_vlan" (hint 16) ]
+      [ table ~nf_id "vlan_push" [ "meta.traffic_class" ] "push_vlan" 16 ]
+  | Kind.Detunnel -> [ table ~nf_id "vlan_pop" [ "vlan.vid" ] "pop_vlan" 16 ]
   | Kind.Ipv4_fwd ->
-      [ table ~nf_id "ipv4_lpm" [ "ipv4.dst_addr" ] "set_egress_port" (hint 512) ]
+      [ table ~nf_id "ipv4_lpm" [ "ipv4.dst_addr" ] "set_egress_port" 512 ]
   | Kind.Encrypt | Kind.Decrypt | Kind.Fast_encrypt | Kind.Dedup | Kind.Limiter
   | Kind.Url_filter | Kind.Monitor ->
       assert false

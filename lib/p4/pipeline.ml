@@ -1,7 +1,6 @@
 type nf_node = {
   nf_id : string;
   kind : Lemur_nf.Kind.t;
-  entries_hint : int option;
 }
 
 type chain_projection = {
@@ -65,10 +64,7 @@ let table_graph ~mode projections =
       (* Per-NF tables with intra-NF sequential dependencies. *)
       List.iter
         (fun node ->
-          let tables =
-            P4nf.tables ~nf_id:node.nf_id ?entries_hint:node.entries_hint
-              node.kind
-          in
+          let tables = P4nf.tables ~nf_id:node.nf_id node.kind in
           List.iter (Tablegraph.add_table g) tables;
           match List.map (fun t -> t.Tablegraph.table_name) tables with
           | [] -> ()

@@ -21,7 +21,6 @@
 type nf_node = {
   nf_id : string;  (** unique across all chains *)
   kind : Lemur_nf.Kind.t;
-  entries_hint : int option;
 }
 
 type chain_projection = {

@@ -428,7 +428,6 @@ let switch_projection plan =
             {
               Lemur_p4.Pipeline.nf_id = nf_id n.Graph.id;
               kind = n.Graph.instance.Instance.kind;
-              entries_hint = Instance.state_size n.Graph.instance;
             }
         else None)
       (Graph.nodes graph)

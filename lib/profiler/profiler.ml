@@ -12,9 +12,11 @@ module Worst_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Profiling runs per NF, as in Table 4. *)
+let runs = 500
+
 type t = {
   seed : int;
-  runs : int;
   error : float;
   uniform_cycles : float option;
   lock : Mutex.t;
@@ -23,12 +25,10 @@ type t = {
   worst : float Worst_tbl.t;
 }
 
-let create ?(seed = 0xC0FFEE) ?(runs = 500) ?(error = 0.0)
-    ?(uniform_cycles = None) () =
+let create ?(seed = 0xC0FFEE) ?(error = 0.0) ?(uniform_cycles = None) () =
   if error < 0.0 || error >= 1.0 then invalid_arg "Profiler.create: error";
   {
     seed;
-    runs;
     error;
     uniform_cycles;
     lock = Mutex.create ();
@@ -37,14 +37,12 @@ let create ?(seed = 0xC0FFEE) ?(runs = 500) ?(error = 0.0)
     worst = Worst_tbl.create 64;
   }
 
-let runs t = t.runs
-
 (* Everything [cycles]/[samples] ever returns is a pure function of
-   these four fields (the caches are derived state, rebuilt on demand),
-   so this string is a sound memoization key for any value computed
-   through this registry. [%h] prints floats exactly. *)
+   these three fields and [runs] (the caches are derived state, rebuilt
+   on demand), so this string is a sound memoization key for any value
+   computed through this registry. [%h] prints floats exactly. *)
 let signature t =
-  Printf.sprintf "%d/%d/%h/%s" t.seed t.runs t.error
+  Printf.sprintf "%d/%d/%h/%s" t.seed runs t.error
     (match t.uniform_cycles with
     | None -> "-"
     | Some c -> Printf.sprintf "%h" c)
@@ -110,7 +108,7 @@ let samples t kind numa ?size mode =
             + size)
       in
       let sigma = (cost.Datasheet.max -. cost.Datasheet.min) /. 5.0 in
-      List.init t.runs (fun _ ->
+      List.init runs (fun _ ->
           Prng.truncated_gaussian prng ~mu:cost.Datasheet.mean ~sigma
             ~lo:cost.Datasheet.min ~hi:cost.Datasheet.max))
 

@@ -19,17 +19,14 @@ type traffic_mode =
 
 type t
 
-val create :
-  ?seed:int -> ?runs:int -> ?error:float -> ?uniform_cycles:float option -> unit -> t
-(** [runs] defaults to 500 (as in Table 4); [error] in \[0,1) shrinks
+val create : ?seed:int -> ?error:float -> ?uniform_cycles:float option -> unit -> t
+(** Each NF is profiled over 500 runs (as in Table 4). [error] in \[0,1) shrinks
     estimates ([0.05] = 5 % under-estimation); [uniform_cycles] (default
     [None]) enables the No-Profiling ablation. *)
 
-val runs : t -> int
-
 val signature : t -> string
-(** A canonical string over the registry's defining knobs (seed, runs,
-    error, uniform_cycles). Two registries with equal signatures return
+(** A canonical string over the registry's defining knobs (seed, error,
+    uniform_cycles; it also names the run count). Two registries with equal signatures return
     equal costs for every query — the sample cache is derived state —
     so the signature can stand in for the registry in structural
     memoization keys (see [Lemur_placer.Memo]). *)

@@ -35,12 +35,12 @@ let make ?(spines = 2) racks =
   { spines; racks = sorted }
 
 let synthetic ?(racks = 4) ?(servers_per_rack = 6) ?(cores_per_socket = 8)
-    ?(spines = 2) ?(uplink_gbps = 100.0) ?(smartnic_every = 4) () =
+    ?(spines = 2) ?(uplink_gbps = 100.0) () =
   if racks <= 0 then invalid "fabric: %d racks" racks;
   let uplink = float_of_int spines *. uplink_gbps *. 1e9 in
   make ~spines
     (List.init racks (fun i ->
-         let smartnic = smartnic_every > 0 && i mod smartnic_every = 0 in
+         let smartnic = i mod 4 = 0 in
          {
            rack_name = Printf.sprintf "rack%02d" i;
            rack =
@@ -160,8 +160,8 @@ let templates =
     "BPF -> ACL -> NAT";
   |]
 
-let synthetic_tenants ?(seed = 1) ?(tenants = 8) ?(chains = 64)
-    ?(subscribers_per_tenant = 250_000) t =
+let synthetic_tenants ?(seed = 1) ?(tenants = 8) ?(chains = 64) t =
+  let subscribers_per_tenant = 250_000 in
   if tenants <= 0 then invalid "synthetic_tenants: %d tenants" tenants;
   if chains < tenants then
     invalid "synthetic_tenants: %d chains for %d tenants" chains tenants;

@@ -43,7 +43,6 @@ val synthetic :
   ?cores_per_socket:int ->
   ?spines:int ->
   ?uplink_gbps:float ->
-  ?smartnic_every:int ->
   unit ->
   t
 (** A uniform fabric for experiments: [racks] (default 4) racks named
@@ -52,7 +51,7 @@ val synthetic :
     (default 8) cores, and [spines] (default 2) uplinks of
     [uplink_gbps] (default 100) per direction each — so each rack's
     aggregate uplink is [spines x uplink_gbps] per direction. Every
-    [smartnic_every]-th rack (default 4; 0 disables) gets a SmartNIC,
+    fourth rack, from [rack00] on, gets a SmartNIC,
     mirroring the heterogeneous pods of a real deployment. *)
 
 val num_racks : t -> int
@@ -137,15 +136,15 @@ val synthetic_tenants :
   ?seed:int ->
   ?tenants:int ->
   ?chains:int ->
-  ?subscribers_per_tenant:int ->
   t ->
   tenant list
 (** A deterministic tenant population for benchmarks: [tenants]
     (default 8) tenants drawing from a small pool of short all-software
     chain templates, homed round-robin across the fabric's racks (every
     third tenant pinned), with [chains] (default 64) instances spread
-    across tenants and per-subscriber rates sized so that the fabric's
-    compute pool is loaded but not hopeless. Same [seed] (default 1),
+    across tenants, 250 000 subscribers per tenant, and per-subscriber
+    rates sized so that the fabric's compute pool is loaded but not
+    hopeless. Same [seed] (default 1),
     fabric shape and counts give byte-identical tenants. *)
 
 val pp : Format.formatter -> t -> unit

@@ -21,20 +21,8 @@ let test_spi_assignment () =
   let spi = Spi.assign plans in
   (* chain1 has 3 service paths, chains 2 and 4 have 3 each, chain3 one *)
   Alcotest.(check int) "10 service paths" 10 (Spi.spi_count spi);
-  let all = Spi.paths spi in
-  let spis = List.map (fun pth -> pth.Spi.spi) all in
-  Alcotest.(check int) "spis unique" (List.length spis)
-    (List.length (Lemur_util.Listx.uniq ( = ) spis));
-  (* SI counts down along the path *)
-  List.iter
-    (fun pth ->
-      let len = List.length pth.Spi.nodes in
-      List.iteri
-        (fun i node ->
-          Alcotest.(check (option int)) "si position" (Some (len - i))
-            (Spi.si_of spi ~spi:pth.Spi.spi node))
-        pth.Spi.nodes)
-    all
+  let spis = List.map (fun pth -> pth.Spi.spi) (Spi.paths spi) in
+  Alcotest.(check (list int)) "spis dense from 1" (List.init 10 succ) spis
 
 let test_p4_program_structure () =
   let c = config () in
@@ -193,15 +181,18 @@ let path1_entry at l =
 
 let classify_line l = if contains l "/* entry */ classify" then Some () else None
 
-(* The fig2a program at [delta], corrupted one way at a time: the
-   routing check and the oracle must both reject every corruption. *)
-let check_routing_corruptions delta =
+(* The program for chain set [set] at [delta], corrupted one way at a time:
+   the routing check and the oracle must both reject every corruption. *)
+let check_routing_corruptions (set, delta) =
   let c = config () in
-  let p = place_chains ~delta c in
+  let p = place_chains ~delta ~set c in
+  let where =
+    Printf.sprintf "{%s} δ=%g" (String.concat "," (List.map string_of_int set)) delta
+  in
   let art = Codegen.compile c p in
   (match Routing_check.verify p art with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "δ=%g: routing check failed: %s" delta e);
+  | Error e -> Alcotest.failf "%s: routing check failed: %s" where e);
   let prog =
     match art.Codegen.p4 with None -> Alcotest.fail "expected p4" | Some prog -> prog
   in
@@ -235,20 +226,22 @@ let check_routing_corruptions delta =
   List.iter
     (fun (name, source') ->
       match source' with
-      | None -> Alcotest.failf "δ=%g %s: no line to corrupt" delta name
+      | None -> Alcotest.failf "%s %s: no line to corrupt" where name
       | Some source' -> (
           if String.equal source' src then
-            Alcotest.failf "δ=%g %s: source unchanged" delta name;
+            Alcotest.failf "%s %s: source unchanged" where name;
           let art' = { art with Codegen.p4 = Some { prog with P4gen.source = source' } } in
           (match Routing_check.verify p art' with
           | Error _ -> ()
-          | Ok () -> Alcotest.failf "δ=%g %s must fail the routing check" delta name);
+          | Ok () -> Alcotest.failf "%s %s must fail the routing check" where name);
           match Lemur_check.Oracle.check ~artifact:art' c p with
           | Error _ -> ()
-          | Ok () -> Alcotest.failf "δ=%g %s must fail the oracle" delta name))
+          | Ok () -> Alcotest.failf "%s %s must fail the oracle" where name))
     corruptions
 
-let test_routing_check () = List.iter check_routing_corruptions [ 0.5; 1.0 ]
+let test_routing_check () =
+  List.iter check_routing_corruptions
+    [ ([ 1; 2; 3; 4 ], 0.5); ([ 1; 2; 3; 4 ], 1.0); ([ 1; 2; 3 ], 0.5) ]
 
 let reference_classifications source =
   List.filter_map
@@ -393,62 +386,67 @@ let parser_qcheck =
     (QCheck.int_bound 1_000_000)
     (fun seed -> parsers_agree (mutated_source seed))
 
-(* Execute the semantic pipeline model: one Mae.run per switch
-   traversal; port 0 recirculates, 1 = server bounce, 9 = egress. *)
-let traverse semantic env =
-  let rec go env bounces visits steps =
-    if steps > 64 then `Stuck
+(* The generated text, not a model of it: an ACL's spec rules become
+   [/* rule */] lines in spec order, and the parsed steering table walks
+   the chain's one path through exactly one server hop (Encrypt). *)
+(* The ports a packet classified by [cl] visits, one per NF hop, walking
+   the parsed steering table until the egress entry (SI = 0). *)
+let walk_steering t (cl : Routing_check.classification) =
+  let rec go spi si ports steps =
+    if steps > 64 then Alcotest.fail "steering loop"
     else
-      let env = Lemur_p4.Mae.run env semantic in
-      if Lemur_p4.Mae.dropped env then `Dropped
-      else
-        match Lemur_p4.Mae.get env "meta.egress" with
-        | 9 -> `Egress (bounces, List.rev visits)
-        | 0 -> go env bounces (`Sw :: visits) (steps + 1)
-        | p ->
-            go
-              (Lemur_p4.Mae.set env "meta.from_server" 1)
-              (bounces + 1)
-              (`Bounce p :: visits) (steps + 1)
+      match Routing_check.find t ~spi ~si with
+      | None -> Alcotest.failf "no entry for (spi=%d, si=%d)" spi si
+      | Some e when e.e_si = 0 -> List.rev ports
+      | Some e -> go e.next_spi e.next_si (e.port :: ports) (steps + 1)
   in
-  go env 0 [] 0
+  go cl.to_spi cl.to_si [] 0
 
-let test_semantic_pipeline_execution () =
-  let c = config () in
+let test_acl_rules_in_p4 () =
   let spec_text =
     "chain web slo(tmin='1Gbps') = ACL(rules=[{'dst_ip': '10.0.0.0/8', \
      'drop': False}, {'dst_ip': '0.0.0.0/0', 'drop': True}]) -> Encrypt -> IPv4Fwd"
   in
-  ignore c;
   match Lemur.Deployment.of_spec spec_text with
   | Error e -> Alcotest.failf "deploy failed: %s" e
   | Ok d -> (
       match d.Lemur.Deployment.artifact.Codegen.p4 with
       | None -> Alcotest.fail "expected p4"
-      | Some prog -> (
-          let semantic = prog.P4gen.semantic in
-          (* a packet to 10.x survives the ACL and bounces once (Encrypt
-             on the server) before egress *)
-          let fresh dst =
-            [
-              ("pkt.aggregate", 0); ("pkt.path_choice", 0);
-              ("ipv4.dst_addr", dst);
-            ]
+      | Some prog ->
+          let src = prog.P4gen.source in
+          let rules =
+            List.filter_map
+              (fun line ->
+                match
+                  Scanf.sscanf (String.trim line) "/* rule */ add %s entry %d: dst %s -> %s@;"
+                    (fun table i dst action -> (table, i, dst, action))
+                with
+                | (table, i, dst, action) ->
+                    let nf = Filename.chop_suffix table "_acl" in
+                    let verdict =
+                      if String.equal action (nf ^ "_permit") then "permit"
+                      else if String.equal action (nf ^ "_deny") then "deny"
+                      else Alcotest.failf "rule %d: action %s is not %s's" i action table
+                    in
+                    Some (i, dst, verdict)
+                | exception Scanf.Scan_failure _ | exception End_of_file -> None)
+              (String.split_on_char '\n' src)
           in
-          (match traverse semantic (fresh 0x0A000001) with
-          | `Egress (bounces, _) ->
-              Alcotest.(check int) "one server bounce" 1 bounces
-          | `Dropped -> Alcotest.fail "permitted packet dropped"
-          | `Stuck -> Alcotest.fail "routing loop");
-          (* any other destination hits the drop rule *)
-          match traverse semantic (fresh 0xC0A80001) with
-          | `Dropped -> ()
-          | `Egress _ -> Alcotest.fail "packet to non-10.x must be dropped"
-          | `Stuck -> Alcotest.fail "routing loop"))
+          Alcotest.(check (list (triple int string string)))
+            "rule lines" [ (0, "10.0.0.0/8", "permit"); (1, "0.0.0.0/0", "deny") ] rules;
+          let t = Routing_check.parse src in
+          match Routing_check.classifications t with
+          | [ cl ] ->
+              Alcotest.(check string) "classified chain" "web" cl.chain_id;
+              let hops = walk_steering t cl in
+              Alcotest.(check int) "one hop per NF" 3 (List.length hops);
+              Alcotest.(check int) "one server hop" 1
+                (List.length (List.filter (String.equal "server_port") hops))
+          | cls -> Alcotest.failf "expected one classification, got %d" (List.length cls))
 
 let test_semantic_pipeline_canonical_chains () =
-  (* every service path of chains {1,2,3} executes to egress with the
-     expected number of server bounces *)
+  (* every service path of chains {1,2,3} is classified once and its
+     emitted steering entries walk to egress through one hop per NF *)
   let c = config () in
   let inputs = Lemur.Chains.inputs_for_delta c ~delta:0.5 [ 1; 2; 3 ] in
   match Lemur.Deployment.deploy c inputs with
@@ -457,33 +455,29 @@ let test_semantic_pipeline_canonical_chains () =
       match d.Lemur.Deployment.artifact.Codegen.p4 with
       | None -> Alcotest.fail "expected p4"
       | Some prog ->
-          let semantic = prog.P4gen.semantic in
-          List.iteri
-            (fun chain_index report ->
+          let t = Routing_check.parse prog.P4gen.source in
+          List.iter
+            (fun report ->
               let chain_id = report.Strategy.plan.Plan.input.Plan.id in
               let paths =
                 Spi.paths_of_chain d.Lemur.Deployment.artifact.Codegen.spi chain_id
               in
               List.iteri
                 (fun path_index path ->
-                  let env =
-                    [
-                      ("pkt.aggregate", chain_index);
-                      ("pkt.path_choice", path_index);
-                      ("ipv4.dst_addr", 0x0A000001);
-                    ]
-                  in
-                  match traverse semantic env with
-                  | `Egress (_, visits) ->
-                      (* one classification pass + one steering pass per NF *)
+                  match
+                    List.filter
+                      (fun (cl : Routing_check.classification) ->
+                        String.equal cl.chain_id chain_id && cl.to_spi = path.Spi.spi)
+                      (Routing_check.classifications t)
+                  with
+                  | [ cl ] ->
                       Alcotest.(check int)
-                        (Printf.sprintf "%s path %d visits every hop" chain_id
-                           path_index)
-                        (List.length path.Spi.nodes + 1)
-                        (List.length visits)
-                  | `Dropped ->
-                      Alcotest.failf "%s path %d dropped" chain_id path_index
-                  | `Stuck -> Alcotest.failf "%s path %d loops" chain_id path_index)
+                        (Printf.sprintf "%s path %d visits every hop" chain_id path_index)
+                        (List.length path.Spi.nodes)
+                        (List.length (walk_steering t cl))
+                  | cls ->
+                      Alcotest.failf "%s path %d: %d classifications" chain_id path_index
+                        (List.length cls))
                 paths)
             d.Lemur.Deployment.placement.Strategy.chain_reports)
 
@@ -506,6 +500,41 @@ let test_metron_codegen () =
       Alcotest.(check bool) "no HashLB generated" false
         (contains b.Bessgen.script "HashLB")
 
+(* Each OpenFlow rule steers on the vid of the hop it implements: the
+   node's own (SPI, SI), with SI its distance from the end of its path. *)
+let check_openflow_vids (p : Strategy.placement) (art : Codegen.artifact) =
+  let expected =
+    List.concat_map
+      (fun (path : Spi.path_info) ->
+        let plan =
+          (List.find
+             (fun r -> String.equal r.Strategy.plan.Plan.input.Plan.id path.chain_id)
+             p.chain_reports)
+            .Strategy.plan
+        in
+        let len = List.length path.nodes in
+        List.concat
+          (List.mapi
+             (fun i id ->
+               if plan.Plan.locs.(id) = Plan.Ofswitch then [ (path.spi, len - i) ] else [])
+             path.nodes))
+      (Spi.paths art.spi)
+  in
+  let decoded =
+    match art.openflow with
+    | None -> []
+    | Some prog ->
+        List.map
+          (fun (r : Lemur_openflow.Openflow.rule) ->
+            match r.match_vid with
+            | Some vid ->
+                let h = Lemur_nsh.Nsh.Vlan.decode vid in
+                (h.Lemur_nsh.Nsh.spi, h.Lemur_nsh.Nsh.si)
+            | None -> Alcotest.fail "steering rule without a vid")
+          prog.Lemur_openflow.Openflow.rules
+  in
+  Alcotest.(check (list (pair int int))) "rule vids decode to their hops" expected decoded
+
 let test_openflow_artifacts () =
   let topo = Lemur_topology.Topology.no_pisa_testbed ~ofswitch:true () in
   let c = Plan.default_config topo in
@@ -525,14 +554,56 @@ let test_openflow_artifacts () =
             Array.exists (fun l -> l = Plan.Ofswitch) r.Strategy.plan.Plan.locs)
           p.Strategy.chain_reports
       in
-      if has_of then begin
-        let art = Codegen.compile c p in
-        match art.Codegen.openflow with
-        | Some prog ->
-            Alcotest.(check bool) "rules emitted" true
-              (Lemur_openflow.Openflow.rule_count prog > 0)
-        | None -> Alcotest.fail "expected OpenFlow rules"
-      end
+      Alcotest.(check bool) "NFs on the OpenFlow switch" true has_of;
+      let art = Codegen.compile c p in
+      match art.Codegen.openflow with
+      | Some prog ->
+          Alcotest.(check bool) "rules emitted" true
+            (Lemur_openflow.Openflow.rule_count prog > 0);
+          check_openflow_vids p art
+      | None -> Alcotest.fail "expected OpenFlow rules"
+
+(* Deploys [chains] (spec text, one service path each) on the OpenFlow
+   rack, where a leading ACL lands on the switch. *)
+let deploy_of_chains chains =
+  let c = Plan.default_config (Lemur_topology.Topology.no_pisa_testbed ~ofswitch:true ()) in
+  Lemur.Deployment.deploy c
+    (List.mapi
+       (fun k chain ->
+         let id = Printf.sprintf "a%d" k in
+         {
+           Plan.id;
+           graph = Lemur_spec.Loader.chain_of_string ~name:id chain;
+           slo = Lemur_slo.Slo.best_effort;
+         })
+       chains)
+
+(* The vid is the OpenFlow steering key, so no two hops may share one.
+   It packs an 8-bit SPI and a 4-bit SI: a path past SPI 255, or an
+   OpenFlow hop past SI 15, has no vid of its own (masking or capping it
+   would alias another hop's), so the deployment is refused. *)
+let test_openflow_vid_aliasing () =
+  let refused name chains =
+    match deploy_of_chains chains with
+    | Ok _ -> Alcotest.failf "%s: vids alias, deployment must be refused" name
+    | Error e ->
+        Alcotest.(check bool) (name ^ ": " ^ e) true (String.starts_with ~prefix:"OpenFlow: " e)
+  in
+  (match deploy_of_chains (List.init Lemur_nsh.Nsh.Vlan.max_spi (fun _ -> "ACL")) with
+  | Error e -> Alcotest.failf "255 paths must deploy: %s" e
+  | Ok d -> check_openflow_vids d.Lemur.Deployment.placement d.Lemur.Deployment.artifact);
+  (* ACL and Monitor on the switch around a server hop: two runs, each
+     steered on its own SI. *)
+  (match deploy_of_chains [ "ACL -> Dedup -> Monitor" ] with
+  | Error e -> Alcotest.failf "split OpenFlow path must deploy: %s" e
+  | Ok d ->
+      let p = d.Lemur.Deployment.placement in
+      Alcotest.(check bool) "placed switch, server, switch" true
+        (List.map (fun r -> r.Strategy.plan.Plan.locs) p.chain_reports
+        = [ [| Plan.Ofswitch; Plan.Server; Plan.Ofswitch |] ]);
+      check_openflow_vids p d.Lemur.Deployment.artifact);
+  refused "300 paths" (List.init 300 (fun _ -> "ACL"));
+  refused "ACL at SI 17" [ String.concat " -> " ("ACL" :: List.init 16 (fun _ -> "Dedup")) ]
 
 (* The artifact sweep: the Fig 2 sweep on the testbed, a two-server
    SmartNIC + OpenFlow rack and a two-server Metron rack. [f] gets each
@@ -642,10 +713,12 @@ let suite =
     Alcotest.test_case "eBPF artifacts" `Quick test_ebpf_artifacts;
     Alcotest.test_case "routing check" `Quick test_routing_check;
     Alcotest.test_case "steering parser edge cases" `Quick test_parser_cases;
-    Alcotest.test_case "semantic pipeline execution" `Quick test_semantic_pipeline_execution;
-    Alcotest.test_case "semantic pipeline: canonical chains" `Quick test_semantic_pipeline_canonical_chains;
+    Alcotest.test_case "ACL rules in the emitted P4" `Quick test_acl_rules_in_p4;
+    Alcotest.test_case "semantic pipeline: canonical chains" `Quick
+      test_semantic_pipeline_canonical_chains;
     Alcotest.test_case "metron codegen" `Quick test_metron_codegen;
     Alcotest.test_case "OpenFlow artifacts" `Quick test_openflow_artifacts;
+    Alcotest.test_case "OpenFlow vid aliasing" `Quick test_openflow_vid_aliasing;
     Alcotest.test_case "artifact digest" `Quick test_artifact_digest;
     Alcotest.test_case "structure digest" `Quick test_structure_digest;
     QCheck_alcotest.to_alcotest ~long:false parser_qcheck;

@@ -110,10 +110,10 @@ let test_stagepack_capacity () =
 let extreme_projection () =
   let nats =
     List.init 10 (fun i ->
-        { Pipeline.nf_id = Printf.sprintf "c0_NAT%d" i; kind = Kind.Nat; entries_hint = None })
+        { Pipeline.nf_id = Printf.sprintf "c0_NAT%d" i; kind = Kind.Nat })
   in
-  let bpf = { Pipeline.nf_id = "c0_BPF"; kind = Kind.Bpf; entries_hint = None } in
-  let fwd = { Pipeline.nf_id = "c0_Fwd"; kind = Kind.Ipv4_fwd; entries_hint = None } in
+  let bpf = { Pipeline.nf_id = "c0_BPF"; kind = Kind.Bpf } in
+  let fwd = { Pipeline.nf_id = "c0_Fwd"; kind = Kind.Ipv4_fwd } in
   {
     Pipeline.chain_id = "c0";
     nf_nodes = (bpf :: nats) @ [ fwd ];
@@ -144,7 +144,7 @@ let test_optimization_a_no_nsh_for_switch_only () =
   let proj =
     {
       Pipeline.chain_id = "c1";
-      nf_nodes = [ { Pipeline.nf_id = "c1_ACL"; kind = Kind.Acl; entries_hint = None } ];
+      nf_nodes = [ { Pipeline.nf_id = "c1_ACL"; kind = Kind.Acl } ];
       nf_edges = [];
       entry_nfs = [ "c1_ACL" ];
       crosses_platform = false;
@@ -159,7 +159,7 @@ let test_optimization_a_no_nsh_for_switch_only () =
 let test_parallel_arms_pack_together () =
   (* Two parallel arms after a split must share stages (optimization d):
      with capacity 4, ACL arms in parallel use the same stage. *)
-  let node id kind = { Pipeline.nf_id = id; kind; entries_hint = None } in
+  let node id kind = { Pipeline.nf_id = id; kind } in
   let proj =
     {
       Pipeline.chain_id = "c2";
@@ -278,47 +278,6 @@ let test_merged_parser_accepts_both () =
     (names (Parse_exec.run merged vlan_packet));
   Alcotest.(check (list string)) "plain path" [ "ethernet"; "ipv4"; "tcp" ]
     (names (Parse_exec.run merged plain_packet))
-
-(* ------------------------------------------------------------------ *)
-(* Match/action engine                                                  *)
-
-let test_mae_matching () =
-  let open Mae in
-  let entry_exact =
-    { priority = 10; matchers = [ { field = "x"; kind = `Exact 5 } ]; ops = [ Set ("hit", 1) ] }
-  in
-  let entry_tern =
-    {
-      priority = 5;
-      matchers = [ { field = "ip"; kind = `Ternary (0x0A000000, 0xFF000000) } ];
-      ops = [ Set ("hit", 2) ];
-    }
-  in
-  let table =
-    { t_name = "t"; entries = [ entry_exact; entry_tern ]; default = [ Set ("hit", 9) ] }
-  in
-  Alcotest.(check int) "exact wins on priority" 1
-    (Mae.get (Mae.apply_table [ ("x", 5); ("ip", 0x0A000001) ] table) "hit");
-  Alcotest.(check int) "ternary matches prefix" 2
-    (Mae.get (Mae.apply_table [ ("x", 0); ("ip", 0x0A123456) ] table) "hit");
-  Alcotest.(check int) "miss runs default" 9
-    (Mae.get (Mae.apply_table [ ("x", 0); ("ip", 0x0B000000) ] table) "hit")
-
-let test_mae_ops () =
-  let open Mae in
-  let env = apply_op (apply_op [ ("a", 3) ] (Copy { dst = "b"; src = "a" })) (Add ("b", 4)) in
-  Alcotest.(check int) "copy+add" 7 (Mae.get env "b");
-  let env = apply_op env Drop in
-  Alcotest.(check bool) "drop sets flag" true (Mae.dropped env)
-
-let test_mae_run_drop_guard () =
-  let open Mae in
-  let dropper =
-    { t_name = "d"; entries = []; default = [ Drop ] }
-  in
-  let setter = { t_name = "s"; entries = []; default = [ Set ("seen", 1) ] } in
-  let env = Mae.run [] [ dropper; setter ] in
-  Alcotest.(check int) "later tables skipped after drop" 0 (Mae.get env "seen")
 
 (* The O(V·E) list scheduler [Stagepack.pack] replaced, kept as the
    reference the linear packer must match: each round rescans the whole
@@ -495,8 +454,5 @@ let suite =
     Alcotest.test_case "parse exec: unknown ethertype" `Quick test_parse_exec_unknown_ethertype_stops;
     Alcotest.test_case "parse exec: truncated packet" `Quick test_parse_exec_truncated_rejected;
     Alcotest.test_case "merged parser accepts both" `Quick test_merged_parser_accepts_both;
-    Alcotest.test_case "mae matching" `Quick test_mae_matching;
-    Alcotest.test_case "mae ops" `Quick test_mae_ops;
-    Alcotest.test_case "mae drop guard" `Quick test_mae_run_drop_guard;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
