@@ -73,36 +73,35 @@ let nsh_parse_tree =
       };
     ]
 
-let table ~nf_id name match_fields action entries_hint =
+let table ~nf_id name match_fields action =
   {
     Tablegraph.table_name = Printf.sprintf "%s_%s" nf_id name;
     owner = nf_id;
     match_fields;
     action;
-    entries_hint;
   }
 
 let tables ~nf_id kind =
   require_support kind;
   match kind with
   | Kind.Acl ->
-      [ table ~nf_id "acl" [ "ipv4.src_addr"; "ipv4.dst_addr" ] "permit_or_drop" 1024 ]
+      [ table ~nf_id "acl" [ "ipv4.src_addr"; "ipv4.dst_addr" ] "permit_or_drop" ]
   | Kind.Nat ->
       [
         table ~nf_id "nat_translate"
           [ "ipv4.src_addr"; "ipv4.dst_addr"; "tcp.src_port"; "tcp.dst_port" ]
-          "rewrite_addr_port" 12000;
-        table ~nf_id "nat_state" [ "meta.nat_index" ] "update_port_state" 12000;
+          "rewrite_addr_port";
+        table ~nf_id "nat_state" [ "meta.nat_index" ] "update_port_state";
       ]
   | Kind.Lb ->
-      [ table ~nf_id "lb_select" [ "ipv4.dst_addr"; "tcp.dst_port" ] "pick_backend" 64 ]
+      [ table ~nf_id "lb_select" [ "ipv4.dst_addr"; "tcp.dst_port" ] "pick_backend" ]
   | Kind.Bpf ->
-      [ table ~nf_id "bpf_match" [ "ipv4.protocol"; "tcp.dst_port" ] "classify" 32 ]
+      [ table ~nf_id "bpf_match" [ "ipv4.protocol"; "tcp.dst_port" ] "classify" ]
   | Kind.Tunnel ->
-      [ table ~nf_id "vlan_push" [ "meta.traffic_class" ] "push_vlan" 16 ]
-  | Kind.Detunnel -> [ table ~nf_id "vlan_pop" [ "vlan.vid" ] "pop_vlan" 16 ]
+      [ table ~nf_id "vlan_push" [ "meta.traffic_class" ] "push_vlan" ]
+  | Kind.Detunnel -> [ table ~nf_id "vlan_pop" [ "vlan.vid" ] "pop_vlan" ]
   | Kind.Ipv4_fwd ->
-      [ table ~nf_id "ipv4_lpm" [ "ipv4.dst_addr" ] "set_egress_port" 512 ]
+      [ table ~nf_id "ipv4_lpm" [ "ipv4.dst_addr" ] "set_egress_port" ]
   | Kind.Encrypt | Kind.Decrypt | Kind.Fast_encrypt | Kind.Dedup | Kind.Limiter
   | Kind.Url_filter | Kind.Monitor ->
       assert false

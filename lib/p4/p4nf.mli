@@ -17,7 +17,6 @@ val nsh_parse_tree : Parsetree.t
     whenever a chain crosses platforms. *)
 
 val tables : nf_id:string -> Lemur_nf.Kind.t -> Tablegraph.table list
-(** The NF's tables, name-mangled with [nf_id], each with the library's
-    default size as its [entries_hint] (tables are returned in
+(** The NF's tables, name-mangled with [nf_id] (tables are returned in
     execution order; the caller adds the sequential dependencies).
     @raise Invalid_argument when not {!supports}. *)

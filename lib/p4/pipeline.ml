@@ -21,7 +21,6 @@ let infra_table name action =
     owner = "infra";
     match_fields = [ "nsh.spi"; "nsh.si" ];
     action;
-    entries_hint = 64;
   }
 
 let table_graph ~mode projections =

@@ -3,7 +3,6 @@ type table = {
   owner : string;
   match_fields : string list;
   action : string;
-  entries_hint : int;
 }
 
 (* Per-table adjacency, each list newest edge first — the order a filter

@@ -13,7 +13,6 @@ type table = {
   owner : string;  (** owning NF instance or "steering"/"nsh" etc. *)
   match_fields : string list;
   action : string;
-  entries_hint : int;  (** expected number of entries (memory model) *)
 }
 
 type t

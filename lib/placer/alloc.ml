@@ -40,12 +40,17 @@ let take ledger name n =
   assert (free >= n);
   Hashtbl.replace ledger name (free - n)
 
-let server_of_sg a sg_index =
-  let sg = List.nth a.plan.Plan.subgroups sg_index in
-  List.assoc sg.Plan.sg_segment a.seg_server
+(* A chain under allocation, with its subgroups and the server each one
+   is pinned to as arrays aligned with [sg_cores]. *)
+type chain = { a : chain_alloc; sgs : Plan.subgroup array; servers : string array }
+
+let chain_of a =
+  let sgs = Array.of_list a.plan.Plan.subgroups in
+  let servers = Array.map (fun sg -> List.assoc sg.Plan.sg_segment a.seg_server) sgs in
+  { a; sgs; servers }
 
 (* The subgroup currently limiting the chain's capacity. *)
-let binding_subgroup config a =
+let binding_subgroup config c =
   let clock =
     match config.Plan.topology.Topology.servers with
     | s :: _ -> s.Lemur_platform.Server.clock_hz
@@ -59,37 +64,36 @@ let binding_subgroup config a =
           let rate =
             Lemur_bess.Cost.subgroup_rate
               ~core_tagging:config.Plan.metron_steering ~clock_hz:clock
-              ~cores:a.sg_cores.(i) ~pkt_bytes:config.Plan.pkt_bytes
+              ~cores:c.a.sg_cores.(i) ~pkt_bytes:config.Plan.pkt_bytes
               ~nf_cycles:[ sg.Plan.sg_cycles ] ()
           in
           (i, rate /. sg.Plan.sg_fraction))
-      a.plan.Plan.subgroups
+      c.a.plan.Plan.subgroups
   in
   Lemur_util.Listx.min_by (fun (_, cap) -> cap) scored |> Option.map fst
 
 (* Try to add one core to the chain's binding subgroup. Returns true on
    success. *)
-let grow_binding config ledger a =
-  match binding_subgroup config a with
+let grow_binding config ledger c =
+  match binding_subgroup config c with
   | None -> false
   | Some i ->
-      let sg = List.nth a.plan.Plan.subgroups i in
-      if not sg.Plan.sg_replicable then false
+      if not c.sgs.(i).Plan.sg_replicable then false
       else
-        let server = server_of_sg a i in
+        let server = c.servers.(i) in
         let free = Option.value (Hashtbl.find_opt ledger server) ~default:0 in
         if free < 1 then false
         else begin
           take ledger server 1;
-          a.sg_cores.(i) <- a.sg_cores.(i) + 1;
+          c.a.sg_cores.(i) <- c.a.sg_cores.(i) + 1;
           true
         end
 
-let meet_tmin config ledger a =
-  let tmin = a.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_min in
+let meet_tmin config ledger c =
+  let tmin = c.a.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_min in
   let continue = ref true in
-  while capacity_of config a < tmin && !continue do
-    continue := grow_binding config ledger a
+  while capacity_of config c.a < tmin && !continue do
+    continue := grow_binding config ledger c
   done
 
 (* Adding one core to a chain is not always immediately profitable: a
@@ -99,10 +103,13 @@ let meet_tmin config ledger a =
    binding-subgroup sequence and score each prefix by gain per core. *)
 let lookahead = 4
 
-(* Simulate spending up to [budget] cores on chain [a]'s binding
-   subgroups; returns (moves, gain) for the best per-core prefix. The
-   ledger is only read. *)
-let best_move_sequence config ledger a ~budget =
+(* Simulate spending up to [lookahead] cores on chain [c]'s binding
+   subgroups, each from the free cores of its own server; returns
+   (moves, gain) for the best per-core prefix. The ledger is only read:
+   the result depends on the chain's cores and, for each server the
+   chain uses, only on [min free lookahead]. *)
+let best_move_sequence config ledger c =
+  let a = c.a in
   let tmax = a.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max in
   let saved = Array.copy a.sg_cores in
   let spent = Hashtbl.create 4 in
@@ -114,13 +121,12 @@ let best_move_sequence config ledger a ~budget =
   let moves = ref [] in
   let best = ref None in
   (try
-     for step = 1 to min budget lookahead do
-       match binding_subgroup config a with
+     for step = 1 to lookahead do
+       match binding_subgroup config c with
        | None -> raise Exit
        | Some i ->
-           let sg = List.nth a.plan.Plan.subgroups i in
-           let server = server_of_sg a i in
-           if (not sg.Plan.sg_replicable) || free server < 1 then raise Exit
+           let server = c.servers.(i) in
+           if (not c.sgs.(i).Plan.sg_replicable) || free server < 1 then raise Exit
            else begin
              Hashtbl.replace spent server
                (1 + Option.value (Hashtbl.find_opt spent server) ~default:0);
@@ -138,30 +144,41 @@ let best_move_sequence config ledger a ~budget =
   Array.blit saved 0 a.sg_cores 0 (Array.length saved);
   !best
 
-let spend_spare_slo_driven config ledger allocs =
-  let total_free () = Hashtbl.fold (fun _ f acc -> acc + f) ledger 0 in
+(* Each round spends the best per-core move sequence over all chains
+   (the first chain on ties). Scores are kept between rounds and
+   recomputed only when what they read changes: the moved chain's
+   cores, or a server's free count at or below [lookahead]. *)
+let spend_spare_slo_driven config ledger chains =
+  let chains = Array.of_list chains in
+  let n = Array.length chains in
+  let scores = Array.make n None and stale = Array.make n true in
   let continue = ref true in
   while !continue do
-    let budget = total_free () in
-    if budget = 0 then continue := false
-    else begin
-      let candidates =
-        List.filter_map
-          (fun a ->
-            match best_move_sequence config ledger a ~budget with
-            | None -> None
-            | Some (moves, per_core) -> Some (a, moves, per_core))
-          allocs
-      in
-      match Lemur_util.Listx.max_by (fun (_, _, pc) -> pc) candidates with
-      | None -> continue := false
-      | Some (a, moves, _) ->
-          List.iter
-            (fun (i, server) ->
-              take ledger server 1;
-              a.sg_cores.(i) <- a.sg_cores.(i) + 1)
-            moves
-    end
+    let best = ref None in
+    Array.iteri
+      (fun k c ->
+        if stale.(k) then begin
+          scores.(k) <- best_move_sequence config ledger c;
+          stale.(k) <- false
+        end;
+        match (scores.(k), !best) with
+        | Some (_, pc), Some (_, _, bpc) when not (pc > bpc) -> ()
+        | Some (moves, pc), _ -> best := Some (k, moves, pc)
+        | None, _ -> ())
+      chains;
+    match !best with
+    | None -> continue := false
+    | Some (k, moves, _) ->
+        stale.(k) <- true;
+        List.iter
+          (fun (i, server) ->
+            if Hashtbl.find ledger server <= lookahead then
+              Array.iteri
+                (fun j c -> if Array.mem server c.servers then stale.(j) <- true)
+                chains;
+            take ledger server 1;
+            chains.(k).a.sg_cores.(i) <- chains.(k).a.sg_cores.(i) + 1)
+          moves
   done
 
 (* HW Preferred is SLO-blind: spare cores go to chains round-robin, and
@@ -169,14 +186,14 @@ let spend_spare_slo_driven config ledger allocs =
    bottleneck. This is what "allocates spare cores evenly among chains"
    costs (§5.2: it "fails once the SLO for a slower chain cannot be
    satisfied because of insufficient cores"). *)
-let spend_spare_even ledger allocs =
-  let cursors = List.map (fun a -> (a, ref 0)) allocs in
+let spend_spare_even ledger chains =
+  let cursors = List.map (fun c -> (c, ref 0)) chains in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
-      (fun (a, cursor) ->
-        let n = Array.length a.sg_cores in
+      (fun (c, cursor) ->
+        let n = Array.length c.sgs in
         if n > 0 then begin
           (* next replicable subgroup from the cursor, cyclically *)
           let rec try_from attempts =
@@ -184,12 +201,11 @@ let spend_spare_even ledger allocs =
             else begin
               let i = !cursor mod n in
               cursor := !cursor + 1;
-              let sg = List.nth a.plan.Plan.subgroups i in
-              let server = server_of_sg a i in
+              let server = c.servers.(i) in
               let free = Option.value (Hashtbl.find_opt ledger server) ~default:0 in
-              if sg.Plan.sg_replicable && free >= 1 then begin
+              if c.sgs.(i).Plan.sg_replicable && free >= 1 then begin
                 take ledger server 1;
-                a.sg_cores.(i) <- a.sg_cores.(i) + 1;
+                c.a.sg_cores.(i) <- c.a.sg_cores.(i) + 1;
                 progress := true
               end
               else try_from (attempts + 1)
@@ -200,17 +216,18 @@ let spend_spare_even ledger allocs =
       cursors
   done
 
-let spend_spare_by_index config ledger allocs =
+let spend_spare_by_index config ledger chains =
   List.iter
-    (fun a ->
-      let tmax = a.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max in
+    (fun c ->
+      let tmax = c.a.plan.Plan.input.Plan.slo.Lemur_slo.Slo.t_max in
       let continue = ref true in
-      while capacity_of config a < tmax && !continue do
-        continue := grow_binding config ledger a
+      while capacity_of config c.a < tmax && !continue do
+        continue := grow_binding config ledger c
       done)
-    allocs
+    chains
 
 let allocate config policy plans =
+  Lemur_telemetry.Telemetry.(with_span (current ()) "placer.alloc") @@ fun () ->
   let ledger = make_ledger config in
   (* Minimum allocation: pin each server segment to a server with room
      for one core per subgroup; larger segments first. *)
@@ -254,17 +271,18 @@ let allocate config policy plans =
   if List.exists Option.is_none assignments then None
   else begin
     let allocs = List.filter_map Fun.id assignments in
+    let chains = List.map chain_of allocs in
     (match policy with
     | No_extra -> ()
     | Slo_driven ->
-        List.iter (meet_tmin config ledger) allocs;
-        spend_spare_slo_driven config ledger allocs
+        List.iter (meet_tmin config ledger) chains;
+        spend_spare_slo_driven config ledger chains
     | Even ->
         (* HW Preferred does not target SLOs; it just spreads cores. *)
-        spend_spare_even ledger allocs
+        spend_spare_even ledger chains
     | By_index ->
-        List.iter (meet_tmin config ledger) allocs;
-        spend_spare_by_index config ledger allocs);
+        List.iter (meet_tmin config ledger) chains;
+        spend_spare_by_index config ledger chains);
     Some allocs
   end
 

@@ -236,31 +236,45 @@ let stage_verdict config plans =
       Hashtbl.add st.vc_verdicts key verdict;
       verdict
 
-(* Allocate + LP + stage check for a fixed set of plans. *)
-let finalize strategy config policy plans ~elapsed_start =
-  Lemur_telemetry.Telemetry.with_span
-    (Lemur_telemetry.Telemetry.current ())
-    "placer.finalize"
-  @@ fun () ->
+(* Rate LP, stage check and placement for one allocation of [plans]. *)
+let outcome_of strategy config plans allocs ~elapsed_start =
+  match Alloc.evaluate config allocs with
+  | None -> Infeasible { reason = "rate LP infeasible (SLOs unsatisfiable)" }
+  | Some lp -> (
+      match stage_verdict config plans with
+      | Stagecheck.Overflow n ->
+          Infeasible { reason = Printf.sprintf "switch stages exceeded (%d needed)" n }
+      | Stagecheck.Conflict msg -> Infeasible { reason = "parser conflict: " ^ msg }
+      | Stagecheck.Fits stages ->
+          Placed
+            (build_placement strategy config allocs lp stages
+               (Lemur_util.Timing.elapsed elapsed_start)))
+
+(* Step 3 for one set of plans: the latency check once, then core
+   allocation and [outcome_of] under each spare-core policy. A policy
+   whose allocation (every chain's cores and servers) repeats an earlier
+   one's would repeat its outcome, so it is skipped. *)
+let finalize strategy config policies plans ~elapsed_start =
+  let tm = Lemur_telemetry.Telemetry.current () in
+  Lemur_telemetry.Telemetry.with_span tm "placer.finalize" @@ fun () ->
   match check_latency plans with
-  | Error reason -> Infeasible { reason }
-  | Ok () -> (
-      match Alloc.allocate config policy plans with
-      | None -> Infeasible { reason = "not enough server cores" }
-      | Some allocs -> (
-          match Alloc.evaluate config allocs with
-          | None -> Infeasible { reason = "rate LP infeasible (SLOs unsatisfiable)" }
-          | Some lp -> (
-              match stage_verdict config plans with
-              | Stagecheck.Overflow n ->
-                  Infeasible
-                    { reason = Printf.sprintf "switch stages exceeded (%d needed)" n }
-              | Stagecheck.Conflict msg ->
-                  Infeasible { reason = "parser conflict: " ^ msg }
-              | Stagecheck.Fits stages ->
-                  Placed
-                    (build_placement strategy config allocs lp stages
-                       (Lemur_util.Timing.elapsed elapsed_start)))))
+  | Error reason -> [ Infeasible { reason } ]
+  | Ok () ->
+      let seen = ref [] in
+      List.filter_map
+        (fun policy ->
+          match Alloc.allocate config policy plans with
+          | None -> Some (Infeasible { reason = "not enough server cores" })
+          | Some allocs ->
+              let key = List.map (fun a -> (a.Alloc.sg_cores, a.Alloc.seg_server)) allocs in
+              if List.mem key !seen then (
+                Lemur_telemetry.Counter.incr
+                  (Lemur_telemetry.Telemetry.counter tm "placer.finalize.skipped");
+                None)
+              else (
+                seen := key :: !seen;
+                Some (outcome_of strategy config plans allocs ~elapsed_start)))
+        policies
 
 (* ------------------------------------------------------------------ *)
 (* Lemur heuristic                                                      *)
@@ -517,13 +531,18 @@ let lemur_variants_compute config inputs =
             | Some plan -> plan
             | None -> raise (Plan.Invalid_pattern "no bounce-light pattern"))
       in
+      (* A walk that moves nothing, or a seed that lands in the same
+         basin, repeats a variant: equal locations elaborate to equal
+         plans, so only the first is kept. *)
       Some
-        ([
-           List.map (apply_coalescing config Baseline) baseline;
-           List.map (apply_coalescing config Aggressive) baseline;
-           List.map (apply_coalescing config Conservative) baseline;
-         ]
-        @ sw_variant @ bounce_variant)
+        (Lemur_util.Listx.uniq
+           (List.for_all2 (fun p q -> p.Plan.locs = q.Plan.locs))
+           ([
+              List.map (apply_coalescing config Baseline) baseline;
+              List.map (apply_coalescing config Aggressive) baseline;
+              List.map (apply_coalescing config Conservative) baseline;
+            ]
+           @ sw_variant @ bounce_variant))
 
 let lemur_variants config inputs =
   let tm = Lemur_telemetry.Telemetry.current () in
@@ -549,11 +568,12 @@ let lemur_variants config inputs =
             :: Lemur_util.Listx.take (vc_max_entries - 1) st.vc_entries;
           Some variants)
 
-(* Step 3 over candidate plan sets: core allocation + LP for every set
+(* Step 3 over candidate plan sets: [finalize] on each distinct variant
    under every spare-core policy, or under [policy] alone when one is
    forced (ablations force one). The best feasible outcome by marginal
    wins, the first in sweep order on ties; with none feasible, the first
-   outcome surfaces its reason. *)
+   outcome surfaces its reason. A skipped policy would only have tied an
+   earlier outcome, so the skipping changes neither choice. *)
 let best_allocation ?policy strategy config variants ~start =
   let policies =
     match policy with
@@ -562,10 +582,7 @@ let best_allocation ?policy strategy config variants ~start =
   in
   let outcomes =
     List.concat_map
-      (fun plans ->
-        List.map
-          (fun p -> finalize strategy config p plans ~elapsed_start:start)
-          policies)
+      (fun plans -> finalize strategy config policies plans ~elapsed_start:start)
       variants
   in
   let best =
@@ -845,9 +862,9 @@ let min_bounce_placement config inputs start =
   if List.exists Option.is_none plans then
     Infeasible { reason = "a chain has no valid pattern" }
   else
-    finalize Min_bounce config Alloc.Slo_driven
-      (List.filter_map Fun.id plans)
-      ~elapsed_start:start
+    best_allocation ~policy:Alloc.Slo_driven Min_bounce config
+      [ List.filter_map Fun.id plans ]
+      ~start
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: decisions under a uniform profile, judged under the truth  *)
@@ -899,7 +916,7 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
-        finalize Greedy config Alloc.By_index plans ~elapsed_start:start
+        best_allocation ~policy:Alloc.By_index Greedy config [ plans ] ~start
     | Hw_preferred ->
         let plans =
           List.map
@@ -907,7 +924,7 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
-        finalize Hw_preferred config Alloc.Even plans ~elapsed_start:start
+        best_allocation ~policy:Alloc.Even Hw_preferred config [ plans ] ~start
     | Sw_preferred ->
         let plans =
           List.map
@@ -915,7 +932,7 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Sw))
             inputs
         in
-        finalize Sw_preferred config Alloc.Slo_driven plans ~elapsed_start:start
+        best_allocation ~policy:Alloc.Slo_driven Sw_preferred config [ plans ] ~start
     | Min_bounce -> min_bounce_placement config inputs start
     | No_profiling -> (
         let blind_config =

@@ -60,8 +60,8 @@ val lemur_variants :
   Plan.config -> Plan.chain_input list -> Plan.plan list list option
 (** The heuristic's candidate placements after step 2 — baseline,
     aggressive and conservative coalescings plus the software-seeded
-    and bounce-light variants when they exist — or [None] when no
-    switch-feasible baseline exists. Exposed for tests and diagnostics.
+    and bounce-light variants when they exist, each set of locations
+    once — or [None] when no switch-feasible baseline exists.
 
     Results are served from the {e variant cache}, the placer's one
     result cache: variant construction is a deterministic function of
@@ -104,9 +104,9 @@ val evaluate_plans :
     checks) for externally chosen plans — used by the runtime engine's
     move-budgeted hybrid, the coalescing ablation bench and tests.
     Without [policy] it sweeps the spare-core policies [Slo_driven],
-    [By_index], [Even] exactly as {!place} does for [Lemur], keeping the
-    best feasible outcome by marginal (the first in that order on ties)
-    or, with none feasible, the [Slo_driven] outcome's reason. *)
+    [By_index], [Even] as {!place} does for [Lemur] (a policy repeating
+    an earlier one's allocation is skipped), keeping the best feasible
+    outcome by marginal (the first on ties), else [Slo_driven]'s reason. *)
 
 val is_feasible : outcome -> bool
 

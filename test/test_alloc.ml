@@ -127,6 +127,92 @@ let test_evaluate_respects_link () =
             true
             (lp.Ratelp.total_rate <= 20.1e9))
 
+let test_freest_tie_break () =
+  (* Among servers with equal free cores a segment lands on the one the
+     ledger's hash-table fold meets first. On two servers that is
+     server0; on four the fold meets server3 before server2, so the
+     third of four one-core chains lands on server3, not on the lower
+     index. *)
+  let servers n plans =
+    match Alloc.allocate (config ~num_servers:n ()) Alloc.No_extra plans with
+    | Some allocs -> List.map (fun a -> snd (List.hd a.Alloc.seg_server)) allocs
+    | None -> Alcotest.fail "fits"
+  in
+  let c = config ~num_servers:2 () in
+  Alcotest.(check (list string)) "two servers" [ "server0" ]
+    (servers 2 [ server_plan c (input "Encrypt -> Decrypt") ]);
+  let c = config ~num_servers:4 () in
+  Alcotest.(check (list string)) "four servers"
+    [ "server0"; "server1"; "server3"; "server2" ]
+    (servers 4
+       (List.init 4 (fun k ->
+            server_plan c (input ~id:(Printf.sprintf "c%d" k) "Encrypt"))))
+
+(* Chain inputs from three consecutive scenarios on the first one's
+   rack (or on a testbed of [servers] servers), ids kept apart, so that
+   spare cores are contended by up to nine chains. *)
+let scenario_problem ~servers seed =
+  let module S = Lemur_check.Scenario in
+  let rack sc =
+    let first = S.generate ~seed () in
+    if servers > 0 then { sc with S.sc_servers = servers; sc_no_pisa = false }
+    else { sc with S.sc_servers = first.S.sc_servers; sc_no_pisa = first.S.sc_no_pisa }
+  in
+  let inputs =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun (i : Plan.chain_input) ->
+            { i with Plan.id = Printf.sprintf "s%d%s" k i.Plan.id })
+          (S.inputs (rack (S.generate ~seed:(seed + k) ()))))
+      [ 0; 1; 2 ]
+  in
+  (S.config (rack (S.generate ~seed ())), inputs)
+
+let render_allocs = function
+  | None -> "none"
+  | Some allocs ->
+      String.concat ";"
+        (List.map
+           (fun a ->
+             Printf.sprintf "%s[%s]{%s}" a.Alloc.plan.Plan.input.Plan.id
+               (String.concat ","
+                  (List.map string_of_int (Array.to_list a.Alloc.sg_cores)))
+               (String.concat ","
+                  (List.map
+                     (fun (seg, s) -> Printf.sprintf "%d:%s" seg s)
+                     a.Alloc.seg_server)))
+           allocs)
+
+let qcheck_cases =
+  let open QCheck in
+  [
+    (* The incremental allocator hands out exactly the reference's cores
+       and servers, under every spare policy, on the testbed racks the
+       scenarios draw and on racks of 8 to 12 servers. *)
+    Test.make ~name:"allocator matches the full re-scoring reference" ~count:200
+      (pair (int_range 1 100_000) (oneofl [ 0; 8; 12 ]))
+      (fun (seed, servers) ->
+        let c, inputs = scenario_problem ~servers seed in
+        let plan_sets =
+          match Strategy.lemur_variants c inputs with
+          | Some variants -> variants
+          | None -> []
+          | exception Plan.Invalid_pattern _ -> []
+        in
+        List.for_all
+          (fun plans ->
+            List.for_all
+              (fun policy ->
+                let expected = render_allocs (Step3_ref.allocate c policy plans) in
+                let got = render_allocs (Alloc.allocate c policy plans) in
+                String.equal expected got
+                || Test.fail_reportf "seed %d, %d servers: %s <> %s" seed servers
+                     got expected)
+              [ Alloc.Slo_driven; Alloc.Even; Alloc.By_index; Alloc.No_extra ])
+          plan_sets);
+  ]
+
 let suite =
   [
     Alcotest.test_case "minimum allocation" `Quick test_min_allocation;
@@ -137,4 +223,6 @@ let suite =
     Alcotest.test_case "assign_only multi-server" `Quick test_assign_only_multi_server;
     Alcotest.test_case "segments share a server" `Quick test_segments_share_server;
     Alcotest.test_case "LP respects link caps" `Quick test_evaluate_respects_link;
+    Alcotest.test_case "freest tie-break" `Quick test_freest_tie_break;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases

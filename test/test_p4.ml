@@ -58,7 +58,7 @@ let test_parser_depth () =
 let test_tablegraph_basics () =
   let g = Tablegraph.create () in
   let tab name =
-    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a"; entries_hint = 1 }
+    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a" }
   in
   Tablegraph.add_table g (tab "a");
   Tablegraph.add_table g (tab "b");
@@ -74,7 +74,7 @@ let test_tablegraph_basics () =
 let test_stagepack_respects_deps () =
   let g = Tablegraph.create () in
   let tab name =
-    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a"; entries_hint = 1 }
+    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a" }
   in
   List.iter (fun n -> Tablegraph.add_table g (tab n)) [ "a"; "b"; "c"; "d" ];
   Tablegraph.add_dep g ~before:"a" ~after:"c";
@@ -93,7 +93,7 @@ let test_stagepack_respects_deps () =
 let test_stagepack_capacity () =
   let g = Tablegraph.create () in
   let tab name =
-    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a"; entries_hint = 1 }
+    { Tablegraph.table_name = name; owner = "t"; match_fields = []; action = "a" }
   in
   List.iter (fun n -> Tablegraph.add_table g (tab n)) [ "a"; "b"; "c"; "d"; "e" ];
   (* 5 independent tables, capacity 2 -> 3 stages; capacity 1 -> 5. *)
@@ -335,7 +335,7 @@ let random_dag ~seed n =
   let name i = Printf.sprintf "t%d" i in
   for i = 0 to n - 1 do
     Tablegraph.add_table g
-      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a"; entries_hint = 1 }
+      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a" }
   done;
   for _ = 1 to 2 * n do
     let a = Random.State.int rng n and b = Random.State.int rng n in
@@ -349,7 +349,7 @@ let test_stagepack_matches_reference () =
   let name i = Printf.sprintf "t%d" i in
   for i = 5 downto 0 do
     Tablegraph.add_table g
-      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a"; entries_hint = 1 }
+      { Tablegraph.table_name = name i; owner = "x"; match_fields = []; action = "a" }
   done;
   for i = 0 to 4 do
     Tablegraph.add_dep g ~before:(name i) ~after:(name (i + 1))
@@ -381,7 +381,6 @@ let qcheck_cases =
               owner = "x";
               match_fields = [];
               action = "a";
-              entries_hint = 1;
             }
         done;
         (* chain deps i -> i+2 to create overlap *)

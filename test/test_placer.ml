@@ -726,6 +726,102 @@ let test_oracle_compiles_afresh () =
   Alcotest.(check int) "the oracle's compile is the only one" 1
     (counter "placer.stagecheck.checks")
 
+(* [render_outcome] plus what it leaves out that Step 3 decides: the
+   strategy and every chain's segment-to-server map. *)
+let render_step3 o =
+  render_outcome o
+  ^
+  match o with
+  | Strategy.Infeasible _ -> ""
+  | Strategy.Placed p ->
+      "|" ^ Strategy.name p.Strategy.strategy
+      ^ String.concat ";"
+          (List.map
+             (fun (r : Strategy.chain_report) ->
+               String.concat ","
+                 (List.map
+                    (fun (seg, s) -> Printf.sprintf "%d:%s" seg s)
+                    r.Strategy.seg_server))
+             p.Strategy.chain_reports)
+
+let test_all_infeasible_reason () =
+  (* Every variant fails: the baseline on chain1's latency bound, the
+     rest in the rate LP. The first outcome's reason, the baseline's,
+     surfaces. *)
+  let c = config () in
+  let inputs =
+    List.map
+      (fun (i : Plan.chain_input) ->
+        if i.Plan.id <> "chain1" then i
+        else
+          { i with Plan.slo = { i.Plan.slo with Lemur_slo.Slo.d_max = 24_000.0 } })
+      (canonical_inputs 2.0 [ 1; 2; 3; 4 ])
+  in
+  let variants = Option.get (Strategy.lemur_variants c inputs) in
+  Alcotest.(check bool) "several variants" true (List.length variants > 1);
+  Alcotest.(check string) "a later variant fails in the LP"
+    "infeasible:rate LP infeasible (SLOs unsatisfiable)"
+    (render_outcome
+       (Strategy.evaluate_plans Strategy.Lemur c (List.nth variants 1)));
+  let reason = "infeasible:chain chain1 exceeds its latency SLO (26.0 us > 24.0 us)" in
+  Alcotest.(check string) "surfaced reason" reason
+    (render_outcome (Strategy.place Strategy.Lemur c inputs));
+  Alcotest.(check string) "reference sweep agrees" reason
+    (render_outcome (Step3_ref.place Strategy.Lemur c inputs))
+
+let test_variants_without_repeats () =
+  (* Every variant list over 120 scenarios and 12 canonical chain sets,
+     as ordered per-chain plan signatures. The digest was recorded on
+     the variant lists from before duplicates were dropped, with each
+     repeat after its first occurrence removed: dropping is exactly
+     that, no distinct variant goes and the order is kept. *)
+  let problems =
+    List.init 120 (fun k ->
+        let sc = Lemur_check.Scenario.generate ~seed:(k + 1) () in
+        (Lemur_check.Scenario.config sc, Lemur_check.Scenario.inputs sc))
+    @ List.concat_map
+        (fun d ->
+          List.map
+            (fun set -> (config (), canonical_inputs d set))
+            [ [ 1; 2; 3 ]; [ 1; 2; 3; 4 ]; [ 2; 3 ]; [ 1; 4 ] ])
+        [ 0.1; 0.5; 1.0 ]
+  in
+  let render (c, inputs) =
+    match Strategy.lemur_variants c inputs with
+    | None -> "none"
+    | exception Plan.Invalid_pattern m -> "invalid " ^ m
+    | Some variants ->
+        String.concat " "
+          (List.map
+             (fun plans -> String.concat "," (List.map Memo.plan_sig plans))
+             variants)
+  in
+  Alcotest.(check string) "variant digest" "decdeaf9298ba2d0d1160c43291c295f"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map render problems))))
+
+let test_later_policy_wins () =
+  (* Scenarios where By_index or Even beats Slo_driven on some variant
+     (found by sweeping seeds 1-2000 with the reference): the policies
+     after the first must still be evaluated whenever their allocation
+     differs. *)
+  List.iter
+    (fun seed ->
+      let sc = Lemur_check.Scenario.generate ~seed () in
+      let c = Lemur_check.Scenario.config sc in
+      let inputs = Lemur_check.Scenario.inputs sc in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        (render_step3 (Step3_ref.place Strategy.Lemur c inputs))
+        (render_step3 (Strategy.place Strategy.Lemur c inputs));
+      List.iter
+        (fun plans ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d sweep" seed)
+            (render_step3 (Step3_ref.best_allocation Strategy.Lemur c [ plans ]))
+            (render_step3 (Strategy.evaluate_plans Strategy.Lemur c plans)))
+        (Option.get (Strategy.lemur_variants c inputs)))
+    [ 188; 256; 636; 782; 929; 1385; 1894 ]
+
 let qcheck_cases =
   let open QCheck in
   let kinds_with_server =
@@ -752,6 +848,47 @@ let qcheck_cases =
         (Printf.sprintf "%s -> [%s] -> %s" pre (String.concat ", " arm_strs) post))
   in
   [
+    (* Step 3 evaluates each distinct candidate once and still returns
+       what the full sweep returned: for every strategy that reaches it
+       (Optimal never does), and for each variant under each forced
+       policy and under the unforced sweep. Variants are distinct. *)
+    Test.make ~name:"step 3 matches the full sweep" ~count:40
+      (int_range 1 100_000)
+      (fun seed ->
+        let sc = Lemur_check.Scenario.generate ~seed () in
+        let c = Lemur_check.Scenario.config sc in
+        let inputs = Lemur_check.Scenario.inputs sc in
+        let agree what expected got =
+          String.equal (render_step3 expected) (render_step3 got)
+          || Test.fail_reportf "seed %d, %s: %s <> %s" seed what
+               (render_step3 got) (render_step3 expected)
+        in
+        let variants =
+          match Strategy.lemur_variants c inputs with
+          | Some variants -> variants
+          | None | (exception Plan.Invalid_pattern _) -> []
+        in
+        let locs plans = List.map (fun p -> p.Plan.locs) plans in
+        List.length (Lemur_util.Listx.uniq ( = ) (List.map locs variants))
+        = List.length variants
+        && List.for_all
+             (fun s ->
+               s = Strategy.Optimal
+               || agree (Strategy.name s) (Step3_ref.place s c inputs)
+                    (Strategy.place s c inputs))
+             Strategy.all
+        && List.for_all
+             (fun plans ->
+               agree "sweep"
+                 (Step3_ref.best_allocation Strategy.Lemur c [ plans ])
+                 (Strategy.evaluate_plans Strategy.Lemur c plans)
+               && List.for_all
+                    (fun policy ->
+                      agree "forced"
+                        (Step3_ref.best_allocation ~policy Strategy.Lemur c [ plans ])
+                        (Strategy.evaluate_plans ~policy Strategy.Lemur c plans))
+                    [ Alloc.Slo_driven; Alloc.By_index; Alloc.Even; Alloc.No_extra ])
+             variants);
     (* Elaborated plans over branched chains keep their structural
        invariants: path fractions sum to 1, every server NF belongs to
        exactly one subgroup, and subgroup fractions match their nodes. *)
@@ -872,5 +1009,11 @@ let suite =
       test_min_bounce_table2;
     Alcotest.test_case "min bounce matches full elaboration (scenarios)" `Quick
       test_min_bounce_scenarios;
+    Alcotest.test_case "all variants infeasible: first reason" `Quick
+      test_all_infeasible_reason;
+    Alcotest.test_case "variants are the full list without repeats" `Quick
+      test_variants_without_repeats;
+    Alcotest.test_case "step 3 where a later policy wins" `Quick
+      test_later_policy_wins;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
