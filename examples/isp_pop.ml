@@ -43,10 +43,12 @@ let () =
       Format.printf "@.-- measured --@.%a" Lemur_dataplane.Sim.pp_result result;
       Format.printf "@.-- SLO compliance --@.";
       List.iter
-        (fun (id, ok, measured, t_min) ->
-          Printf.printf "%-8s %-9s measured %6.2f Gbps (t_min %.2f Gbps)\n" id
-            (if ok then "MET" else "VIOLATED")
-            (measured /. 1e9) (t_min /. 1e9))
+        (fun ((c : Lemur_dataplane.Sim.chain_result), (slo : Lemur_slo.Slo.t), v) ->
+          Printf.printf "%-8s %-9s measured %6.2f Gbps (t_min %.2f Gbps), p99 %.1f us\n"
+            c.chain_id
+            (if Lemur_slo.Slo.met v then "MET" else "VIOLATED")
+            (c.delivered /. 1e9) (slo.t_min /. 1e9)
+            (Lemur_util.Units.to_us c.p99_latency))
         (Lemur.Deployment.slo_report d result);
       Printf.printf "aggregate marginal throughput: %.2f Gbps\n"
         (p.Strategy.total_marginal /. 1e9)

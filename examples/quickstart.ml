@@ -44,8 +44,10 @@ let () =
       let result = Lemur.Deployment.measure d in
       Format.printf "%a" Lemur_dataplane.Sim.pp_result result;
       List.iter
-        (fun (id, ok, measured, t_min) ->
-          Printf.printf "SLO check %s: measured %.2f Gbps vs t_min %.2f Gbps -> %s\n"
-            id (measured /. 1e9) (t_min /. 1e9)
-            (if ok then "MET" else "VIOLATED"))
+        (fun ((c : Lemur_dataplane.Sim.chain_result), (slo : Lemur_slo.Slo.t), v) ->
+          Printf.printf
+            "SLO check %s: measured %.2f Gbps vs t_min %.2f Gbps, p99 %.1f us -> %s\n"
+            c.chain_id (c.delivered /. 1e9) (slo.t_min /. 1e9)
+            (Lemur_util.Units.to_us c.p99_latency)
+            (if Lemur_slo.Slo.met v then "MET" else "VIOLATED"))
         (Lemur.Deployment.slo_report d result)

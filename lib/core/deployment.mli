@@ -57,7 +57,11 @@ val measure :
 (** Execute the deployment on the packet-level simulator. *)
 
 val slo_report :
-  t -> Lemur_dataplane.Sim.result -> (string * bool * float * float) list
-(** Per chain: (id, t_min met, measured rate, t_min). *)
+  t ->
+  Lemur_dataplane.Sim.result ->
+  (Lemur_dataplane.Sim.chain_result * Lemur_slo.Slo.t * Lemur_slo.Slo.verdict) list
+(** Per chain, in placement order: its measured result, its SLO and
+    {!Lemur_slo.Slo.verdict} ([~slack:0.]) on the two, which judges
+    both the throughput floor and [d_max]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -34,6 +34,9 @@ type result = {
   duration : float;  (** measured window, ns *)
 }
 
+val verdict : slack:float -> Lemur_slo.Slo.t -> chain_result -> Lemur_slo.Slo.verdict
+(** {!Lemur_slo.Slo.verdict} on one chain's measured numbers. *)
+
 type traffic =
   | Long_lived  (** a few dozen long-lived flows (footnote 6) *)
   | Short_flows  (** flow churn: 10k new flows/s, 1 s lifetimes *)
@@ -59,6 +62,10 @@ val run :
     for the chains it lists — still capped at the chain's [t_max] and
     the ToR port rate, but ignoring [overdrive] and the LP allocation.
     A rate of [0] silences the chain. The runtime control loop uses
-    this to replay measured demand instead of planned load. *)
+    this to replay measured demand instead of planned load.
+
+    With telemetry on, each run adds one [dataplane.slo.throughput_*]
+    and one [dataplane.slo.latency_*] tally per chain from
+    [verdict ~slack:0.] on that chain's own result. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -527,10 +527,11 @@ let install_window st ~at label =
 (* ------------------------------------------------------------------ *)
 (* Measurement *)
 
-(* Proactive alarm: does any chain's forecast, inflated by the headroom,
-   exceed what the live deployment allocated to it (within the monitor's
-   tolerance)? If so the monitor is about to start charging
-   violation-seconds — act now, before an epoch observes the shortfall. *)
+(* Proactive alarm: would the live deployment's allocation to any chain
+   fall short, by the verdict's throughput floor, of the chain's forecast
+   inflated by the headroom, were that forecast offered as its floor? If
+   so the monitor is about to start charging violation-seconds — act
+   now, before an epoch observes the shortfall. *)
 let forecast_alarm st =
   match st.proactive with
   | None -> false
@@ -547,7 +548,11 @@ let forecast_alarm st =
                   st.deployment.Lemur.Deployment.placement
                     .Strategy.chain_reports
               with
-              | Some r -> rhat *. Lemur_slo.Slo.throughput_tolerance > r.Strategy.rate
+              | Some r ->
+                  r.Strategy.rate
+                  < Lemur_slo.Slo.throughput_floor ~slack:0.0
+                      (Lemur_slo.Slo.make ~t_min:rhat ())
+                      ~offered:rhat
               | None -> rhat > 0.0)
           | _ -> false)
         st.chains
@@ -587,13 +592,14 @@ let sample_epoch st until =
               Hashtbl.add st.compliance o.Monitor.co_id a;
               a
         in
-        acc.marginal <- acc.marginal +. (o.Monitor.co_marginal *. len);
+        let v = o.Monitor.co_verdict in
+        acc.marginal <- acc.marginal +. (v.Lemur_slo.Slo.marginal *. len);
         acc.delivered <- acc.delivered +. (o.Monitor.co_delivered *. len);
-        if o.Monitor.co_throughput_violated then begin
+        if not v.Lemur_slo.Slo.throughput_met then begin
           acc.thr_s <- acc.thr_s +. len;
           violated o "throughput"
         end;
-        if o.Monitor.co_latency_violated then begin
+        if not v.Lemur_slo.Slo.latency_met then begin
           acc.lat_s <- acc.lat_s +. len;
           violated o "latency"
         end)

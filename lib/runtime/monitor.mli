@@ -5,16 +5,10 @@
     the operator is accountable for is what the dataplane delivers. The
     monitor samples each epoch (a maximal interval with constant
     deployment and demand) on {!Lemur_dataplane.Sim} at the epoch's
-    offered rates and classifies every chain against its deployed SLO:
-
-    - {e throughput}: delivered rate below [min (offered, t_min)] (the
-      floor only binds up to what was actually offered), with the same
-      {!Lemur_slo.Slo.throughput_tolerance} as
-      {!Lemur.Deployment.slo_report};
-    - {e latency}: measured p99 above [d_max]; a chain with a finite
-      [d_max] that was offered traffic but delivered {e no} batches is
-      latency-violated too (unbounded queueing delay), not vacuously
-      compliant.
+    offered rates and judges every chain against its deployed SLO with
+    {!Lemur_slo.Slo.verdict} ([~slack:0.]), the rule
+    {!Lemur.Deployment.slo_report} and Sim's [dataplane.slo.*] tallies
+    also apply.
 
     One sample window stands in for the whole epoch: violation-seconds
     and marginal-throughput integrals scale the sampled verdict by the
@@ -24,14 +18,7 @@ type chain_obs = {
   co_id : string;
   co_offered : float;  (** bit/s offered to the chain this epoch *)
   co_delivered : float;  (** bit/s measured at egress *)
-  co_p99_latency : float;  (** ns *)
-  co_t_min : float;
-  co_d_max : float;
-  co_throughput_violated : bool;
-  co_latency_violated : bool;
-  co_marginal : float;
-      (** bit/s delivered above [min (offered, t_min)] — the same
-          offered-capped target the violation verdict uses — [>= 0] *)
+  co_verdict : Lemur_slo.Slo.verdict;
 }
 
 type epoch = {
@@ -39,19 +26,6 @@ type epoch = {
   ep_len : float;  (** seconds *)
   ep_obs : chain_obs list;  (** deployment order *)
 }
-
-val classify :
-  offered:float ->
-  delivered:float ->
-  p99_latency:float ->
-  batches_delivered:int ->
-  t_min:float ->
-  d_max:float ->
-  bool * bool * float
-(** Pure verdict behind {!observe}:
-    [(throughput_violated, latency_violated, marginal)] for one chain's
-    measured epoch. Exposed so verdict edge cases (starved chains,
-    offered-capped targets) are unit-testable without a simulator run. *)
 
 val observe :
   seed:int ->

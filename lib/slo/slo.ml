@@ -28,6 +28,23 @@ let use_case_name = function
 
 let marginal slo rate = Float.max 0.0 (rate -. slo.t_min)
 
+type verdict = { throughput_met : bool; latency_met : bool; marginal : float }
+
+let throughput_floor ~slack slo ~offered =
+  (throughput_tolerance *. Float.min offered slo.t_min) -. slack
+
+let verdict ~slack slo ~offered ~delivered ~p99 ~batches =
+  {
+    throughput_met = not (delivered < throughput_floor ~slack slo ~offered);
+    latency_met =
+      not
+        (slo.d_max < infinity
+        && if batches > 0 then p99 > slo.d_max else offered > 0.0);
+    marginal = Float.max 0.0 (delivered -. Float.min offered slo.t_min);
+  }
+
+let met v = v.throughput_met && v.latency_met
+
 let validate { t_min; t_max; d_max; weight } =
   if t_min < 0.0 then invalid "t_min must be non-negative";
   if t_max < t_min then invalid "t_max (%g) below t_min (%g)" t_max t_min;

@@ -42,7 +42,48 @@ val marginal : t -> float -> float
 val throughput_tolerance : float
 (** [0.98]: a chain meets its [t_min] when it delivers at least this
     fraction of it, which absorbs the sampling noise of a measured
-    rate. Every throughput-SLO verdict uses it. *)
+    rate. {!verdict} and {!throughput_floor} are its only readers. *)
+
+(** Whether one measured run of a chain met its SLO. *)
+type verdict = {
+  throughput_met : bool;
+  latency_met : bool;
+  marginal : float;
+      (** bit/s delivered above the target [min offered t_min], [>= 0] *)
+}
+
+val throughput_floor : slack:float -> t -> offered:float -> float
+(** [throughput_tolerance × min offered t_min − slack]: the lowest
+    delivered rate {!verdict} accepts. The floor binds only up to what
+    was offered, so a chain offered less than its [t_min] is not short
+    for traffic that never arrived. *)
+
+val verdict :
+  slack:float ->
+  t ->
+  offered:float ->
+  delivered:float ->
+  p99:float ->
+  batches:int ->
+  verdict
+(** The one rule for "did this chain meet its SLO" over one measured
+    run: [offered] and [delivered] in bit/s, [p99] in ns over the
+    [batches] the run delivered. [slack] (bit/s) lowers the throughput
+    floor for measurement quantization; pass [0.] for none.
+
+    - Throughput is met unless [delivered < throughput_floor ~slack slo
+      ~offered]. An idle chain ([offered = 0]) or a best-effort one
+      ([t_min = 0]) is never short.
+    - Latency is met when [d_max] is infinite; otherwise when
+      [p99 <= d_max] if the run delivered any batch, and when nothing
+      was offered if it delivered none. A {e starved} chain (offered
+      traffic, no batch out) has no p99 to test and is latency-violated:
+      its queueing delay is unbounded, not vacuously within [d_max].
+    - [marginal] is measured against the same offered-capped target, so
+      delivery above a small offered load counts as margin. *)
+
+val met : verdict -> bool
+(** Both halves met. *)
 
 exception Invalid of string
 

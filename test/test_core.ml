@@ -67,12 +67,42 @@ let test_deploy_from_spec () =
       let r = Lemur.Deployment.measure d in
       let report = Lemur.Deployment.slo_report d r in
       List.iter
-        (fun (id, ok, measured, t_min) ->
+        (fun ((c : Lemur_dataplane.Sim.chain_result), (slo : Lemur_slo.Slo.t), v) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s meets SLO (%.2fG >= %.2fG)" id (measured /. 1e9)
-               (t_min /. 1e9))
-            true ok)
+            (Printf.sprintf "%s meets SLO (%.2fG >= %.2fG)" c.chain_id
+               (c.delivered /. 1e9) (slo.t_min /. 1e9))
+            true (Lemur_slo.Slo.met v))
         report
+
+let test_slo_report_latency () =
+  (* The report judges d_max as well as t_min: a run whose p99 exceeds
+     the chain's d_max is latency-violated, and [Slo.met] over the
+     report — what `lemur run` exits on — is false. *)
+  match
+    Lemur.Deployment.of_spec
+      "chain web slo(tmin='1Gbps', tmax='100Gbps', dmax='500us') = ACL -> Encrypt -> IPv4Fwd"
+  with
+  | Error e -> Alcotest.failf "deploy failed: %s" e
+  | Ok d ->
+      let r = Lemur.Deployment.measure d in
+      let slow =
+        {
+          r with
+          Lemur_dataplane.Sim.chains =
+            List.map
+              (fun (c : Lemur_dataplane.Sim.chain_result) ->
+                { c with p99_latency = Lemur_util.Units.us 900.0 })
+              r.Lemur_dataplane.Sim.chains;
+        }
+      in
+      match Lemur.Deployment.slo_report d slow with
+      | [ (c, slo, v) ] ->
+          Alcotest.(check bool) "batches delivered" true (c.batches_delivered > 0);
+          Alcotest.(check (float 1.0)) "d_max from the spec" 500e3 slo.Lemur_slo.Slo.d_max;
+          Alcotest.(check bool) "throughput half met" true v.Lemur_slo.Slo.throughput_met;
+          Alcotest.(check bool) "latency half violated" false v.Lemur_slo.Slo.latency_met;
+          Alcotest.(check bool) "not met overall" false (Lemur_slo.Slo.met v)
+      | l -> Alcotest.failf "expected one report line, got %d" (List.length l)
 
 let test_deploy_errors () =
   (match Lemur.Deployment.of_spec "chain x = ACL ->" with
@@ -140,11 +170,11 @@ let test_kitchen_sink_rack () =
            art.Lemur_codegen.Codegen.ebpf);
       let result = Lemur.Deployment.measure d in
       List.iter
-        (fun (id, ok, measured, t_min) ->
+        (fun ((c : Lemur_dataplane.Sim.chain_result), (slo : Lemur_slo.Slo.t), v) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s SLO (%.2fG >= %.2fG)" id (measured /. 1e9)
-               (t_min /. 1e9))
-            true ok)
+            (Printf.sprintf "%s SLO (%.2fG >= %.2fG)" c.chain_id
+               (c.delivered /. 1e9) (slo.t_min /. 1e9))
+            true (Lemur_slo.Slo.met v))
         (Lemur.Deployment.slo_report d result)
 
 let suite =
@@ -155,6 +185,7 @@ let suite =
     Alcotest.test_case "base rates" `Quick test_base_rates;
     Alcotest.test_case "inputs for delta" `Quick test_inputs_for_delta;
     Alcotest.test_case "deploy from spec" `Quick test_deploy_from_spec;
+    Alcotest.test_case "slo_report judges d_max" `Quick test_slo_report_latency;
     Alcotest.test_case "deploy error paths" `Quick test_deploy_errors;
     Alcotest.test_case "multi-chain spec" `Quick test_deploy_multi_chain_spec;
   ]
