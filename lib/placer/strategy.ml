@@ -139,7 +139,7 @@ let all_patterns config input ~limit =
 (* ------------------------------------------------------------------ *)
 (* Assembling outcomes                                                  *)
 
-let build_placement strategy config allocs lp stages elapsed =
+let build_placement strategy config allocs lp stages =
   let reports =
     List.map
       (fun (a : Alloc.chain_alloc) ->
@@ -166,7 +166,7 @@ let build_placement strategy config allocs lp stages elapsed =
     total_marginal = lp.Ratelp.total_marginal;
     stages_used = stages;
     cores_used = List.fold_left (fun acc a -> acc + Alloc.cores_used a) 0 allocs;
-    elapsed;
+    elapsed = 0.0;
   }
 
 let check_latency plans =
@@ -237,7 +237,7 @@ let stage_verdict config plans =
       verdict
 
 (* Rate LP, stage check and placement for one allocation of [plans]. *)
-let outcome_of strategy config plans allocs ~elapsed_start =
+let outcome_of strategy config plans allocs =
   match Alloc.evaluate config allocs with
   | None -> Infeasible { reason = "rate LP infeasible (SLOs unsatisfiable)" }
   | Some lp -> (
@@ -246,15 +246,13 @@ let outcome_of strategy config plans allocs ~elapsed_start =
           Infeasible { reason = Printf.sprintf "switch stages exceeded (%d needed)" n }
       | Stagecheck.Conflict msg -> Infeasible { reason = "parser conflict: " ^ msg }
       | Stagecheck.Fits stages ->
-          Placed
-            (build_placement strategy config allocs lp stages
-               (Lemur_util.Timing.elapsed elapsed_start)))
+          Placed (build_placement strategy config allocs lp stages))
 
 (* Step 3 for one set of plans: the latency check once, then core
    allocation and [outcome_of] under each spare-core policy. A policy
    whose allocation (every chain's cores and servers) repeats an earlier
    one's would repeat its outcome, so it is skipped. *)
-let finalize strategy config policies plans ~elapsed_start =
+let finalize strategy config policies plans =
   let tm = Lemur_telemetry.Telemetry.current () in
   Lemur_telemetry.Telemetry.with_span tm "placer.finalize" @@ fun () ->
   match check_latency plans with
@@ -273,7 +271,7 @@ let finalize strategy config policies plans ~elapsed_start =
                 None)
               else (
                 seen := key :: !seen;
-                Some (outcome_of strategy config plans allocs ~elapsed_start)))
+                Some (outcome_of strategy config plans allocs)))
         policies
 
 (* ------------------------------------------------------------------ *)
@@ -574,7 +572,7 @@ let lemur_variants config inputs =
    wins, the first in sweep order on ties; with none feasible, the first
    outcome surfaces its reason. A skipped policy would only have tied an
    earlier outcome, so the skipping changes neither choice. *)
-let best_allocation ?policy strategy config variants ~start =
+let best_allocation ?policy strategy config variants =
   let policies =
     match policy with
     | Some p -> [ p ]
@@ -582,7 +580,7 @@ let best_allocation ?policy strategy config variants ~start =
   in
   let outcomes =
     List.concat_map
-      (fun plans -> finalize strategy config policies plans ~elapsed_start:start)
+      (fun plans -> finalize strategy config policies plans)
       variants
   in
   let best =
@@ -597,14 +595,20 @@ let best_allocation ?policy strategy config variants ~start =
       | o :: _ -> o (* surface the baseline's reason *)
       | [] -> Infeasible { reason = "no variants" })
 
-let lemur_placement ?policy strategy config inputs start =
+let lemur_placement ?policy strategy config inputs =
   match lemur_variants config inputs with
   | None -> Infeasible { reason = "no switch-feasible placement exists" }
-  | Some variants -> best_allocation ?policy strategy config variants ~start
+  | Some variants -> best_allocation ?policy strategy config variants
+
+(* [elapsed] covers the whole computation, every candidate included. *)
+let timed f =
+  let start = Lemur_util.Timing.now () in
+  match f () with
+  | Placed p -> Placed { p with elapsed = Lemur_util.Timing.elapsed start }
+  | Infeasible _ as i -> i
 
 let evaluate_plans ?policy strategy config plans =
-  best_allocation ?policy strategy config [ plans ]
-    ~start:(Lemur_util.Timing.now ())
+  timed (fun () -> best_allocation ?policy strategy config [ plans ])
 
 (* ------------------------------------------------------------------ *)
 (* Brute-force Optimal                                                  *)
@@ -780,7 +784,7 @@ let chain_configs config input ~pattern_limit ~core_budget =
       @ acc)
     by_k []
 
-let optimal_placement config inputs start =
+let optimal_placement config inputs =
   let core_budget = Lemur_topology.Topology.total_nf_cores config.Plan.topology in
   let per_chain =
     List.map
@@ -845,9 +849,7 @@ let optimal_placement config inputs start =
           let plans = List.map (fun c -> c.oc_plan) combo in
           match stage_verdict config plans with
           | Stagecheck.Fits stages ->
-              Placed
-                (build_placement Optimal config allocs lp stages
-                   (Lemur_util.Timing.elapsed start))
+              Placed (build_placement Optimal config allocs lp stages)
           | Stagecheck.Overflow _ | Stagecheck.Conflict _ -> walk rest)
     in
     if ranked = [] then Infeasible { reason = "SLOs unsatisfiable in any enumerated placement" }
@@ -857,19 +859,18 @@ let optimal_placement config inputs start =
 (* ------------------------------------------------------------------ *)
 (* Minimum Bounce                                                       *)
 
-let min_bounce_placement config inputs start =
+let min_bounce_placement config inputs =
   let plans = List.map (min_bounce_pattern config) inputs in
   if List.exists Option.is_none plans then
     Infeasible { reason = "a chain has no valid pattern" }
   else
     best_allocation ~policy:Alloc.Slo_driven Min_bounce config
       [ List.filter_map Fun.id plans ]
-      ~start
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: decisions under a uniform profile, judged under the truth  *)
 
-let reevaluate_with_truth strategy config placement start =
+let reevaluate_with_truth strategy config placement =
   (* Rebuild plans and capacities with the true profiler but keep the
      ablated decisions (locations, cores, servers). *)
   let allocs =
@@ -893,9 +894,7 @@ let reevaluate_with_truth strategy config placement start =
     match Alloc.evaluate config allocs with
     | None -> Infeasible { reason = "SLOs unsatisfiable under true profiles" }
     | Some lp ->
-        Placed
-          (build_placement strategy config allocs lp placement.stages_used
-             (Lemur_util.Timing.elapsed start))
+        Placed (build_placement strategy config allocs lp placement.stages_used)
 
 (* ------------------------------------------------------------------ *)
 
@@ -904,11 +903,11 @@ let place strategy config inputs =
   Lemur_telemetry.Telemetry.with_span tm ("placer.place." ^ name strategy)
   @@ fun () ->
   Lemur_telemetry.Counter.incr (Lemur_telemetry.Telemetry.counter tm "placer.places");
-  let start = Lemur_util.Timing.now () in
+  timed @@ fun () ->
   try
     match strategy with
-    | Lemur -> lemur_placement Lemur config inputs start
-    | Optimal -> optimal_placement config inputs start
+    | Lemur -> lemur_placement Lemur config inputs
+    | Optimal -> optimal_placement config inputs
     | Greedy ->
         let plans =
           List.map
@@ -916,7 +915,7 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
-        best_allocation ~policy:Alloc.By_index Greedy config [ plans ] ~start
+        best_allocation ~policy:Alloc.By_index Greedy config [ plans ]
     | Hw_preferred ->
         let plans =
           List.map
@@ -924,7 +923,7 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Hw))
             inputs
         in
-        best_allocation ~policy:Alloc.Even Hw_preferred config [ plans ] ~start
+        best_allocation ~policy:Alloc.Even Hw_preferred config [ plans ]
     | Sw_preferred ->
         let plans =
           List.map
@@ -932,8 +931,8 @@ let place strategy config inputs =
               Plan.elaborate config input (pattern_by_preference config input `Sw))
             inputs
         in
-        best_allocation ~policy:Alloc.Slo_driven Sw_preferred config [ plans ] ~start
-    | Min_bounce -> min_bounce_placement config inputs start
+        best_allocation ~policy:Alloc.Slo_driven Sw_preferred config [ plans ]
+    | Min_bounce -> min_bounce_placement config inputs
     | No_profiling -> (
         let blind_config =
           {
@@ -942,11 +941,11 @@ let place strategy config inputs =
               Lemur_profiler.Profiler.create ~uniform_cycles:(Some 5000.0) ();
           }
         in
-        match lemur_placement No_profiling blind_config inputs start with
+        match lemur_placement No_profiling blind_config inputs with
         | Infeasible _ as i -> i
-        | Placed p -> reevaluate_with_truth No_profiling config p start)
+        | Placed p -> reevaluate_with_truth No_profiling config p)
     | No_core_alloc ->
-        lemur_placement ~policy:Alloc.No_extra No_core_alloc config inputs start
+        lemur_placement ~policy:Alloc.No_extra No_core_alloc config inputs
   with Plan.Invalid_pattern msg -> Infeasible { reason = msg }
 
 let pp_outcome ppf = function

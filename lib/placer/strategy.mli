@@ -49,7 +49,9 @@ type placement = {
   total_marginal : float;
   stages_used : int;
   cores_used : int;
-  elapsed : float;  (** placement computation time, seconds *)
+  elapsed : float;
+      (** wall time of the whole {!place} (or {!evaluate_plans}) call,
+          seconds: every candidate it evaluated, not only the winner *)
 }
 
 type outcome = Placed of placement | Infeasible of { reason : string }
