@@ -1,61 +1,5 @@
 type t = { spi : int; si : int }
 
-exception Malformed of string
-
-let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
-
-let base_length = 8
-
-(* Layout (MD type 2, no metadata):
-   byte 0: version(2) O(1) U(1) TTL(6 high 4 bits here) — we store
-           version=0 and TTL=63 across bytes 0-1 per RFC 8300 fig. 2;
-   byte 1: TTL low bits(2) length(6) — length in 4-byte words = 2;
-   byte 2: MD type (0x2); byte 3: next protocol (0x1 = IPv4);
-   bytes 4-6: SPI (24 bits, network order); byte 7: SI. *)
-
-let encode { spi; si } =
-  if spi < 0 || spi > 0xFF_FFFF then invalid_arg "Nsh.encode: spi out of range";
-  if si < 0 || si > 0xFF then invalid_arg "Nsh.encode: si out of range";
-  let b = Bytes.create base_length in
-  let ttl = 63 in
-  Bytes.set_uint8 b 0 ((ttl lsr 2) land 0x0F);
-  Bytes.set_uint8 b 1 (((ttl land 0x3) lsl 6) lor 0x02);
-  Bytes.set_uint8 b 2 0x02;
-  Bytes.set_uint8 b 3 0x01;
-  Bytes.set_uint8 b 4 ((spi lsr 16) land 0xFF);
-  Bytes.set_uint8 b 5 ((spi lsr 8) land 0xFF);
-  Bytes.set_uint8 b 6 (spi land 0xFF);
-  Bytes.set_uint8 b 7 si;
-  b
-
-let decode b =
-  if Bytes.length b < base_length then malformed "NSH: short header";
-  let version = (Bytes.get_uint8 b 0 lsr 6) land 0x3 in
-  if version <> 0 then malformed "NSH: unsupported version %d" version;
-  let length = Bytes.get_uint8 b 1 land 0x3F in
-  if length <> 0x02 then malformed "NSH: unexpected length field %d" length;
-  let spi =
-    (Bytes.get_uint8 b 4 lsl 16) lor (Bytes.get_uint8 b 5 lsl 8)
-    lor Bytes.get_uint8 b 6
-  in
-  let si = Bytes.get_uint8 b 7 in
-  { spi; si }
-
-let encap header payload =
-  let h = encode header in
-  Bytes.cat h payload
-
-let decap packet =
-  let header = decode packet in
-  let rest =
-    Bytes.sub packet base_length (Bytes.length packet - base_length)
-  in
-  (header, rest)
-
-let decrement_si t =
-  if t.si = 0 then malformed "NSH: service index underflow";
-  { t with si = t.si - 1 }
-
 module Vlan = struct
   let si_bits = 4
   let vid_bits = 12

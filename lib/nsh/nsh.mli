@@ -1,35 +1,14 @@
-(** Network Service Header (RFC 8300) encoding (§4.1).
+(** Network Service Header (RFC 8300) service-path identity (§4.1).
 
     Lemur tags packets with a Service Path Index (SPI) identifying the
     linear service path and a Service Index (SI) sequencing NFs within
-    it; the SI is decremented as NFs execute. This module implements the
-    MD-type-2 (no context) 8-byte base+path header used between
-    platforms, plus the VLAN-vid fallback encoding for OpenFlow switches
-    (§5.3), which packs SPI and SI into the 12-bit vid. *)
+    it; the SI is decremented as NFs execute. The NSH wire layout itself
+    lives in the generated P4 (the [nsh] header of [Lemur_p4.P4header]);
+    this module holds the identity and the VLAN-vid fallback encoding
+    for OpenFlow switches (§5.3), which packs SPI and SI into the 12-bit
+    vid. *)
 
 type t = { spi : int; si : int }
-
-exception Malformed of string
-
-val base_length : int
-(** Bytes of the encoded header (8: 4 base + 4 service path). *)
-
-val encode : t -> bytes
-(** @raise Invalid_argument if [spi] exceeds 24 bits or [si] 8 bits. *)
-
-val decode : bytes -> t
-(** Parse an encoded header (from offset 0).
-    @raise Malformed on short input, bad version, or bad length field. *)
-
-val encap : t -> bytes -> bytes
-(** Prepend an NSH to a payload. *)
-
-val decap : bytes -> t * bytes
-(** Split an NSH off a packet. @raise Malformed. *)
-
-val decrement_si : t -> t
-(** @raise Malformed when SI is already 0 (packet must be dropped,
-    RFC 8300 §2.2). *)
 
 (** VLAN-vid fallback for OpenFlow (no NSH support): SPI in the high
     bits, SI in the low bits of the 12-bit vid. *)

@@ -217,8 +217,13 @@ let test_bitpack_roundtrip () =
   | exception Invalid_argument _ -> ())
 
 let test_bitpack_matches_nsh_codec () =
-  (* the hand-rolled NSH wire codec and the P4 header layout agree *)
-  let encoded = Lemur_nsh.Nsh.encode { Lemur_nsh.Nsh.spi = 0xABCDEF; si = 42 } in
+  (* RFC 8300's MD-type-2 base + service path header, written byte by
+     byte: version 0, TTL 63, length 2 words, MD type 2, next protocol
+     IPv4, then the 24-bit SPI and the 8-bit SI. The P4 header layout
+     must find SPI and SI where the RFC puts them. *)
+  let encoded =
+    Bytes.of_string "\x0f\xc2\x02\x01\xab\xcd\xef\x2a"
+  in
   (* the P4 nsh layout includes the 128-bit MD context; pad the packet *)
   let padded = Bytes.cat encoded (Bytes.create 16) in
   Alcotest.(check int) "spi field" 0xABCDEF
