@@ -40,8 +40,10 @@ type chain_compliance = {
   cc_throughput_violation_s : float;
   cc_latency_violation_s : float;
   cc_marginal_bits : float;
-      (** ∫ max(0, delivered - t_min) dt over the run — the
-          marginal-throughput integral the paper's objective prices *)
+      (** ∫ marginal dt over the run, with each epoch's marginal from
+          {!Lemur_slo.Slo.verdict} (delivery above [min offered t_min])
+          — the marginal-throughput integral the paper's objective
+          prices *)
   cc_delivered_bits : float;
 }
 
