@@ -14,7 +14,6 @@ type summary = {
   all_infeasible : int;
   milp_checked : int;
   sim_checked : int;
-  engine_checked : int;
   strategy_times : (string * float) list;
   cache_hits : int;
   cache_misses : int;
@@ -56,8 +55,8 @@ let digest_line buf fseed (r : Differential.report) =
     (fun name -> Buffer.add_string buf ("|-" ^ name))
     r.Differential.infeasible;
   Buffer.add_string buf
-    (Printf.sprintf "|m%bs%be%b" r.Differential.milp_checked
-       r.Differential.sim_checked r.Differential.engine_checked);
+    (Printf.sprintf "|m%bs%b" r.Differential.milp_checked
+       r.Differential.sim_checked);
   List.iter
     (fun f ->
       Buffer.add_string buf
@@ -83,7 +82,6 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
         all_infeasible = 0;
         milp_checked = 0;
         sim_checked = 0;
-        engine_checked = 0;
         strategy_times = [];
         cache_hits = 0;
         cache_misses = 0;
@@ -131,9 +129,6 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
           (acc.milp_checked + if report.Differential.milp_checked then 1 else 0);
         sim_checked =
           (acc.sim_checked + if report.Differential.sim_checked then 1 else 0);
-        engine_checked =
-          (acc.engine_checked
-          + if report.Differential.engine_checked then 1 else 0);
         strategy_times = add_times acc.strategy_times report.Differential.timings;
         failures;
       };
@@ -171,7 +166,6 @@ let run ?(quick = true) ?(sim = true) ?(shrink = false) ?(max_failures = 5)
                   infeasible = [];
                   milp_checked = false;
                   sim_checked = false;
-                  engine_checked = false;
                   failures =
                     [
                       Differential.Crash
@@ -230,9 +224,10 @@ let pp_summary ppf s =
     s.failures;
   Fmt.pf ppf
     "%d scenario(s): %d placements checked, %d fully infeasible, %d MILP \
-     cross-checks, %d sim runs, %d engine convergence checks, %d failure(s)@."
+     cross-checks, %d sim runs with engine convergence checks, %d \
+     failure(s)@."
     s.scenarios s.placements_checked s.all_infeasible s.milp_checked
-    s.sim_checked s.engine_checked (List.length s.failures);
+    s.sim_checked (List.length s.failures);
   Fmt.pf ppf "fuzz digest: %s@." s.digest;
   (* The perf canary: solve time per strategy and placer cache traffic,
      so a hot-path regression shows up in every fuzz run's output. *)

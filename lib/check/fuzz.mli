@@ -20,9 +20,9 @@ type summary = {
   all_infeasible : int;  (** scenarios no strategy could place *)
   milp_checked : int;
   sim_checked : int;
-  engine_checked : int;
-      (** scenarios whose accepted placement also ran on the packet
-          engine and was held to {!Convergence} tolerances *)
+      (** scenarios whose accepted placement ran on the simulator and,
+          at the same rates, on the packet engine, held to
+          {!Convergence} tolerances *)
   strategy_times : (string * float) list;
       (** total placement wall time per strategy (seconds), sorted by
           strategy name — the fuzzing loop doubles as a perf canary *)
