@@ -4,10 +4,12 @@
     A ring never grows: [push] on a full ring refuses the handle and
     the caller decides what dropping means (the engine frees the packet
     back to its pool and charges the destination element's drop
-    counter). Head and tail are monotonic counters, so total
-    pushed/popped tallies come for free and
-    [pushed t - popped t = length t] is an invariant test hooks rely
-    on.
+    counter). Head and tail are slot positions kept inside
+    [\[0, capacity)]: each step wraps back to slot 0 by a compare, so
+    no operation divides, whatever the capacity. Beside them the ring
+    keeps monotonic pushed/popped counters, which give the length and
+    the total tallies; [pushed t - popped t = length t] is an
+    invariant test hooks rely on.
 
     Slots hold plain [int]s ({!Packet.t} handles), so no operation
     allocates or goes through the GC write barrier, and [take]/[top]
