@@ -380,7 +380,7 @@ let run ?(seed = 7) ?(duration = Units.ms 50.0) ?(batch_pkts = 32)
         (Array.map (fun n -> batch_pkts * n) c.route_batches);
       Array.iteri (fun id n -> Counter.incr ~by:n c.layout.nf_counters.(id)) c.nf_pkts;
       Counter.incr ~by:c.dropped c.tm_drops;
-      (* arrival order: [Stats.tail_summary] below sorts the buffer *)
+      (* arrival order: [Stats.tail_summary] below reorders the buffer *)
       Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
     chains;
   let chain_results =

@@ -59,14 +59,13 @@ let rank p n =
     invalid_arg "Stats.percentile: p outside [0, 100]";
   int_of_float (ceil (p /. 100.0 *. float_of_int n)) |> max 1 |> min n
 
-(* Heapsort with direct float comparisons: a comparator closure would
-   box both operands of every comparison. *)
-let sort_floats (xs : float array) n =
-  if n < 0 || n > Array.length xs then invalid_arg "Stats.sort_floats: length";
+(* Heapsort of [xs.(lo .. hi-1)], with direct float comparisons: a
+   comparator closure would box both operands of every comparison. *)
+let heapsort (xs : float array) lo hi =
   let sift root stop =
     let r = ref root and go = ref true in
     while !go do
-      let c = (2 * !r) + 1 in
+      let c = (2 * (!r - lo)) + 1 + lo in
       if c >= stop then go := false
       else begin
         let c = if c + 1 < stop && xs.(c + 1) > xs.(c) then c + 1 else c in
@@ -80,19 +79,63 @@ let sort_floats (xs : float array) n =
       end
     done
   in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
+  for i = lo + ((hi - lo) / 2) - 1 downto lo do
+    sift i hi
   done;
-  for last = n - 1 downto 1 do
-    let tmp = xs.(0) in
-    xs.(0) <- xs.(last);
+  for last = hi - 1 downto lo + 1 do
+    let tmp = xs.(lo) in
+    xs.(lo) <- xs.(last);
     xs.(last) <- tmp;
-    sift 0 last
+    sift lo last
   done
 
-let percentile_sorted p (xs : float array) n =
-  if n < 1 || n > Array.length xs then invalid_arg "Stats.percentile_sorted: length";
-  xs.(rank p n - 1)
+let swap (xs : float array) i j =
+  let tmp = xs.(i) in
+  xs.(i) <- xs.(j);
+  xs.(j) <- tmp
+
+(* Quickselect: reorder [xs.(lo .. hi-1)] so that [xs.(k)] holds the
+   value it would hold if the range were sorted, with no larger value
+   before it and no smaller one after. Hoare partitions around the
+   median of the first, middle and last elements; past [2 log2 n]
+   rounds the remaining range is heapsorted, so adversarial inputs
+   cost O(n log n) at worst. *)
+let select (xs : float array) lo hi k =
+  let lo = ref lo and hi = ref (hi - 1) in
+  let depth = ref 0 in
+  let m = ref (!hi - !lo + 1) in
+  while !m > 1 do
+    depth := !depth + 2;
+    m := !m / 2
+  done;
+  while !hi > !lo do
+    if !depth = 0 then begin
+      heapsort xs !lo (!hi + 1);
+      hi := !lo
+    end
+    else begin
+      decr depth;
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if xs.(mid) < xs.(!lo) then swap xs mid !lo;
+      if xs.(!hi) < xs.(!lo) then swap xs !hi !lo;
+      if xs.(!hi) < xs.(mid) then swap xs !hi mid;
+      let pivot = xs.(mid) in
+      let i = ref (!lo - 1) and j = ref (!hi + 1) and go = ref true in
+      while !go do
+        incr i;
+        while xs.(!i) < pivot do
+          incr i
+        done;
+        decr j;
+        while xs.(!j) > pivot do
+          decr j
+        done;
+        if !i >= !j then go := false else swap xs !i !j
+      done;
+      (* [xs.(lo .. j)] <= pivot <= [xs.(j+1 .. hi)], lo <= j < hi *)
+      if k <= !j then hi := !j else lo := !j + 1
+    end
+  done
 
 let tail_summary (xs : float array) n =
   if n < 0 || n > Array.length xs then invalid_arg "Stats.tail_summary: length";
@@ -104,15 +147,20 @@ let tail_summary (xs : float array) n =
   if n = 0 then (0.0, 0.0, 0.0, 0.0)
   else begin
     let mean = !sum /. float_of_int n in
-    sort_floats xs n;
-    (mean, percentile_sorted 50.0 xs n, percentile_sorted 99.0 xs n, !max_x)
+    (* p99 first: it leaves the [k99] smallest samples in front of it,
+       and the p50 rank lies among them *)
+    let k99 = rank 99.0 n - 1 and k50 = rank 50.0 n - 1 in
+    select xs 0 n k99;
+    if k50 < k99 then select xs 0 k99 k50;
+    (mean, xs.(k50), xs.(k99), !max_x)
   end
 
 let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty"
   | xs ->
       reject_nan "Stats.percentile" xs;
-      let sorted = Array.of_list xs in
-      let n = Array.length sorted in
-      sort_floats sorted n;
-      percentile_sorted p sorted n
+      let xs = Array.of_list xs in
+      let n = Array.length xs in
+      let k = rank p n - 1 in
+      select xs 0 n k;
+      xs.(k)

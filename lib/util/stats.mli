@@ -23,23 +23,15 @@ val linear_fit : (float * float) list -> float * float
     at least two points with distinct x. *)
 
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in \[0,100\] (nearest-rank on the sorted
-    data). Raises [Invalid_argument] on an empty list, a NaN element
-    (which would make the sort order-dependent), or [p] outside
-    \[0,100\]. *)
-
-val sort_floats : float array -> int -> unit
-(** [sort_floats xs n] sorts [xs.(0 .. n-1)] ascending in place without
-    allocating. The executors sort their latency samples with it once
-    per run. Elements must not be NaN. *)
-
-val percentile_sorted : float -> float array -> int -> float
-(** [percentile_sorted p xs n] is [percentile p] of the ascending
-    prefix [xs.(0 .. n-1)], by the same nearest-rank rule. Raises
-    [Invalid_argument] if [n < 1] or [p] is outside \[0,100\]. *)
+(** [percentile p xs] with [p] in \[0,100\]: the nearest rank on the
+    sorted data, found by selection. Raises [Invalid_argument] on an
+    empty list, a NaN element (which would make the ranks
+    order-dependent), or [p] outside \[0,100\]. *)
 
 val tail_summary : float array -> int -> float * float * float * float
 (** [tail_summary xs n] is [(mean, p50, p99, max)] of the non-negative
     samples [xs.(0 .. n-1)], all [0.] when [n = 0]: the executors'
-    per-chain latency report. The mean sums in array order, then the
-    prefix is sorted in place for the nearest-rank percentiles. *)
+    per-chain latency report. The mean sums in array order. The
+    nearest-rank percentiles equal a sort's but come from quickselect,
+    which reorders the prefix in place: expected linear time, O(n log n)
+    at worst. Samples must not be NaN. *)

@@ -257,6 +257,74 @@ let test_timing_clamp () =
   Alcotest.(check bool) "elapsed is non-negative" true
     (Timing.elapsed (Timing.now () +. 60.0) >= 0.0)
 
+(* The heapsort [Stats] used before it selected its percentiles, kept
+   as the reference for [Stats.tail_summary] and [Stats.percentile]:
+   [sort_floats xs n] sorts [xs.(0 .. n-1)] ascending in place. *)
+let sort_floats (xs : float array) n =
+  if n < 0 || n > Array.length xs then invalid_arg "sort_floats: length";
+  let sift root stop =
+    let r = ref root and go = ref true in
+    while !go do
+      let c = (2 * !r) + 1 in
+      if c >= stop then go := false
+      else begin
+        let c = if c + 1 < stop && xs.(c + 1) > xs.(c) then c + 1 else c in
+        if xs.(c) > xs.(!r) then begin
+          let tmp = xs.(!r) in
+          xs.(!r) <- xs.(c);
+          xs.(c) <- tmp;
+          r := c
+        end
+        else go := false
+      end
+    done
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let tmp = xs.(0) in
+    xs.(0) <- xs.(last);
+    xs.(last) <- tmp;
+    sift 0 last
+  done
+
+(* Nearest rank on a sorted copy. *)
+let nearest_rank p sorted n =
+  sorted.((int_of_float (ceil (p /. 100.0 *. float_of_int n)) |> max 1 |> min n) - 1)
+
+(* Musser's median-of-3 killer for [n = 2k]:
+   1, k+1, 3, k+3, ..., k-1, 2k-1, 2, 4, ..., 2k. *)
+let median3_killer k =
+  Array.init (2 * k) (fun i ->
+      let i = i + 1 in
+      float_of_int
+        (if i > k then 2 * (i - k) else if i mod 2 = 1 then i else k + i - 1))
+
+(* Sample arrays shaped to stress selection: random values, heavy
+   duplicates, constant, sorted, reversed and median-of-3 killers, each
+   with a prefix length [n] that includes 0, 1 and 2. *)
+let selection_input =
+  let open QCheck.Gen in
+  let values =
+    oneof
+      [
+        list_size (int_range 0 300) (float_range 0.0 1e6);
+        list_size (int_range 0 300) (map float_of_int (int_range 0 4));
+        map2 (fun n x -> List.init n (fun _ -> x)) (int_range 0 100) (float_range 0.0 10.0);
+        map (fun n -> List.init n float_of_int) (int_range 0 300);
+        map (fun n -> List.init n (fun i -> float_of_int (n - i))) (int_range 0 300);
+        map (fun k -> Array.to_list (median3_killer (2 * k))) (int_range 1 150);
+        list_size (int_range 1 2) (float_range 0.0 5.0);
+      ]
+  in
+  map2
+    (fun xs k ->
+      let len = List.length xs in
+      let n = if k < 3 then min k len else len - (k mod (min len 5 + 1)) in
+      (Array.of_list xs, max 0 n))
+    values (int_range 0 8)
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -293,11 +361,47 @@ let qcheck_cases =
       (fun (xs, k) ->
         let a = Array.of_list xs in
         let n = if a = [||] then 0 else k mod (Array.length a + 1) in
-        Stats.sort_floats a n;
+        sort_floats a n;
         let prefix = List.filteri (fun i _ -> i < n) xs in
         Array.to_list (Array.sub a 0 n) = List.sort Float.compare prefix
         && Array.to_list (Array.sub a n (Array.length a - n))
            = List.filteri (fun i _ -> i >= n) xs);
+    Test.make ~name:"tail_summary matches a sort" ~count:500
+      (make
+         ~print:(fun (a, n) ->
+           Printf.sprintf "n=%d [%s]" n
+             (String.concat "; " (Array.to_list (Array.map string_of_float a))))
+         selection_input)
+      (fun (a, n) ->
+        let sorted = Array.copy a in
+        sort_floats sorted n;
+        let sum = ref 0.0 in
+        for i = 0 to n - 1 do
+          sum := !sum +. a.(i)
+        done;
+        let expected =
+          if n = 0 then (0.0, 0.0, 0.0, 0.0)
+          else
+            ( !sum /. float_of_int n,
+              nearest_rank 50.0 sorted n,
+              nearest_rank 99.0 sorted n,
+              sorted.(n - 1) )
+        in
+        let xs = Array.copy a in
+        let got = Stats.tail_summary xs n in
+        let same_multiset =
+          let p = Array.sub xs 0 n in
+          sort_floats p n;
+          p = Array.sub sorted 0 n
+        in
+        got = expected && same_multiset
+        && Array.sub xs n (Array.length a - n) = Array.sub a n (Array.length a - n)
+        && (n = 0
+           || List.for_all
+                (fun p ->
+                  Stats.percentile p (Array.to_list (Array.sub a 0 n))
+                  = nearest_rank p sorted n)
+                [ 0.0; 1.0; 50.0; 90.0; 99.0; 100.0 ]));
   ]
 
 let suite =
