@@ -32,41 +32,60 @@ let grow t filler =
   t.seqs <- seqs;
   t.vals <- vals
 
-let swap t i j =
-  let k = t.keys.(i) and s = t.seqs.(i) and v = t.vals.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.seqs.(i) <- t.seqs.(j);
-  t.vals.(i) <- t.vals.(j);
-  t.keys.(j) <- k;
-  t.seqs.(j) <- s;
-  t.vals.(j) <- v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Both sifts move a hole instead of swapping: the entry being placed
+   stays in locals while the entries it passes shift one level into
+   the hole, and it is written once where it stops. Sequence numbers
+   are unique, so the order is strict and the final layout is that of
+   a swap-based sift. *)
+let sift_up t i key seq value =
+  let i = ref i and go = ref true in
+  while !go && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let kp = t.keys.(parent) in
+    if key < kp || (key = kp && seq < t.seqs.(parent)) then begin
+      t.keys.(!i) <- kp;
+      t.seqs.(!i) <- t.seqs.(parent);
+      t.vals.(!i) <- t.vals.(parent);
+      i := parent
     end
-  end
+    else go := false
+  done;
+  t.keys.(!i) <- key;
+  t.seqs.(!i) <- seq;
+  t.vals.(!i) <- value
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.len && before t l i then l else i in
-  let smallest = if r < t.len && before t r smallest then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
-  end
+(* Sifts the entry stored at [src] down from the root; [src] lies
+   past [t.len], so it is never one of the children compared. Reading
+   it here rather than taking its key as an argument keeps that float
+   unboxed. *)
+let sift_down t src =
+  let key = t.keys.(src) and seq = t.seqs.(src) and value = t.vals.(src) in
+  let i = ref 0 and go = ref true in
+  while !go do
+    let l = (2 * !i) + 1 in
+    if l >= t.len then go := false
+    else begin
+      let c = if l + 1 < t.len && before t (l + 1) l then l + 1 else l in
+      let kc = t.keys.(c) in
+      if kc < key || (kc = key && t.seqs.(c) < seq) then begin
+        t.keys.(!i) <- kc;
+        t.seqs.(!i) <- t.seqs.(c);
+        t.vals.(!i) <- t.vals.(c);
+        i := c
+      end
+      else go := false
+    end
+  done;
+  t.keys.(!i) <- key;
+  t.seqs.(!i) <- seq;
+  t.vals.(!i) <- value
 
 let push t key value =
   if t.len = Array.length t.vals then grow t value;
-  t.keys.(t.len) <- key;
-  t.seqs.(t.len) <- t.next_seq;
-  t.vals.(t.len) <- value;
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  sift_up t (t.len - 1) key seq value
 
 let min_key t =
   if t.len = 0 then invalid_arg "Heap.min_key: empty";
@@ -76,12 +95,7 @@ let take t =
   if t.len = 0 then invalid_arg "Heap.take: empty";
   let top = t.vals.(0) in
   t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.keys.(0) <- t.keys.(t.len);
-    t.seqs.(0) <- t.seqs.(t.len);
-    t.vals.(0) <- t.vals.(t.len);
-    sift_down t 0
-  end;
+  if t.len > 0 then sift_down t t.len;
   top
 
 let size t = t.len
