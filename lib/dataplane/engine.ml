@@ -90,8 +90,10 @@ type element = {
    [serialize = false] marks pure-delay resources (the SmartNIC's
    inline datapath, which Sim also models without contention).
    [w_heads.(i)] is the timestamp of the packet at the head of element
-   [i]'s ring, [infinity] when it is empty, so the EDF scan reads one
-   float array and never touches the rings. *)
+   [i]'s ring, [infinity] when it is empty, so the EDF pick reads one
+   float array and never touches the rings. [w_live.(0 .. w_nlive-1)]
+   lists the slots of the non-empty rings in ascending order, so the
+   pick never reads an empty ring's head. *)
 and worker = {
   w_name : string;
   w_serialize : bool;
@@ -99,11 +101,15 @@ and worker = {
   mutable w_rev : element list;
   mutable w_elems : element array;
   mutable w_heads : float array;
+  mutable w_live : int array;
+  mutable w_nlive : int;
 }
 
 (* All-float records are stored flat, so writing their fields does not
-   allocate; a float field in a mixed record would box on every write. *)
-and clock = { mutable busy : float }
+   allocate; a float field in a mixed record would box on every write.
+   [floor] is at most every queued head of the worker, and [infinity]
+   while its rings are all empty: see {!pick}. *)
+and clock = { mutable busy : float; mutable floor : float }
 
 type meter = {
   mutable next_gen : float;
@@ -134,6 +140,50 @@ type chain_rt = {
   tm_shaped : Lemur_telemetry.Counter.t;
   tm_latency : Lemur_telemetry.Histogram.t;
 }
+
+(* The earliest-service-first pick (contract in engine.mli). The scan
+   stops at the first live head [<= bound], [bound] being the later of
+   [busy] (on a serializing worker) and [clock.floor]. No start can
+   precede [bound], as [clock.floor] is at most every live head, so
+   that head starts at the least possible time and no earlier slot
+   does: a scan over every slot would pick it too. The compares are
+   spelled out because [Float.max] is not inlined across modules and
+   would box its operands. *)
+let[@inline] pick ~serialize ~slice_end clock (live : int array) nlive
+    (heads : float array) reads =
+  let busy = clock.busy and floor = clock.floor in
+  let best = ref (-1) in
+  if not ((serialize && busy >= slice_end) || floor >= slice_end) then begin
+    let bound = if serialize && busy > floor then busy else floor in
+    (* the least head read and, over the other slots, the next least *)
+    let least = ref infinity and rest = ref infinity in
+    let j = ref 0 in
+    while !j < nlive do
+      let i = live.(!j) in
+      let head = heads.(i) in
+      incr reads;
+      if head <= bound then begin
+        best := i;
+        j := nlive + 1
+      end
+      else begin
+        if head < !least then begin
+          rest := !least;
+          least := head;
+          best := i
+        end
+        else if head < !rest then rest := head;
+        incr j
+      end
+    done;
+    if !j = nlive then
+      if !least < slice_end then clock.floor <- !rest
+      else begin
+        best := -1;
+        clock.floor <- !least
+      end
+  end;
+  !best
 
 let[@inline] cycles prng (pool : Packet.pool) p = function
   | Law law -> Prng.sample prng law
@@ -179,13 +229,15 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
   let workers_rev = ref [] in
   let new_worker ?(serialize = true) name =
     let w =
-      { w_name = name; w_serialize = serialize; w_clock = { busy = 0.0 };
-        w_rev = []; w_elems = [||]; w_heads = [||] }
+      { w_name = name; w_serialize = serialize;
+        w_clock = { busy = 0.0; floor = infinity }; w_rev = [];
+        w_elems = [||]; w_heads = [||]; w_live = [||]; w_nlive = 0 }
     in
     workers_rev := w :: !workers_rev;
     w
   in
   let total_served = ref 0 in
+  let heads_read = ref 0 in
   let pool_exhausted = ref 0 in
   let elements_rev = ref [] in
   let new_element ~worker ~name ?(tm_nfs = [||]) ~work ~wire ~lead () =
@@ -388,8 +440,18 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
   let workers = Array.of_list (List.rev !workers_rev) in
   Array.iter
     (fun w ->
-      w.w_elems <- Array.of_list (List.rev w.w_rev);
-      w.w_heads <- Array.make (Array.length w.w_elems) infinity;
+      (* [w_rev] lists the newest element first; reversing in place
+         allocates no second list *)
+      let elems = Array.of_list w.w_rev in
+      let n = Array.length elems in
+      for i = 0 to (n / 2) - 1 do
+        let e = elems.(i) in
+        elems.(i) <- elems.(n - 1 - i);
+        elems.(n - 1 - i) <- e
+      done;
+      w.w_elems <- elems;
+      w.w_heads <- Array.make n infinity;
+      w.w_live <- Array.make n 0;
       w.w_rev <- [])
     workers;
   (* Same per-chain random phase as Sim's first Generate event. *)
@@ -432,13 +494,28 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
     Packet.free pool p
   in
   (* Route a packet into a hop: flow-consistent replica choice (HashLB),
-     tail-drop when the replica's ring is full. *)
+     tail-drop when the replica's ring is full. Most hops have one
+     replica, and they skip the division. *)
   let enqueue c p hop =
-    let e = hop.(pool.Packet.flow.(p) mod Array.length hop) in
+    let n = Array.length hop in
+    let e = if n = 1 then hop.(0) else hop.(pool.Packet.flow.(p) mod n) in
     let t = time.(p) +. e.lead in
     time.(p) <- t;
     if Ring.push e.ring p then begin
-      if Ring.length e.ring = 1 then e.owner.w_heads.(e.slot) <- t
+      if Ring.length e.ring = 1 then begin
+        (* the ring turned live: list its slot in order *)
+        let w = e.owner in
+        let live = w.w_live in
+        let j = ref w.w_nlive in
+        while !j > 0 && live.(!j - 1) > e.slot do
+          live.(!j) <- live.(!j - 1);
+          decr j
+        done;
+        live.(!j) <- e.slot;
+        w.w_nlive <- w.w_nlive + 1;
+        w.w_heads.(e.slot) <- t;
+        if t < w.w_clock.floor then w.w_clock.floor <- t
+      end
     end
     else drop_at c e p
   in
@@ -495,38 +572,50 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
   in
   (* One breath of one worker: pull up to [batch_pkts] packets whose
      service can start inside the slice, always taking the eligible
-     head with the earliest service start across the worker's rings —
-     the same time-ordered resource discipline Sim gets from its event
-     heap. Round-robin here would let a late packet in one ring jump
-     the busy clock over earlier packets queued in a sibling ring,
-     wasting real capacity as idle time. Ties go to the lowest ring
-     index, which keeps the order deterministic. The start time is
-     [max head busy] written as a compare: [Float.max] is not inlined
-     across modules and would box its operands for every ring scanned. *)
+     head with the earliest service start across the worker's rings
+     ({!pick}) — the same time-ordered resource discipline Sim gets
+     from its event heap. Cycling through the rings in turn instead
+     would let a late packet in one ring jump the busy clock over
+     earlier packets queued in a sibling ring, wasting real capacity as
+     idle time. The start time is [max head busy] written as a
+     compare, as in [pick]. *)
   let breathe w slice_end =
-    let n = Array.length w.w_elems in
-    let heads = w.w_heads in
+    let heads = w.w_heads and clock = w.w_clock in
     let served = ref 0 in
-    let go = ref (n > 0) in
+    let go = ref (Array.length heads > 0) in
     while !go && !served < batch_pkts do
-      let busy = w.w_clock.busy in
-      let best = ref (-1) and best_start = ref infinity in
-      for i = 0 to n - 1 do
-        let head = heads.(i) in
-        let start = if w.w_serialize && busy > head then busy else head in
-        if start < slice_end && start < !best_start then begin
-          best := i;
-          best_start := start
-        end
-      done;
-      if !best < 0 then go := false
+      let busy = clock.busy in
+      let best =
+        pick ~serialize:w.w_serialize ~slice_end clock w.w_live w.w_nlive heads
+          heads_read
+      in
+      if best < 0 then go := false
       else begin
-        let e = w.w_elems.(!best) in
+        let head = heads.(best) in
+        let start = if w.w_serialize && busy > head then busy else head in
+        let e = w.w_elems.(best) in
         let p = Ring.take e.ring in
         let next = Ring.top e.ring in
-        heads.(!best) <- (if next = Ring.none then infinity else time.(next));
-        let fin = !best_start +. service prng pool e p in
-        if w.w_serialize then w.w_clock.busy <- fin;
+        if next = Ring.none then begin
+          (* the ring drained: drop its slot from the live list *)
+          heads.(best) <- infinity;
+          let live = w.w_live in
+          let j = ref 0 in
+          while live.(!j) <> best do
+            incr j
+          done;
+          for k = !j to w.w_nlive - 2 do
+            live.(k) <- live.(k + 1)
+          done;
+          w.w_nlive <- w.w_nlive - 1
+        end
+        else begin
+          let h = time.(next) in
+          heads.(best) <- h;
+          if h < clock.floor then clock.floor <- h
+        end;
+        let fin = start +. service prng pool e p in
+        if w.w_serialize then clock.busy <- fin;
         time.(p) <- fin +. e.wire;
         e.pulled <- e.pulled + 1;
         incr total_served;
@@ -582,7 +671,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
       Counter.incr ~by:c.delivered_pkts c.tm_delivered;
       Counter.incr ~by:c.dropped c.tm_dropped;
       Counter.incr ~by:c.shaped c.tm_shaped;
-      (* arrival order: [Stats.tail_summary] below sorts the buffer *)
+      (* arrival order: [Stats.tail_summary] below reorders the buffer *)
       Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
     chains;
   let chain_results =
@@ -622,6 +711,8 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.breaths");
   Counter.incr ~by:!total_served
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.served");
+  Counter.incr ~by:!heads_read
+    (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.heads_read");
   Counter.incr ~by:!pool_exhausted
     (Lemur_telemetry.Telemetry.counter tm "dataplane.engine.pool_exhausted");
   {

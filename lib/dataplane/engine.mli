@@ -15,9 +15,10 @@
 
     The breathing loop advances virtual time in fixed slices: sources
     inject the packets due within the slice, then every worker breathes
-    (pull a batch, serve, push onward) round-robin until the slice
-    quiesces. Service order is deterministic, so equal seeds give
-    bit-identical results.
+    (pull a batch, serve, push onward), in worker order, until the
+    slice quiesces. Within a breath a worker always serves the ring
+    head that can start earliest ({!pick}). Service order is
+    deterministic, so equal seeds give bit-identical results.
 
     Every element counts packets pulled and packets dropped at its
     ring, and every chain counts injected / delivered / dropped /
@@ -88,6 +89,35 @@ val run :
     pins an explicit rate. Offered rates and route choices use the same
     generator law as {!Sim}, so the two executors measure the same
     workload — the convergence check in [lemur_check] relies on it. *)
+
+type clock = { mutable busy : float; mutable floor : float }
+(** A worker's virtual clock: [busy] is when its current service ends
+    (serializing workers only); [floor] is at most the head of every
+    non-empty ring of the worker, [infinity] while all are empty. *)
+
+val pick :
+  serialize:bool ->
+  slice_end:float ->
+  clock ->
+  int array ->
+  int ->
+  float array ->
+  int ref ->
+  int
+(** [pick ~serialize ~slice_end clock live nlive heads reads] is the
+    breathing loop's earliest-service-first choice among one worker's
+    rings, whose head timestamps are [heads] ([infinity] for an empty
+    ring) and whose non-empty slots are [live.(0 .. nlive-1)] in
+    ascending order. It returns the slot whose head can start service
+    earliest, at [max head clock.busy] on a serializing worker and at
+    [head] otherwise, among starts before [slice_end], the lowest slot
+    on ties; or -1 when none can start. The answer is that of a scan
+    over every slot. The scan reads only live heads and stops at the
+    first one that starts at the least possible time ([clock.busy] or
+    [clock.floor]). A scan that reads every live head sets
+    [clock.floor] to the least head other than the chosen slot's, so
+    the caller must lower it to the chosen ring's next head. The heads
+    read are added to [reads] ([dataplane.engine.heads_read]). *)
 
 val conserved : result -> bool
 (** The conservation identity, per chain and in aggregate. *)

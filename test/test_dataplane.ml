@@ -391,6 +391,11 @@ let traced f =
   let r = Fun.protect ~finally:(fun () -> Lemur_telemetry.Telemetry.set_current prev) f in
   (r, telemetry_lines tm)
 
+(* [dataplane.engine.heads_read] counts the EDF pick's work, not the
+   run's output, so the digests leave it out; "engine pick reads few
+   heads" gates it on its own. *)
+let is_heads_read l = String.starts_with ~prefix:"dataplane.engine.heads_read=" l
+
 let engine_digest (c, p) =
   let r, tel = traced (fun () -> Engine.run ~seed:3 ~config:c ~placement:p ()) in
   let b = Buffer.create 4096 in
@@ -410,7 +415,7 @@ let engine_digest (c, p) =
     r.Engine.elements;
   add "agg %h %h %d %d %d\n" r.Engine.aggregate_throughput r.Engine.duration
     r.Engine.breaths r.Engine.total_served r.Engine.pool_exhausted;
-  List.iter (add "%s\n") tel;
+  List.iter (add "%s\n") (List.filter (fun l -> not (is_heads_read l)) tel);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let sim_digest (c, p) =
@@ -453,6 +458,114 @@ let test_golden_executors () =
       Alcotest.(check string) (name ^ ": engine digest") engine (engine_digest case);
       Alcotest.(check string) (name ^ ": sim digest") sim (sim_digest case))
     (golden_cases ()) golden
+
+(* The EDF pick's head reads on the golden "fig2c delta 0.5" case. A
+   scan of every head of the worker on every pick reads 863 132; skipping
+   empty rings and stopping at the first head that starts at the least
+   possible time must keep it to a third of that, so a return to the
+   full scan fails here without reading a clock. *)
+let test_engine_heads_read () =
+  let parent_scan = 863_132 in
+  let c, p = List.assoc "fig2c delta 0.5" (golden_cases ()) in
+  let _, tel = traced (fun () -> Engine.run ~seed:3 ~config:c ~placement:p ()) in
+  let reads =
+    match List.find_opt is_heads_read tel with
+    | Some l -> int_of_string (List.nth (String.split_on_char '=' l) 1)
+    | None -> Alcotest.fail "no dataplane.engine.heads_read counter"
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d heads read <= %d / 3" reads parent_scan)
+    true
+    (reads > 0 && reads * 3 <= parent_scan)
+
+(* ------------------------------------------------------------------ *)
+(* EDF pick                                                             *)
+
+(* The breathing loop's pick before it skipped empty rings and stopped
+   early, kept as the reference: every head is read, and the strict
+   [<] keeps the lowest slot among equal starts. *)
+let scan_pick ~serialize ~busy ~slice_end heads =
+  let best = ref (-1) and best_start = ref infinity in
+  Array.iteri
+    (fun i head ->
+      let start = if serialize && busy > head then busy else head in
+      if start < slice_end && start < !best_start then begin
+        best := i;
+        best_start := start
+      end)
+    heads;
+  !best
+
+(* A worker's rings driven the way the breathing loop drives them: each
+   step first fills some empty rings, then picks; the chosen ring gets a
+   new head or drains, and a serializing worker's clock moves to the
+   end of the service. Heads, [busy] and [slice_end] come from a few
+   small integers, so ties between heads, a head equal to [busy] and
+   heads cut by [slice_end] are common; [infinity] marks an empty ring.
+   [Engine.pick] must choose the reference's slot at every step, read
+   at most the live heads, and keep [floor] at or below every live head
+   but the chosen one. *)
+let pick_qcheck_case =
+  let open QCheck in
+  let value = Gen.(map float_of_int (int_range 0 12)) in
+  let step =
+    Gen.(quad (list_size (int_range 0 3) (pair nat value)) value value
+           (pair value (int_range 0 4)))
+  in
+  Test.make ~name:"engine pick matches the linear scan" ~count:500
+    (make Gen.(triple bool (int_range 0 12) (list_size (int_range 1 40) step)))
+    (fun (serialize, n, steps) ->
+      let heads = Array.make n infinity and live = Array.make n 0 in
+      let nlive = ref 0 in
+      let clock = { Engine.busy = 0.0; floor = infinity } in
+      let reads = ref 0 in
+      let relist () =
+        nlive := 0;
+        Array.iteri
+          (fun i h ->
+            if h < infinity then begin
+              live.(!nlive) <- i;
+              incr nlive
+            end)
+          heads
+      in
+      let set_head i h =
+        heads.(i) <- h;
+        if h < clock.Engine.floor then clock.Engine.floor <- h;
+        relist ()
+      in
+      List.for_all
+        (fun (fills, busy, slice_end, (next_head, service)) ->
+          if n > 0 then
+            List.iter
+              (fun (k, h) -> if heads.(k mod n) = infinity then set_head (k mod n) h)
+              fills;
+          if serialize && busy > clock.Engine.busy then clock.Engine.busy <- busy;
+          let busy = clock.Engine.busy in
+          let expected = scan_pick ~serialize ~busy ~slice_end heads in
+          let before = !reads in
+          let got =
+            Engine.pick ~serialize ~slice_end clock live !nlive heads reads
+          in
+          let ok =
+            got = expected
+            && !reads - before <= !nlive
+            &&
+            let floor_ok = ref true in
+            Array.iteri
+              (fun i h -> if i <> got && h < clock.Engine.floor then floor_ok := false)
+              heads;
+            !floor_ok
+          in
+          if got >= 0 then begin
+            let head = heads.(got) in
+            let start = if serialize && busy > head then busy else head in
+            if serialize then clock.Engine.busy <- start +. float_of_int service;
+            (* the ring drains on a [service] of 0 *)
+            set_head got (if service = 0 then infinity else next_head)
+          end;
+          ok)
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* Ring properties                                                      *)
@@ -610,4 +723,6 @@ let suite =
       test_engine_conservation_aggregate;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) ring_qcheck_cases
-  @ [ Alcotest.test_case "golden executor results" `Quick test_golden_executors ]
+  @ [ Alcotest.test_case "golden executor results" `Quick test_golden_executors;
+      Alcotest.test_case "engine pick reads few heads" `Quick test_engine_heads_read;
+      QCheck_alcotest.to_alcotest ~long:false pick_qcheck_case ]
