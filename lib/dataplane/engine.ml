@@ -574,7 +574,7 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
      service can start inside the slice, always taking the eligible
      head with the earliest service start across the worker's rings
      ({!pick}) — the same time-ordered resource discipline Sim gets
-     from its event heap. Cycling through the rings in turn instead
+     from its event queues. Cycling through the rings in turn instead
      would let a late packet in one ring jump the busy clock over
      earlier packets queued in a sibling ring, wasting real capacity as
      idle time. The start time is [max head busy] written as a
@@ -671,8 +671,10 @@ let run ?(seed = 7) ?(duration = Units.ms 10.0) ?(overdrive = 1.08)
       Counter.incr ~by:c.delivered_pkts c.tm_delivered;
       Counter.incr ~by:c.dropped c.tm_dropped;
       Counter.incr ~by:c.shaped c.tm_shaped;
-      (* arrival order: [Stats.tail_summary] below reorders the buffer *)
-      Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
+      (* arrival order: [Stats.tail_summary] below reorders the buffer;
+         a disabled sink's histograms are never read *)
+      if Lemur_telemetry.Telemetry.enabled tm then
+        Lemur_telemetry.Histogram.record_many c.tm_latency c.lats c.n_lats)
     chains;
   let chain_results =
     Array.to_list

@@ -1,7 +1,7 @@
 (** Batched packet-at-a-time execution of a placement — the snabb-style
     ground truth underneath {!Sim}'s batch-rate model.
 
-    Where {!Sim} moves whole 32-packet batches through an event heap,
+    Where {!Sim} moves whole 32-packet batches through event queues,
     the engine executes {e individual packets} through an explicit
     element graph: preallocated {!Packet} buffers drawn from a
     freelist, fixed-capacity {!Ring} buffers between elements, and

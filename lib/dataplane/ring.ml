@@ -14,7 +14,6 @@ let create ~capacity =
   { buf = Array.make capacity none; cap = capacity; head = 0; tail = 0;
     pushed = 0; popped = 0 }
 
-let capacity t = t.cap
 let length t = t.pushed - t.popped
 let is_empty t = t.pushed = t.popped
 let is_full t = t.pushed - t.popped = t.cap

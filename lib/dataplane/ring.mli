@@ -30,7 +30,6 @@ val create : capacity:int -> t
 (** A ring holding at most [capacity] handles.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool
 val is_full : t -> bool

@@ -69,3 +69,15 @@ val run :
     [verdict ~slack:0.] on that chain's own result. *)
 
 val pp_result : Format.formatter -> result -> unit
+
+(** {2 Event order}
+
+    [run] queues chain generators apart from batch slots, in two heaps
+    sharing one sequence counter, and serves the earlier top by (time,
+    sequence): equal times pop in push order across both. *)
+
+type events
+type event = Generate of int | Step of int
+val events : unit -> events
+val push : events -> float -> event -> unit
+val pop : events -> (float * event) option
