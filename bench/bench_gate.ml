@@ -1,6 +1,8 @@
-(* The envelope every gated `bench --` harness shares: one flag parser,
-   one gate list, one report writer and one exit-code rule. A harness
-   keeps only its workload and its gate predicates.
+(* The envelope the gated `bench --` harnesses (scale, classify) share:
+   one flag parser, one gate list, one report writer and one exit-code
+   rule. A harness keeps only its workload and its gate predicates, and
+   a gate here reads a clock: what a run computes is pinned by tests
+   under test/ instead.
 
    Exit codes: 0 when every gate passes, 1 when any gate fails, 2 on a
    usage error or an unwritable report. docs/PERFORMANCE.md documents
@@ -66,21 +68,6 @@ let parse ?seed harness args =
       out = Printf.sprintf "BENCH_%s.json" harness;
     }
     args
-
-(* Run the same workload on one domain and on [jobs]; [run] returns its
-   result and the digest of its deterministic output. The -j N pair is
-   the one reported. *)
-let determinism ?(name = "determinism") ~jobs run =
-  let _, seq = run 1 in
-  let result, par = run jobs in
-  let ok = String.equal seq par in
-  ( (result, par),
-    gate name ok
-      (if ok then
-         Printf.sprintf "digest %s identical at -j 1 and -j %d" par jobs
-       else
-         Printf.sprintf "digest mismatch: %s at -j 1, %s at -j %d" seq par
-           jobs) )
 
 let gate_json g =
   Json.Obj

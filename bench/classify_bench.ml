@@ -1,21 +1,15 @@
 (* The classifier bench behind `dune exec bench/main.exe -- classify`:
    generates seeded rulesets at several sizes, builds all three
-   classifiers over each, and gates three properties into
-   BENCH_classify.json:
+   classifiers over each, times their lookups and writes
+   BENCH_classify.json.
 
-   - agreement (hard gate): on every corpus header, the tuple-space
-     and computed classifiers return exactly the rule the priority
-     linear scan returns;
-   - speedup (hard gate): at the largest size, the computed index's
-     wall-clock lookups/sec beats the linear scan's by at least 5x —
-     the NuevoMatchUP-direction claim this subsystem models;
-   - determinism (hard gate): the corpus digest — matched rule ids and
-     modeled cycle costs, folded in size order — at -j N must be
-     byte-identical to -j 1.
-
-   The headline metric is wall-clock lookups/sec per algorithm per
-   ruleset size; the modeled cycle costs (what the profiler feeds the
-   placer, see docs/CLASSIFIER.md) land in the JSON next to them. *)
+   Its one gate reads the clock: at the largest size, the computed
+   index's wall-clock lookups/sec must beat the linear scan's by at
+   least 5x — the NuevoMatchUP-direction claim this subsystem models.
+   The modeled cycle costs (what the profiler feeds the placer, see
+   docs/CLASSIFIER.md) land in the JSON next to the rates. Three-way
+   agreement on the quick corpus, its digest and its -j invariance are
+   pinned in test/test_classifier.ml. *)
 
 open Lemur_classifier
 module Pool = Lemur_util.Pool
@@ -34,8 +28,6 @@ type size_result = {
   s_size : int;
   s_build_wall : float array;  (* per algo, [Classifier.all_algos] order *)
   s_algos : algo_result list;
-  s_mismatches : int;  (* corpus headers where any algo disagrees *)
-  s_digest_line : string;
 }
 
 (* Walk the corpus with the silent [Classifier.cost] so the timed loop
@@ -65,32 +57,6 @@ let run_size ~quick size =
         (algo, cls, Unix.gettimeofday () -. t0))
       Classifier.all_algos
   in
-  (* Agreement + digest in one deterministic pass: matched ids and
-     modeled cycles only, never wall-clock. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (string_of_int size);
-  let mismatches = ref 0 in
-  Array.iter
-    (fun h ->
-      let ids =
-        List.map
-          (fun (_, cls, _) ->
-            let o = Classifier.cost cls h in
-            ( (match o.Classifier.o_rule with
-              | Some r -> r.Rule.id
-              | None -> -1),
-              int_of_float o.Classifier.o_cycles ))
-          built
-      in
-      (match ids with
-      | (lin_id, _) :: rest ->
-          if List.exists (fun (id, _) -> id <> lin_id) rest then
-            incr mismatches
-      | [] -> ());
-      List.iter
-        (fun (id, cy) -> Buffer.add_string buf (Printf.sprintf "|%d:%d" id cy))
-        ids)
-    corpus;
   (* Lookups/sec: enough passes over the corpus that even the computed
      index accumulates measurable wall time. *)
   let passes algo =
@@ -116,29 +82,7 @@ let run_size ~quick size =
     s_size = size;
     s_build_wall = Array.of_list (List.map (fun (_, _, w) -> w) built);
     s_algos = algos;
-    s_mismatches = !mismatches;
-    s_digest_line = Buffer.contents buf;
   }
-
-let run_corpus ~quick ~jobs sizes =
-  let results = Pool.map ~domains:jobs (run_size ~quick) sizes in
-  let crashes = ref [] in
-  let runs =
-    List.concat_map
-      (fun r ->
-        match r with
-        | Ok run -> [ run ]
-        | Error (e : Pool.job_error) ->
-            crashes := e.Pool.message :: !crashes;
-            [])
-      results
-  in
-  let digest =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "\n" (List.map (fun r -> r.s_digest_line) runs)))
-  in
-  ((runs, List.rev !crashes), digest)
 
 let rate a = if a.a_wall > 0.0 then float_of_int a.a_lookups /. a.a_wall else 0.0
 
@@ -158,7 +102,6 @@ let size_json s =
   Json.Obj
     [
       ("rules", Json.Int s.s_size);
-      ("mismatches", Json.Int s.s_mismatches);
       ( "build_wall_s",
         Json.List
           (List.map (fun w -> Json.Float w) (Array.to_list s.s_build_wall)) );
@@ -175,20 +118,23 @@ let main args =
   let quick = o.Bench_gate.quick and jobs = o.Bench_gate.jobs in
   let sizes = if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
   Printf.printf
-    "## classify: rulesets %s, linear vs tuple-space vs computed, -j 1 vs -j \
-     %d (host reports %d domain(s))\n%!"
+    "## classify: rulesets %s, linear vs tuple-space vs computed, -j %d \
+     (host reports %d domain(s))\n%!"
     (String.concat "/" (List.map string_of_int sizes))
     jobs
     (Pool.recommended_domains ());
-  let ((runs, crashes), digest), determinism =
-    Bench_gate.determinism ~jobs (fun jobs -> run_corpus ~quick ~jobs sizes)
+  let runs =
+    List.filter_map
+      (function
+        | Ok run -> Some run
+        | Error (e : Pool.job_error) ->
+            Printf.printf "  CRASH: %s\n" e.Pool.message;
+            None)
+      (Pool.map ~domains:jobs (run_size ~quick) sizes)
   in
-  List.iter (fun m -> Printf.printf "  CRASH: %s\n" m) crashes;
   List.iter
     (fun s ->
-      Printf.printf "  %7d rules%s\n" s.s_size
-        (if s.s_mismatches = 0 then ""
-         else Printf.sprintf "  %d AGREEMENT MISMATCHES" s.s_mismatches);
+      Printf.printf "  %7d rules\n" s.s_size;
       List.iter
         (fun a ->
           Printf.printf
@@ -197,44 +143,28 @@ let main args =
             (rate a) a.a_mean_cycles a.a_worst_cycles a.a_structure)
         s.s_algos)
     runs;
-  let agreement = List.for_all (fun s -> s.s_mismatches = 0) runs in
-  let top =
-    List.fold_left
-      (fun acc s ->
-        match acc with
-        | Some t when t.s_size >= s.s_size -> acc
-        | _ -> Some s)
-      None runs
-  in
+  (* a crash at the largest size fails the gate *)
+  let top = List.find_opt (fun s -> s.s_size = List.fold_left max 0 sizes) runs in
   let speedup =
     match top with
     | None -> 0.0
     | Some s ->
         let lin = find_rate s Classifier.Linear_scan in
-        let nuevo = find_rate s Classifier.Computed in
-        if lin > 0.0 then nuevo /. lin else 0.0
+        if lin > 0.0 then find_rate s Classifier.Computed /. lin else 0.0
   in
   let speedup_ok = speedup >= 5.0 in
   Bench_gate.finish o
     [
-      Bench_gate.gate "agreement" agreement
-        (if agreement then "all three classifiers identical on every header"
-         else "MISMATCH");
       Bench_gate.gate "speedup" speedup_ok
-        (Printf.sprintf "computed %.1fx linear at %d rules (needs >= 5x)"
-           speedup
-           (match top with Some s -> s.s_size | None -> 0));
-      determinism;
-      Bench_gate.gate "crashes" (crashes = [])
-        (Printf.sprintf "%d crashed size(s)" (List.length crashes));
+        (match top with
+        | Some s ->
+            Printf.sprintf "computed %.1fx linear at %d rules (needs >= 5x)"
+              speedup s.s_size
+        | None -> "the largest ruleset crashed");
     ]
     [
       ("sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
       ("runs", Json.List (List.map size_json runs));
       ("speedup_computed_vs_linear_at_top", Json.Float speedup);
       ("speedup_ok", Json.Bool speedup_ok);
-      ("agreement", Json.Bool agreement);
-      ("digest", Json.String digest);
-      ("digests_equal", Json.Bool determinism.Bench_gate.ok);
-      ("crashes", Json.List (List.map (fun m -> Json.String m) crashes));
     ]

@@ -815,8 +815,6 @@ let () =
   (* The gated harnesses are not paper experiments; they share
      Bench_gate's flags, report envelope and exit codes. *)
   (match Array.to_list Sys.argv with
-  | _ :: "perf" :: rest -> exit (Perf.main rest)
-  | _ :: "runtime" :: rest -> exit (Runtime_bench.main rest)
   | _ :: "scale" :: rest -> exit (Scale_bench.main rest)
   | _ :: "classify" :: rest -> exit (Classify_bench.main rest)
   | _ -> ());

@@ -60,6 +60,46 @@ let test_agreement_corpus () =
       done)
     [ 0; 1; 17; 256; 2000 ]
 
+(* `bench -- classify --quick`'s corpus: 256 flows over 1 000 and 10 000
+   rules. Each size, built and walked on a pool domain, folds every
+   header's matched rule id and modeled cycles under all three
+   classifiers into a line and counts the headers where they disagree.
+   The lines' digest is pinned and equal at -j 1 and -j 2, and a raised
+   exception fails the test. *)
+let test_quick_corpus_pinned () =
+  let size_line size =
+    let rs = Ruleset.generate ~size () in
+    let built = List.map (fun algo -> Classifier.build algo rs) Classifier.all_algos in
+    let buf = Buffer.create 4096 and disagreements = ref 0 in
+    Buffer.add_string buf (string_of_int size);
+    let id (o : Classifier.outcome) =
+      match o.Classifier.o_rule with Some r -> r.Rule.id | None -> -1
+    in
+    Array.iter
+      (fun h ->
+        let outcomes = List.map (fun cls -> Classifier.cost cls h) built in
+        if List.exists (fun o -> id o <> id (List.hd outcomes)) outcomes then
+          incr disagreements;
+        List.iter
+          (fun o ->
+            Printf.bprintf buf "|%d:%d" (id o) (int_of_float o.Classifier.o_cycles))
+          outcomes)
+      (Ruleset.headers rs ~flows:256);
+    (!disagreements, Buffer.contents buf)
+  in
+  List.iter
+    (fun domains ->
+      let at what = Printf.sprintf "%s at -j %d" what domains in
+      match Lemur_util.Pool.(all (map ~domains size_line [ 1_000; 10_000 ])) with
+      | Error e -> Alcotest.failf "%s" (at e.Lemur_util.Pool.message)
+      | Ok sizes ->
+          Alcotest.(check (list int)) (at "headers where the classifiers disagree")
+            [ 0; 0 ] (List.map fst sizes);
+          Alcotest.(check string) (at "corpus digest")
+            "b5a05f4acdf46c710f733431503be81b"
+            (Digest.to_hex (Digest.string (String.concat "\n" (List.map snd sizes)))))
+    [ 1; 2 ]
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -274,3 +314,4 @@ let suite =
       test_engine_sim_converge_with_classifier );
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
+  @ [ ("quick corpus pinned at -j 1 and -j 2", `Quick, test_quick_corpus_pinned) ]

@@ -277,6 +277,26 @@ let test_oracle_books_inconsistent () =
 (* ------------------------------------------------------------------ *)
 (* Determinism across job counts                                       *)
 
+let test_quick_fabric_pinned () =
+  (* `bench -- scale --quick`'s fabric: 4 racks, 8 tenants -> 64 chains.
+     The placement is oracle-clean, and its digest is pinned and equal
+     on one domain and on two. *)
+  let f = Fabric.synthetic ~racks:4 () in
+  let demands =
+    Fabric.expand (Fabric.synthetic_tenants ~seed:1 ~tenants:8 ~chains:64 f)
+  in
+  let cfg = Shard.default_config f in
+  List.iter
+    (fun jobs ->
+      let fp = placed (Shard.place ~jobs cfg demands) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "oracle-clean at -j %d" jobs)
+        [] (check_kinds fp);
+      Alcotest.(check string)
+        (Printf.sprintf "digest at -j %d" jobs)
+        "5166017f4760652476e7b51dd3bb136c" (Shard.digest fp))
+    [ 1; 2 ]
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -329,3 +349,7 @@ let suite =
       test_oracle_books_inconsistent;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
+  @ [
+      Alcotest.test_case "quick fabric pinned at -j 1 and -j 2" `Quick
+        test_quick_fabric_pinned;
+    ]

@@ -227,28 +227,125 @@ let simplex_corpus =
     ("unbounded", [| 1.0; 0.0 |], [| [| 1.0; -1.0 |] |], [| 1.0 |]);
   ]
 
+(* The pricing corpus: five fixed instances (Beale's cycling example and
+   a rate-LP-shaped one among them), then seeded random polytopes sized
+   like the placer's rate LPs and MILP relaxations, and degenerate
+   assignment polytopes, where the pricing rule matters most. Its pivot
+   totals are pinned, so a pricing change shows up as a count. *)
+let pricing_corpus =
+  let fixed =
+    [
+      ([| 3.0; 2.0 |], [| [| 1.0; 1.0 |]; [| 1.0; 3.0 |] |], [| 4.0; 6.0 |]);
+      ( [| 3.0; 5.0 |],
+        [| [| 1.0; 0.0 |]; [| 0.0; 2.0 |]; [| 3.0; 2.0 |] |],
+        [| 4.0; 12.0; 18.0 |] );
+      ( [| 1.0; 1.0 |],
+        [| [| -1.0; -1.0 |]; [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |],
+        [| -2.0; 3.0; 3.0 |] );
+      ( [| 0.75; -150.0; 0.02; -6.0 |],
+        [|
+          [| 0.25; -60.0; -0.04; 9.0 |];
+          [| 0.5; -90.0; -0.02; 3.0 |];
+          [| 0.0; 0.0; 1.0; 0.0 |];
+        |],
+        [| 0.0; 0.0; 1.0 |] );
+      ( [| 1.0; 1.0 |],
+        [| [| 1.0; 1.0 |]; [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |],
+        [| 40e9; 25e9; 25e9 |] );
+    ]
+  in
+  let rng = Lemur_util.Prng.create ~seed:42 in
+  let uniform lo hi = Lemur_util.Prng.uniform rng ~lo ~hi in
+  (* mixed-sign rows put the optimum many vertices from the slack basis;
+     about one rhs in six is negative, forcing phase 1; a box row keeps
+     every instance bounded *)
+  let random ~count ~nmax ~mmax =
+    List.init count (fun _ ->
+        let n = 2 + Lemur_util.Prng.int rng nmax in
+        let m = 2 + Lemur_util.Prng.int rng mmax in
+        let c = Array.init n (fun _ -> uniform (-2.0) 10.0) in
+        let a = Array.init m (fun _ -> Array.init n (fun _ -> uniform (-5.0) 10.0)) in
+        let b = Array.init m (fun _ -> uniform (-10.0) 50.0) in
+        (c, Array.append a [| Array.make n 1.0 |], Array.append b [| 100.0 |]))
+  in
+  (* k x k doubly-stochastic polytopes, like the MILP's assignment rows *)
+  let assignment ~count ~kmax =
+    List.init count (fun _ ->
+        let k = 3 + Lemur_util.Prng.int rng (kmax - 2) in
+        let c = Array.init (k * k) (fun _ -> Lemur_util.Prng.float rng 10.0) in
+        let row pick = Array.init (k * k) (fun v -> if pick v then 1.0 else 0.0) in
+        let a =
+          Array.append
+            (Array.init k (fun i -> row (fun v -> v / k = i)))
+            (Array.init k (fun j -> row (fun v -> v mod k = j)))
+        in
+        (c, a, Array.make (2 * k) 1.0))
+  in
+  (* the generators draw in this order: assignment, large, small *)
+  let assignments = assignment ~count:10 ~kmax:9 in
+  let large = random ~count:10 ~nmax:40 ~mmax:60 in
+  let small = random ~count:20 ~nmax:6 ~mmax:8 in
+  List.concat_map
+    (fun (group, instances) ->
+      List.mapi
+        (fun i (c, a, b) -> (Printf.sprintf "%s %d" group i, c, a, b))
+        instances)
+    [
+      ("fixed", fixed); ("small", small); ("large", large);
+      ("assignment", assignments);
+    ]
+
+(* Solve [corpus] under [pricing] against a fresh telemetry registry:
+   the outcomes, and the pivots of every simplex phase summed. *)
+let solve_counted pricing corpus =
+  let module Telemetry = Lemur_telemetry.Telemetry in
+  let tm = Telemetry.create () in
+  let prev = Telemetry.current () in
+  Telemetry.set_current tm;
+  let solve (_, c, a, b) = fst (Simplex.solve_basis ~pricing ~c ~a ~b ()) in
+  let outcomes =
+    Fun.protect ~finally:(fun () -> Telemetry.set_current prev) (fun () ->
+        List.map solve corpus)
+  in
+  let pivots phase =
+    Lemur_telemetry.Counter.value
+      (Telemetry.counter tm ("lp.simplex." ^ phase ^ "_pivots"))
+  in
+  ( outcomes,
+    List.fold_left ( + ) 0
+      (List.map pivots
+         [ "phase1"; "phase2"; "warm_install"; "warm_dual"; "warm_phase2" ]) )
+
 let test_dantzig_matches_bland () =
   (* Dantzig pricing (with its Bland anti-cycling fallback) must land on
      the same optimum — or the same infeasible/unbounded verdict — as
-     pure Bland on every corpus instance. *)
-  List.iter
-    (fun (name, c, a, b) ->
-      let bland = fst (Simplex.solve_basis ~pricing:Simplex.Bland ~c ~a ~b ()) in
-      let dantzig =
-        fst (Simplex.solve_basis ~pricing:Simplex.Dantzig ~c ~a ~b ())
-      in
-      match (bland, dantzig) with
-      | Simplex.Optimal { objective = ob; _ }, Simplex.Optimal { objective = od; _ }
-        ->
-          let scale = Float.max 1.0 (Float.abs ob) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: objectives agree (%g vs %g)" name ob od)
-            true
-            (Float.abs (ob -. od) <= 1e-6 *. scale)
-      | Simplex.Infeasible, Simplex.Infeasible -> ()
-      | Simplex.Unbounded, Simplex.Unbounded -> ()
-      | _ -> Alcotest.failf "%s: pricing rules disagree on outcome class" name)
-    simplex_corpus
+     pure Bland on every corpus instance, in about a third of Bland's
+     pivots on the pricing corpus. *)
+  let agree corpus =
+    let bland, bland_pivots = solve_counted Simplex.Bland corpus in
+    let dantzig, dantzig_pivots = solve_counted Simplex.Dantzig corpus in
+    List.iter2
+      (fun (name, _, _, _) outcomes ->
+        match outcomes with
+        | ( Simplex.Optimal { objective = ob; _ },
+            Simplex.Optimal { objective = od; _ } ) ->
+            let scale = Float.max 1.0 (Float.abs ob) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: objectives agree (%g vs %g)" name ob od)
+              true
+              (Float.abs (ob -. od) <= 1e-6 *. scale)
+        | Simplex.Infeasible, Simplex.Infeasible -> ()
+        | Simplex.Unbounded, Simplex.Unbounded -> ()
+        | _ -> Alcotest.failf "%s: pricing rules disagree on outcome class" name)
+      corpus
+      (List.combine bland dantzig);
+    (bland_pivots, dantzig_pivots)
+  in
+  ignore (agree simplex_corpus);
+  let bland_pivots, dantzig_pivots = agree pricing_corpus in
+  Alcotest.(check int) "Dantzig pivots on the pricing corpus" 181
+    dantzig_pivots;
+  Alcotest.(check int) "Bland pivots on the pricing corpus" 546 bland_pivots
 
 let test_warm_basis_reuse () =
   (* Re-solving from the exported optimal basis must reproduce the cold

@@ -702,6 +702,47 @@ let check_verdict_table_exact label c inputs =
     verdict_strategies (List.combine warm cold);
   counter "placer.stageverdict.hits"
 
+let test_variant_cache_corpus () =
+  (* Ten full-size scenarios, each re-placed as demand falls to 0.75 and
+     0.5 of its t_max (t_min stays: the runtime's loop), under Lemur and
+     Optimal. The variant cache must be invisible in the placements, and
+     the demand shifts are its hits. *)
+  let at_demand factor (inputs : Plan.chain_input list) =
+    List.map
+      (fun (i : Plan.chain_input) ->
+        let slo = i.Plan.slo in
+        let t_max = slo.Lemur_slo.Slo.t_max in
+        if factor < 1.0 && Float.is_finite t_max then
+          let t_max = Float.max slo.Lemur_slo.Slo.t_min (t_max *. factor) in
+          { i with Plan.slo = { slo with Lemur_slo.Slo.t_max } }
+        else i)
+      inputs
+  in
+  let pass ~fresh =
+    List.concat_map
+      (fun seed ->
+        let sc = Lemur_check.Scenario.generate ~quick:false ~seed () in
+        let c = Lemur_check.Scenario.config sc in
+        List.concat_map
+          (fun factor ->
+            let inputs = at_demand factor (Lemur_check.Scenario.inputs sc) in
+            List.map
+              (fun strategy ->
+                if fresh then Strategy.clear_variant_cache ();
+                render_outcome (Strategy.place strategy c inputs))
+              [ Strategy.Lemur; Strategy.Optimal ])
+          [ 1.0; 0.75; 0.5 ])
+      (List.init 10 succ)
+  in
+  Strategy.clear_variant_cache ();
+  let hits0, misses0 = Strategy.variant_cache_stats () in
+  let cached = pass ~fresh:false in
+  let hits1, misses1 = Strategy.variant_cache_stats () in
+  Alcotest.(check (pair int int)) "variant cache hits, misses" (18, 12)
+    (hits1 - hits0, misses1 - misses0);
+  Alcotest.(check (list string)) "cached placements match uncached"
+    (pass ~fresh:true) cached
+
 let test_verdict_table_exact () =
   let c = config () in
   let hits = ref 0 in
@@ -1041,4 +1082,8 @@ let suite =
       test_later_policy_wins;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
-  @ [ Alcotest.test_case "elapsed covers the whole place" `Quick test_elapsed_covers_place ]
+  @ [
+      Alcotest.test_case "elapsed covers the whole place" `Quick test_elapsed_covers_place;
+      Alcotest.test_case "variant cache exact on the demand corpus" `Quick
+        test_variant_cache_corpus;
+    ]

@@ -15,8 +15,8 @@ let contains ~needle hay =
   in
   nh = 0 || scan 0
 
-let run_ok ?(policy = Policy.Immediate) ?check trace =
-  let cfg = Engine.default_config ~policy ~seed:11 ?check () in
+let run_ok ?(policy = Policy.Immediate) ?(seed = 11) ?check ?move_budget trace =
+  let cfg = Engine.default_config ~policy ~seed ?check ?move_budget () in
   match Engine.run cfg trace with
   | Ok (report, d) -> (report, d)
   | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_to_string e)
@@ -314,55 +314,88 @@ let test_shrink_terminates () =
     Trace.all_kinds
 
 let test_proactive_engine () =
-  (* On a flash-crowd trace the forecast alarm fires: the proactive
-     policy reconfigures on predicted breaches (journaled as
-     "forecast"), far less often than immediate, and reports per-chain
-     forecast error. *)
-  let trace = Trace.generate ~events:50 ~kind:Trace.Flash_crowd ~seed:2 () in
-  let pro, _ = run_ok ~policy:Policy.default_proactive trace in
-  let imm, _ = run_ok ~policy:Policy.Immediate trace in
+  (* Over a corpus of diurnal ramps and flash crowds (oracle on), the
+     proactive policy accrues no more violation-seconds than debounced
+     while issuing at most half of immediate's reconfigurations. On
+     flash-crowd seed 2 its forecast alarm fires (journaled as
+     "forecast"), and it reports per-chain forecast error. *)
+  let corpus =
+    [
+      (Trace.Diurnal, 1, 40); (Trace.Diurnal, 2, 40);
+      (Trace.Flash_crowd, 1, 50); (Trace.Flash_crowd, 2, 50);
+    ]
+  in
+  let runs =
+    List.map
+      (fun (kind, seed, events) ->
+        let trace = Trace.generate ~events ~kind ~seed () in
+        let run policy =
+          fst (run_ok ~policy ~seed ~check:Lemur_check.Runtime_check.checker trace)
+        in
+        ( run Policy.Immediate,
+          run Policy.default_debounced,
+          run Policy.default_proactive ))
+      corpus
+  in
+  let total pick =
+    List.fold_left
+      (fun (rc, viol) run ->
+        let (r : Report.t) = pick run in
+        (rc + r.Report.reconfigs, viol +. r.Report.total_violation_s))
+      (0, 0.0) runs
+  in
+  let imm_rc, imm_viol = total (fun (i, _, _) -> i)
+  and deb_rc, deb_viol = total (fun (_, d, _) -> d)
+  and pro_rc, pro_viol = total (fun (_, _, p) -> p) in
+  Alcotest.(check (list int)) "reconfigs: immediate, debounced, proactive"
+    [ 180; 7; 18 ] [ imm_rc; deb_rc; pro_rc ];
+  Alcotest.(check (list (float 1e-9)))
+    "violation-seconds: immediate, debounced, proactive"
+    [ 0.301; 0.340; 0.319 ] [ imm_viol; deb_viol; pro_viol ];
+  Alcotest.(check bool) "proactive no worse than debounced" true
+    (pro_viol <= deb_viol);
+  Alcotest.(check bool) "at most half of immediate's reconfigs" true
+    (2 * pro_rc <= imm_rc);
+  let _, _, pro = List.nth runs 3 in
   Alcotest.(check bool) "forecast trigger fired" true
     (List.exists
        (function
          | Report.Reconfigured { reason; _ } -> contains ~needle:"forecast" reason
          | _ -> false)
        pro.Report.journal);
-  Alcotest.(check bool) "at most half of immediate's reconfigs" true
-    (2 * pro.Report.reconfigs <= imm.Report.reconfigs);
   Alcotest.(check bool) "forecast error reported per chain" true
     (pro.Report.forecast_mae <> []
-    && List.for_all (fun (_, mae) -> mae >= 0.0) pro.Report.forecast_mae);
-  (* deterministic under the forecasting path too *)
-  let pro2, _ = run_ok ~policy:Policy.default_proactive trace in
-  Alcotest.(check string) "proactive digest stable" (Report.digest pro)
-    (Report.digest pro2)
+    && List.for_all (fun (_, mae) -> mae >= 0.0) pro.Report.forecast_mae)
 
 let test_move_budget () =
-  (* Under a budget of 0 every non-exempt reconfiguration must re-home
-     zero chains; the capped path actually fires on a failure-burst
-     trace (recoveries want to move chains back), and mandatory
-     reconfigurations stay exempt. *)
+  (* Under a budget every non-exempt reconfiguration re-homes at most
+     that many chains. On a failure-burst trace (oracle on) the capped
+     path fires under budget 0 (recoveries want to move chains back),
+     and mandatory reconfigurations stay exempt. *)
   let trace = Trace.generate ~events:50 ~kind:Trace.Failure_burst ~seed:2 () in
-  let drive budget =
-    let cfg =
-      Engine.default_config ~policy:Policy.Immediate ~seed:11
-        ~check:Lemur_check.Runtime_check.checker ?move_budget:budget ()
-    in
-    match Engine.run cfg trace with
-    | Ok (report, _) -> report
-    | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_to_string e)
+  let drive move_budget =
+    fst
+      (run_ok ~seed:2 ~check:Lemur_check.Runtime_check.checker ?move_budget
+         trace)
+  in
+  let within budget (r : Report.t) =
+    List.iter
+      (function
+        | Report.Reconfigured { moves; exempt = false; _ } ->
+            Alcotest.(check bool)
+              (Printf.sprintf "journal entry moves %d <= budget %d" moves budget)
+              true (moves <= budget)
+        | _ -> ())
+      r.Report.journal
   in
   let capped = drive (Some 0) in
-  Alcotest.(check bool) "capped path exercised" true
-    (capped.Report.moves_capped > 0);
+  Alcotest.(check int) "capped reconfigurations under budget 0" 2
+    capped.Report.moves_capped;
   Alcotest.(check int) "no non-exempt moves under budget 0" 0
     capped.Report.moves_total;
-  List.iter
-    (function
-      | Report.Reconfigured { moves; exempt = false; _ } ->
-          Alcotest.(check int) "journal entry respects the budget" 0 moves
-      | _ -> ())
-    capped.Report.journal;
+  within 0 capped;
+  Alcotest.(check string) "budget-0 digest" "ace25f1d8af95ae7ade10e4322fefd20"
+    (Report.digest capped);
   (* failures still re-home chains: the budget never blocks mandatory
      reconfigurations *)
   Alcotest.(check bool) "exempt reconfigurations still move chains" true
@@ -371,10 +404,10 @@ let test_move_budget () =
          | Report.Reconfigured { moves; exempt = true; _ } -> moves > 0
          | _ -> false)
        capped.Report.journal);
-  (* digest-deterministic *)
-  let capped2 = drive (Some 0) in
-  Alcotest.(check string) "budgeted digest stable" (Report.digest capped)
-    (Report.digest capped2);
+  let one = drive (Some 1) in
+  within 1 one;
+  Alcotest.(check string) "budget-1 digest" "917798643ab2cbc11a97d689a3db2094"
+    (Report.digest one);
   (* an unbudgeted run on the same trace does move chains *)
   let free = drive None in
   Alcotest.(check bool) "unbudgeted run re-homes chains" true
@@ -524,11 +557,23 @@ let test_engine_deterministic () =
     r2.Report.reconfigs
 
 let test_policies_trade_reconfigs () =
-  let trace = Trace.generate ~events:24 ~seed:3 () in
-  let imm, _ = run_ok ~policy:Policy.Immediate trace in
-  let deb, _ = run_ok ~policy:Policy.default_debounced trace in
-  Alcotest.(check bool) "immediate reconfigures more" true
-    (imm.Report.reconfigs > deb.Report.reconfigs);
+  (* Debouncing pays for itself: on a 60-event churn trace (oracle on)
+     it reconfigures at least 2x less often than immediate, for a
+     violation-seconds premium within 0.10 + 1.5x immediate's. *)
+  let trace = Trace.generate ~events:60 ~seed:11 () in
+  let run policy =
+    fst (run_ok ~policy ~check:Lemur_check.Runtime_check.checker trace)
+  in
+  let imm = run Policy.Immediate and deb = run Policy.default_debounced in
+  Alcotest.(check int) "immediate reconfigs" 60 imm.Report.reconfigs;
+  Alcotest.(check int) "debounced reconfigs" 7 deb.Report.reconfigs;
+  Alcotest.(check (float 1e-9)) "immediate violation-seconds" 0.110
+    imm.Report.total_violation_s;
+  Alcotest.(check (float 1e-9)) "debounced violation-seconds" 0.138
+    deb.Report.total_violation_s;
+  Alcotest.(check bool) "violation premium bounded" true
+    (deb.Report.total_violation_s
+    <= 0.10 +. (1.5 *. imm.Report.total_violation_s));
   (* both saw the same stream *)
   Alcotest.(check int) "same events applied" imm.Report.events_applied
     deb.Report.events_applied
@@ -568,25 +613,59 @@ let test_scheduled_defers () =
        (function Report.Deferred _ -> true | _ -> false)
        sch.Report.journal)
 
+(* A demand-churn trace over longer chains than the generator's, so a
+   re-solve has pattern search and coalescing to redo. *)
+let resolve_trace () =
+  let prng = Lemur_util.Prng.create ~seed:11 in
+  let t = ref 0.0 in
+  let events =
+    List.init 40 (fun i ->
+        t := !t +. 0.005;
+        let rate = float_of_int (5 + Lemur_util.Prng.int prng 200) *. 1e8 in
+        let chain_id = Printf.sprintf "r%d" (i mod 3) in
+        { Trace.at = !t; action = Trace.Traffic { chain_id; rate } })
+  in
+  {
+    Trace.seed = None;
+    topo = { (hand_trace ()).Trace.topo with Trace.servers = 3 };
+    chains =
+      [
+        "r0 slo(tmin='2.0Gbps', tmax='40Gbps') = ACL -> Monitor -> NAT -> \
+         Encrypt -> Tunnel -> IPv4Fwd";
+        "r1 slo(tmin='1.5Gbps', tmax='40Gbps') = BPF -> ACL -> Monitor -> NAT \
+         -> Tunnel -> IPv4Fwd";
+        "r2 slo(tmin='1.0Gbps', tmax='40Gbps') = Monitor -> ACL -> NAT -> \
+         Encrypt -> IPv4Fwd";
+      ];
+    windows = [];
+    events;
+    horizon = !t +. 0.01;
+  }
+
 let test_incremental_digest_parity () =
   (* The incremental engine keeps the placer's variant cache warm
      across re-placements; from-scratch drops it inside every
      decision. Verdicts — and so report digests — must be
      byte-identical: the caches may only move decision latency. *)
-  let trace = Trace.generate ~events:24 ~seed:3 () in
-  let drive incremental =
+  let drive ~seed trace incremental =
     Lemur_placer.Memo.clear ();
     Lemur_placer.Strategy.clear_variant_cache ();
     let cfg =
-      Engine.default_config ~seed:3 ~check:Lemur_check.Runtime_check.checker
+      Engine.default_config ~seed ~check:Lemur_check.Runtime_check.checker
         ~incremental ()
     in
     match Engine.run cfg trace with
     | Ok (report, _) -> Report.digest report
     | Error e -> Alcotest.failf "engine failed: %s" (Engine.error_to_string e)
   in
+  let generated = Trace.generate ~events:24 ~seed:3 () in
   Alcotest.(check string) "incremental digest equals from-scratch"
-    (drive false) (drive true)
+    (drive ~seed:3 generated false) (drive ~seed:3 generated true);
+  let long = resolve_trace () in
+  Alcotest.(check string) "long chains: incremental digest"
+    "3d99312fcba2b9d07f038751c7d7e36b" (drive ~seed:11 long true);
+  Alcotest.(check string) "long chains: from-scratch digest"
+    "3d99312fcba2b9d07f038751c7d7e36b" (drive ~seed:11 long false)
 
 (* Report digests pinned byte-for-byte: one fixed seed per trace kind
    under every policy, plus a move-budgeted and a from-scratch run. Any
@@ -616,6 +695,7 @@ let golden_digests =
     ("tenant-churn/proactive", "5a8890f2c9b1fdc676a9c4c47cb7e22f");
     ("failure-burst/immediate/budget-1", "38076a648d2d9798d8b99b2e35ff6d52");
     ("churn/immediate/from-scratch", "8cccf9ef0b1983aaa2e3be5640d725ed");
+    ("churn/immediate/60-events/oracle", "f4776c23641827e050acd5f80bae0d4f");
   ]
 
 let test_golden_digests () =
@@ -626,10 +706,11 @@ let test_golden_digests () =
     ]
   in
   let digest ?(seed = 5) ?(events = 16) ?move_budget ?(incremental = true)
-      policy kind =
+      ?check policy kind =
     let trace = Trace.generate ~events ~kind ~seed () in
     let cfg =
-      Engine.default_config ~policy ~seed:11 ~incremental ?move_budget ()
+      Engine.default_config ~policy ~seed:11 ~incremental ?move_budget ?check
+        ()
     in
     match Engine.run cfg trace with
     | Ok (report, _) -> Report.digest report
@@ -652,6 +733,10 @@ let test_golden_digests () =
               Trace.Failure_burst );
         ( "churn/immediate/from-scratch",
           fun () -> digest ~incremental:false Policy.Immediate Trace.Churn );
+        ( "churn/immediate/60-events/oracle",
+          fun () ->
+            digest ~seed:11 ~events:60 ~check:Lemur_check.Runtime_check.checker
+              Policy.Immediate Trace.Churn );
       ]
   in
   List.iter
