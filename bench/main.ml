@@ -827,15 +827,26 @@ let () =
   let requested =
     match argv_rest with [] -> List.map fst experiments | names -> names
   in
+  let available = String.concat ", " (List.map fst experiments) in
+  (* Reject an unknown name before running anything, so a typo never
+     exits 0 after a partial run. *)
+  (match
+     List.find_opt
+       (fun name -> name <> "list" && not (List.mem_assoc name experiments))
+       requested
+   with
+  | Some name ->
+      Printf.eprintf
+        "bench: unknown experiment %S\n\
+         usage: bench -- [--telemetry-dir DIR] (list | EXPERIMENT...) | scale ... | classify ...\n\
+         experiments: %s\n"
+        name available;
+      exit 2
+  | None -> ());
   Printf.printf "Lemur evaluation harness (see EXPERIMENTS.md for paper-vs-measured)\n";
   List.iter
     (fun name ->
-      match (name, List.assoc_opt name experiments) with
-      | "list", _ ->
-          Printf.printf "experiments: %s\n"
-            (String.concat ", " (List.map fst experiments))
-      | _, Some f -> with_experiment_telemetry telemetry_dir name f
-      | _, None ->
-          Printf.printf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments)))
+      match List.assoc_opt name experiments with
+      | None -> Printf.printf "experiments: %s\n" available
+      | Some f -> with_experiment_telemetry telemetry_dir name f)
     requested

@@ -17,8 +17,6 @@ type t = {
 
 let create ~server = { server_name = server; module_list = []; connection_list = [] }
 
-let server t = t.server_name
-
 let find t id = List.find_opt (fun m -> String.equal m.module_id id) t.module_list
 
 let add t m =

@@ -24,7 +24,6 @@ type m = { module_id : string; kind : module_kind }
 type t
 
 val create : server:string -> t
-val server : t -> string
 val add : t -> m -> unit
 (** @raise Invalid_argument on duplicate ids. *)
 
@@ -33,8 +32,6 @@ val connect : t -> src:string -> dst:string -> unit
 
 val modules : t -> m list
 val connections : t -> (string * string) list
-val find : t -> string -> m option
-val out_degree : t -> string -> int
 
 val validate : t -> (unit, string) result
 (** Structural sanity: exactly one [Port_inc] and one [Port_out]; every

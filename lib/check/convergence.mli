@@ -8,7 +8,7 @@
     per-chain throughput must agree — each validates the other. Where
     they cannot agree is stated here as tolerance, not hidden:
 
-    - {b throughput}: relative tolerance {!rel_tol}, plus an absolute
+    - {b throughput}: relative tolerance 5 %, plus an absolute
       slack of two measurement quanta per executor (Sim resolves rates
       in [batch_bits/duration] steps, the engine in [pkt_bits/duration]
       steps). The band is asymmetric: below Sim the tolerance is tight
@@ -19,7 +19,7 @@
       critical utilization where the packet engine keeps up;
     - {b latency}: one-sided. Sim serializes whole batches at every
       hop, so its latency is structurally inflated; the engine's p99
-      must stay {e below} [sim_p99 + latency_slack]. An engine p99
+      must stay {e below} [sim_p99 + 1 ms]. An engine p99
       above that bound means queues grew past anything the rate model
       admits — a capacity bug, not a modeling gap;
     - {b conservation}: [injected = delivered + dropped + in_flight]
@@ -40,7 +40,7 @@ type divergence =
       chain : string;
       engine_p99 : float;  (** ns *)
       sim_p99 : float;  (** ns *)
-      limit : float;  (** ns, [sim_p99 + latency_slack] *)
+      limit : float;  (** ns, [sim_p99 + 1 ms] *)
     }
   | Conservation_violation of {
       chain : string;
@@ -58,16 +58,10 @@ type verdict = {
   divergences : divergence list;
 }
 
-val rel_tol : float
-(** Relative throughput tolerance (0.05). *)
-
-val latency_slack : float
-(** Absolute ns the engine's p99 may sit above Sim's (1 ms). *)
-
 val sim_floor_threshold : float
 (** Minimum offered rate (bit/s) a chain must carry before its
-    measured rates are comparable at all; {!Differential} re-exports
-    this for its own SLO-floor stage. *)
+    measured rates are comparable at all; {!Differential} uses it for
+    its own SLO-floor stage too. *)
 
 val check :
   pkt_bytes:int ->
@@ -75,7 +69,7 @@ val check :
   sim:Lemur_dataplane.Sim.result ->
   unit ->
   verdict
-(** Holds the two results to {!rel_tol} and {!latency_slack}. Chains
+(** Holds the two results to the tolerances above. Chains
     are matched by id; a chain present in only one result is
     ignored (the caller runs both executors on the same placement, so
     a mismatch there is its bug, not a divergence). *)

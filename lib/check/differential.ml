@@ -49,8 +49,6 @@ type report = {
   failures : failure list;
 }
 
-let sim_floor_threshold = Convergence.sim_floor_threshold
-
 (* The classic comparison baselines of §5.1 — not the two ablations,
    which are *meant* to underperform Lemur's full heuristic but may
    also luck into equal placements. *)
@@ -212,7 +210,7 @@ let run ?(quick = true) ?(sim = true) scenario =
           in
           let v = Lemur_dataplane.Sim.verdict ~slack:quantization slo cr in
           if
-            slo.Lemur_slo.Slo.t_min >= sim_floor_threshold
+            slo.Lemur_slo.Slo.t_min >= Convergence.sim_floor_threshold
             && not v.Lemur_slo.Slo.throughput_met
           then
             fail

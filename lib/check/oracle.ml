@@ -418,5 +418,4 @@ let check ?artifact config (p : Strategy.placement) =
   match List.rev !violations with [] -> Ok () | vs -> Error vs
 
 let check_deployment (d : Lemur.Deployment.t) =
-  check ~artifact:d.Lemur.Deployment.artifact d.Lemur.Deployment.config
-    d.Lemur.Deployment.placement
+  check d.Lemur.Deployment.config d.Lemur.Deployment.placement

@@ -67,4 +67,7 @@ val check :
     satisfies all the paper's constraints as independently re-derived. *)
 
 val check_deployment : Lemur.Deployment.t -> (unit, violation list) result
-(** {!check} with the deployment's own compiled artifact. *)
+(** {!check} on the deployment's placement. Its artifact is not
+    re-verified: {!Lemur.Deployment.t} is private, and
+    {!Lemur.Deployment.of_placement} already ran the same routing check
+    on the same inputs. *)

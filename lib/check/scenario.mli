@@ -49,10 +49,6 @@ val generate : ?quick:bool -> seed:int -> unit -> t
     instance size (at most 2 chains of at most 4 NFs) so that the
     brute-force Optimal strategy stays fast enough for tier-1 runs. *)
 
-val pipeline_text : shape -> string
-(** The chain in the specification language, e.g.
-    ["ACL -> [{'weight': 0.5, NAT}, {'weight': 0.5, Encrypt}] -> LB"]. *)
-
 val config : t -> Lemur_placer.Plan.config
 val inputs : t -> Lemur_placer.Plan.chain_input list
 (** Chain inputs with concrete SLOs: [t_min = cs_tmin_frac x base rate]

@@ -11,12 +11,6 @@ let algo_name = function
   | Tuple_space -> "tss"
   | Computed -> "nuevo"
 
-let algo_of_string = function
-  | "linear" -> Some Linear_scan
-  | "tss" -> Some Tuple_space
-  | "nuevo" | "computed" -> Some Computed
-  | _ -> None
-
 (* The cost model (cycles per unit of work; docs/CLASSIFIER.md).
    Constants are calibrated so linear scan at the ACL reference size
    (1024 rules) lands in the same few-thousand-cycle regime as the

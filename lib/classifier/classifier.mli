@@ -19,9 +19,6 @@ val all_algos : algo list
 val algo_name : algo -> string
 (** ["linear"], ["tss"], ["nuevo"]. *)
 
-val algo_of_string : string -> algo option
-(** Accepts the [algo_name] forms plus ["computed"] for [Computed]. *)
-
 type outcome = {
   o_rule : Rule.t option;
   o_cycles : float;  (** modeled cycles for this lookup *)

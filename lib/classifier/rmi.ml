@@ -131,8 +131,6 @@ let build keys =
   end;
   { keys; root; leaf_models; errs }
 
-let size t = Array.length t.keys
-let leaves t = Array.length t.leaf_models
 let max_error t = Array.fold_left max 0 t.errs
 
 let lookup t k =

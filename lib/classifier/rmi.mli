@@ -14,9 +14,6 @@ val build : int array -> t
 (** Keys must be strictly increasing (the computed index feeds it the
     left endpoints of disjoint intervals). *)
 
-val size : t -> int
-val leaves : t -> int
-
 val max_error : t -> int
 (** The largest per-leaf guaranteed bound — search never scans a window
     wider than [2 * max_error + 1]. *)

@@ -18,8 +18,6 @@ type t = {
 
 type header = { src : int; dst : int; sport : int; dport : int; proto : int }
 
-let zero_header = { src = 0; dst = 0; sport = 0; dport = 0; proto = 0 }
-
 let matches r h =
   h.src >= r.src_lo && h.src <= r.src_hi
   && h.dst >= r.dst_lo && h.dst <= r.dst_hi
@@ -35,18 +33,3 @@ let corner r =
     dport = r.dport_lo;
     proto = (match r.proto with Some p -> p | None -> 6);
   }
-
-let pp_ip ppf v =
-  Format.fprintf ppf "%d.%d.%d.%d" ((v lsr 24) land 0xFF) ((v lsr 16) land 0xFF)
-    ((v lsr 8) land 0xFF) (v land 0xFF)
-
-let pp ppf r =
-  Format.fprintf ppf "#%d %a/%d -> %a/%d sport[%d,%d] dport[%d,%d] proto=%s %s"
-    r.id pp_ip r.src_lo r.src_plen pp_ip r.dst_lo r.dst_plen r.sport_lo
-    r.sport_hi r.dport_lo r.dport_hi
-    (match r.proto with None -> "*" | Some p -> string_of_int p)
-    (match r.action with Permit -> "permit" | Deny -> "deny")
-
-let pp_header ppf h =
-  Format.fprintf ppf "%a:%d -> %a:%d proto %d" pp_ip h.src h.sport pp_ip h.dst
-    h.dport h.proto

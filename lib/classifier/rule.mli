@@ -34,8 +34,6 @@ type header = {
   proto : int;  (** 8-bit *)
 }
 
-val zero_header : header
-
 val matches : t -> header -> bool
 (** Full 5-tuple containment check. *)
 
@@ -43,6 +41,3 @@ val corner : t -> header
 (** The low corner of the rule's hyperrectangle — a header guaranteed
     to satisfy [matches] (protocol defaults to TCP on wildcard rules).
     Used by the mutation tests to aim traffic at one specific rule. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_header : Format.formatter -> header -> unit

@@ -5,7 +5,6 @@ type t = { rs_seed : int; rs_rules : Rule.t array }
 let default_seed = 0x5EED
 
 let size t = Array.length t.rs_rules
-let seed t = t.rs_seed
 let rules t = t.rs_rules
 
 let well_known = [| 22; 25; 53; 80; 110; 123; 443; 8080 |]

@@ -23,7 +23,6 @@ val generate : ?seed:int -> size:int -> unit -> t
     @raise Invalid_argument if [size < 0]. *)
 
 val size : t -> int
-val seed : t -> int
 val rules : t -> Rule.t array
 (** In priority order; [(rules t).(i).id = i]. *)
 

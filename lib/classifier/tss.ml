@@ -63,7 +63,6 @@ let build rules =
   { tuples = Array.of_list tuples }
 
 let tuples t = Array.length t.tuples
-let min_id t = if Array.length t.tuples = 0 then max_int else t.tuples.(0).tp_min_id
 
 let classify t (h : Rule.header) =
   let best = ref None in

@@ -17,10 +17,6 @@ val build : Rule.t array -> t
     [Tss.t] over just its remainder rules. *)
 
 val tuples : t -> int
-val min_id : t -> int
-(** Best (lowest) rule id held anywhere, [max_int] when empty — the
-    short-circuit bound the computed index uses to skip the remainder
-    probe entirely. *)
 
 val classify : t -> Rule.header -> Rule.t option * int * int
 (** [(match, tuples probed, bucket entries scanned)]. *)

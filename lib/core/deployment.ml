@@ -66,7 +66,3 @@ let slo_report t result =
         input.Plan.slo,
         Lemur_dataplane.Sim.verdict ~slack:0.0 input.Plan.slo chain ))
     t.placement.Strategy.chain_reports
-
-let pp ppf t =
-  Format.fprintf ppf "%a" Strategy.pp_outcome (Strategy.Placed t.placement);
-  Format.fprintf ppf "%a" Lemur_codegen.Codegen.pp_summary t.artifact

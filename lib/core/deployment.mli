@@ -12,11 +12,14 @@
       ...
     ]} *)
 
-type t = {
+type t = private {
   config : Lemur_placer.Plan.config;
   placement : Lemur_placer.Strategy.placement;
   artifact : Lemur_codegen.Codegen.artifact;
 }
+(** Private: only {!of_placement} builds one, so every deployment's
+    [artifact] has passed {!Lemur_codegen.Routing_check.verify} against
+    its [placement]. *)
 
 val deploy :
   ?strategy:Lemur_placer.Strategy.t ->
@@ -63,5 +66,3 @@ val slo_report :
 (** Per chain, in placement order: its measured result, its SLO and
     {!Lemur_slo.Slo.verdict} ([~slack:0.]) on the two, which judges
     both the throughput floor and [d_max]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -64,6 +64,8 @@ let inline_calls p =
 
 let lower p = unroll_loops (inline_calls p)
 
+(* Bytes of stack reserved along [main]: the sum of all Load/Store
+   reservations (lowered programs have no calls). *)
 let stack_usage p =
   let rec go instrs =
     List.fold_left

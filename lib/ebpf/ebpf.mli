@@ -37,11 +37,6 @@ val inline_calls : program -> program
 val lower : program -> program
 (** [inline_calls] then [unroll_loops] — the full §A.3 pipeline. *)
 
-val stack_usage : program -> int
-(** Max bytes of stack reserved along [main] (post-lowering programs
-    have no calls, so this is a simple sum of distinct slots; we model
-    it as the sum of all Load/Store reservations). *)
-
 module Verifier : sig
   type violation =
     | Too_many_instructions of { count : int; limit : int }

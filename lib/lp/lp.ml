@@ -31,8 +31,6 @@ type row_key = Kuser of int | Kub of var | Klb of var
 
 type basis_elt = Bvar of var | Bslack of row_key
 
-type basis = basis_elt array
-
 let create () = { vars = []; rows = []; objective = []; maximize = true }
 
 let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ~name () =
@@ -48,10 +46,6 @@ let set_objective t ~maximize terms =
 
 let num_vars t = List.length t.vars
 let num_constraints t = List.length t.rows
-
-let var_name t v =
-  let vars = Array.of_list (List.rev t.vars) in
-  vars.(v).name
 
 (* Standard form: maximize c.x, A.x <= b, x >= 0.
    - >= rows are negated; = rows become a <= pair;
@@ -110,6 +104,10 @@ let outcome_of t = function
       let objective = if t.maximize then objective else -.objective in
       Optimal { objective; values = solution }
 
+(* [bounds = (lbs, ubs)] tightens the declared variable bounds for this
+   solve only ([lbs] by max, [ubs] by min; [neg_infinity] / [infinity]
+   entries mean "no change"). On any mismatch of [warm] the solver falls
+   back to a cold solve, so warm-starting never changes the outcome. *)
 let solve_basis ?bounds ?warm t =
   let c, a, b, keys = standard_form ?bounds t in
   let n = Array.length c in

@@ -40,26 +40,8 @@ val num_vars : t -> int
 val num_constraints : t -> int
 (** Rows added so far (bound constraints not included). *)
 
-val var_name : t -> var -> string
-
 val solve : t -> outcome
 (** Solve the LP relaxation (integrality markers ignored). *)
-
-type basis
-(** An optimal basis, keyed so it survives bound changes: carrying one
-    into {!solve_basis} of the same problem with tightened bounds
-    warm-starts the simplex (typically a handful of dual pivots instead
-    of a full two-phase solve). *)
-
-val solve_basis :
-  ?bounds:float array * float array -> ?warm:basis -> t -> outcome * basis option
-(** Like {!solve}, returning the final basis on [Optimal].
-    [bounds = (lbs, ubs)] tightens the declared variable bounds for this
-    solve only ([lbs] by max, [ubs] by min; use [neg_infinity] /
-    [infinity] entries for "no change") — branch-and-bound nodes are
-    expressed this way rather than as extra rows. [warm] seeds the
-    solve from a previous basis; on any mismatch the solver falls back
-    to a cold solve, so warm-starting never changes the outcome. *)
 
 type milp_error =
   | Node_limit of { explored : int; max_nodes : int }
@@ -78,6 +60,7 @@ val solve_milp :
     [Error (Node_limit _)] — never an exception, so a stuck search can't
     kill the run that issued it: callers degrade to their heuristic
     plan instead (see {!Lemur_placer.Milp}). [warm] (default [true])
-    re-solves each child node from its parent's optimal basis via
-    {!solve_basis}; pass [false] to force cold per-node solves (the
+    re-solves each child node from its parent's optimal basis
+    (typically a handful of dual pivots instead of a full two-phase
+    solve); pass [false] to force cold per-node solves (the
     differential baseline). *)

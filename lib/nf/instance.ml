@@ -5,15 +5,3 @@ let make ?name ?(params = Params.empty) kind =
   { name; kind; params }
 
 let state_size t = Params.table_size t.kind t.params
-
-let pp ppf t =
-  if t.params = [] then Format.fprintf ppf "%s" t.name
-  else Format.fprintf ppf "%s(%a)" t.name Params.pp t.params
-
-let equal a b =
-  String.equal a.name b.name
-  && Kind.equal a.kind b.kind
-  && List.length a.params = List.length b.params
-  && List.for_all2
-       (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && Params.equal_value v1 v2)
-       a.params b.params

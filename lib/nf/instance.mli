@@ -10,6 +10,3 @@ val make : ?name:string -> ?params:Params.t -> Kind.t -> t
 
 val state_size : t -> int option
 (** Table/state size from the parameters (see {!Params.table_size}). *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -116,6 +116,4 @@ let replicable = function
   | Url_filter | Nat | Lb | Bpf | Acl ->
       true
 
-let pp ppf t = Format.pp_print_string ppf (name t)
 let equal = ( = )
-let compare = Stdlib.compare

@@ -51,6 +51,4 @@ val replicable : t -> bool
     non-replicable NFs (bold in Table 3) are [Limiter] and [Monitor]:
     their state is global and cannot be partitioned by flow. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val compare : t -> t -> int

@@ -65,19 +65,3 @@ let pp ppf params =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
     pp_binding ppf params
-
-let rec equal_value a b =
-  match (a, b) with
-  | Int x, Int y -> x = y
-  | Float x, Float y -> Float.equal x y
-  | Str x, Str y -> String.equal x y
-  | Bool x, Bool y -> x = y
-  | List xs, List ys ->
-      List.length xs = List.length ys && List.for_all2 equal_value xs ys
-  | Dict xs, Dict ys ->
-      List.length xs = List.length ys
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal_value v1 v2)
-           xs ys
-  | Ref x, Ref y -> String.equal x y
-  | (Int _ | Float _ | Str _ | Bool _ | List _ | Dict _ | Ref _), _ -> false

@@ -41,5 +41,3 @@ val pp_value : Format.formatter -> value -> unit
 
 val pp : Format.formatter -> t -> unit
 (** [k1=v1, k2=v2]. *)
-
-val equal_value : value -> value -> bool

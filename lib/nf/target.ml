@@ -7,16 +7,3 @@ let to_string = function
   | P4 -> "P4"
   | Ebpf -> "eBPF"
   | Openflow -> "OpenFlow"
-
-let of_string s =
-  match String.lowercase_ascii s with
-  | "c++" | "cpp" | "bess" | "server" | "sw" -> Some Cpp
-  | "p4" | "pisa" -> Some P4
-  | "ebpf" | "smartnic" | "nic" -> Some Ebpf
-  | "openflow" | "of" -> Some Openflow
-  | _ -> None
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-let equal = ( = )
-let compare = Stdlib.compare
-let is_hardware = function Cpp -> false | P4 | Ebpf | Openflow -> true

@@ -12,11 +12,3 @@ type t =
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> t option
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val is_hardware : t -> bool
-(** True for targets that process at (or near) line rate without
-    consuming server cores: [P4], [Ebpf], [Openflow]. *)

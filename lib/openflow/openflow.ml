@@ -18,6 +18,22 @@ type program = { switch : string; rules : rule list }
 
 exception Unplaceable of string
 
+module Vlan = struct
+  type t = { spi : int; si : int }
+
+  let si_bits = 4
+  let vid_bits = 12
+  let max_si = (1 lsl si_bits) - 1
+  let max_spi = (1 lsl (vid_bits - si_bits)) - 1
+
+  let encode { spi; si } =
+    if spi < 0 || spi > max_spi then invalid_arg "Openflow.Vlan.encode: spi";
+    if si < 0 || si > max_si then invalid_arg "Openflow.Vlan.encode: si";
+    (spi lsl si_bits) lor si
+
+  let decode vid = { spi = vid lsr si_bits; si = vid land max_si }
+end
+
 let unplaceable fmt = Format.kasprintf (fun s -> raise (Unplaceable s)) fmt
 
 let check_placeable (switch : Lemur_platform.Ofswitch.t) kinds =
@@ -57,8 +73,8 @@ let steering_rules ~spi ~entry_si kinds =
   List.mapi
     (fun i kind ->
       let si = entry_si - i in
-      let vid = Lemur_nsh.Nsh.Vlan.encode { Lemur_nsh.Nsh.spi; si } in
-      let next_vid = Lemur_nsh.Nsh.Vlan.encode { Lemur_nsh.Nsh.spi; si = si - 1 } in
+      let vid = Vlan.encode { spi; si } in
+      let next_vid = Vlan.encode { spi; si = si - 1 } in
       {
         table = kind;
         priority = 10;
@@ -75,7 +91,7 @@ let compile switch segments =
         check_placeable switch kinds;
         (* The vid is the steering key: a masked or capped SPI/SI would
            alias another hop's. *)
-        let open Lemur_nsh.Nsh.Vlan in
+        let open Vlan in
         if spi > max_spi || entry_si > max_si then
           unplaceable
             "service path %d at SI %d does not fit the VLAN vid (SPI <= %d, SI <= %d)" spi

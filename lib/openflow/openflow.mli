@@ -4,7 +4,23 @@
     An OpenFlow switch has a fixed table pipeline, so the Placer must
     check that a chain's NFs placed there respect the hardware table
     order; and it does not support NSH, so chain steering uses the VLAN
-    vid, packing SPI/SI per {!Lemur_nsh.Nsh.Vlan}. *)
+    vid, packing SPI/SI per {!Vlan}. *)
+
+(** The NSH service-path identity (§4.1) packed into the 12-bit VLAN
+    vid: the Service Path Index (SPI) names the linear service path,
+    and the Service Index (SI) counts down the NFs left on it. SPI takes
+    the high 8 bits, SI the low 4 (chains of <= 15 NFs). *)
+module Vlan : sig
+  type t = { spi : int; si : int }
+
+  val encode : t -> int
+  (** @raise Invalid_argument when spi/si exceed the packed budget. *)
+
+  val decode : int -> t
+
+  val max_spi : int
+  val max_si : int
+end
 
 type action =
   | Forward of { port : string }
@@ -36,7 +52,7 @@ val steering_rules :
 (** Rules steering one chain segment through the given NF sequence:
     match the segment's vid, apply each table's NF action, rewrite the
     vid for the next hop. @raise Invalid_argument when the vid budget
-    ({!Lemur_nsh.Nsh.Vlan}) is exceeded. *)
+    ({!Vlan}) is exceeded. *)
 
 val compile :
   Lemur_platform.Ofswitch.t ->
@@ -45,9 +61,7 @@ val compile :
 (** [compile switch segments] with [segments = (spi, entry_si, kinds)]:
     checks placeability of each segment and emits all rules.
     @raise Unplaceable, also when a segment's SPI or entry SI does not
-    fit the vid ({!Lemur_nsh.Nsh.Vlan.max_spi},
-    {!Lemur_nsh.Nsh.Vlan.max_si}). *)
+    fit the vid ({!Vlan.max_spi}, {!Vlan.max_si}). *)
 
 val rule_count : program -> int
-val pp_rule : Format.formatter -> rule -> unit
 val pp : Format.formatter -> program -> unit

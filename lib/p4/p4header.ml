@@ -62,6 +62,3 @@ let register h =
              h.header_name)
 
 let total_bits t = List.fold_left (fun acc f -> acc + f.bits) 0 t.fields
-
-let pp ppf t =
-  Format.fprintf ppf "header %s (%d bits)" t.header_name (total_bits t)

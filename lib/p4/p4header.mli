@@ -14,8 +14,6 @@ val ipv4 : t
 val tcp : t
 val udp : t
 
-val standard_library : t list
-
 val lookup : string -> t option
 (** Search the standard library and registered extensions. *)
 
@@ -25,4 +23,3 @@ val register : t -> unit
     existing name. *)
 
 val total_bits : t -> int
-val pp : Format.formatter -> t -> unit

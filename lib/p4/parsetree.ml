@@ -122,18 +122,3 @@ let equal a b =
                       sb.transitions)
                   sa.transitions)
        a.states
-
-let pp ppf t =
-  Format.fprintf ppf "parser (root %s)@." t.root;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  %s" s.header;
-      Option.iter (fun f -> Format.fprintf ppf " select(%s)" f) s.select_field;
-      Format.fprintf ppf ":@.";
-      List.iter
-        (fun tr ->
-          match tr.select_value with
-          | None -> Format.fprintf ppf "    default -> %s@." tr.next
-          | Some v -> Format.fprintf ppf "    0x%x -> %s@." v tr.next)
-        s.transitions)
-    t.states

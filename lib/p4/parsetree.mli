@@ -54,5 +54,3 @@ val depth : t -> int
 
 val equal : t -> t -> bool
 (** Structural equality up to state and transition order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -161,6 +161,3 @@ let unified_parser projections =
   | _ -> (
       try Parsetree.merge_all trees
       with Parsetree.Conflict msg -> raise (Parser_conflict msg))
-
-let of_projection ~mode projections =
-  (table_graph ~mode projections, unified_parser projections)

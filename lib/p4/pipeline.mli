@@ -44,7 +44,3 @@ val unified_parser : chain_projection list -> Parsetree.t
 (** Merge all NF-local parsers (plus the NSH fragment when some chain
     crosses platforms). @raise Parser_conflict when two NFs cannot agree
     (paper: such placements are rejected). *)
-
-val of_projection :
-  mode:mode -> chain_projection list -> Tablegraph.t * Parsetree.t
-(** Both of the above. *)

@@ -28,9 +28,6 @@ let create () =
     dep_set = Hashtbl.create 64;
   }
 
-let find t name =
-  Option.map (fun n -> n.table) (Hashtbl.find_opt t.nodes name)
-
 let add_table t table =
   if Hashtbl.mem t.nodes table.table_name then
     invalid_arg
@@ -102,11 +99,3 @@ let critical_path t =
   List.fold_left
     (fun acc tab -> max acc (height tab.table_name))
     0 (tables t)
-
-let merge a b =
-  let t = create () in
-  List.iter (add_table t) (tables a);
-  List.iter (add_table t) (tables b);
-  List.iter (fun (before, after) -> add_dep t ~before ~after) (deps a);
-  List.iter (fun (before, after) -> add_dep t ~before ~after) (deps b);
-  t

@@ -30,7 +30,6 @@ val tables : t -> table list
 
 val deps : t -> (string * string) list
 val table_count : t -> int
-val find : t -> string -> table option
 
 val predecessors : t -> string -> string list
 val has_cycle : t -> bool
@@ -38,6 +37,3 @@ val has_cycle : t -> bool
 val critical_path : t -> int
 (** Length (in tables) of the longest dependency chain — a lower bound
     on stages. *)
-
-val merge : t -> t -> t
-(** Disjoint union. @raise Invalid_argument on duplicate table names. *)

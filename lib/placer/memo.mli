@@ -39,6 +39,3 @@ val chain_sig : Plan.chain_input -> string
 val plan_sig : Plan.plan -> string
 (** [{!chain_sig}:<locs>] where [<locs>] spells each NF's location as
     one character ([s]erver, s[w]itch, smart[n]ic, [o]fswitch). *)
-
-val pattern_sig : Plan.chain_input -> Plan.location array -> string
-(** {!plan_sig} for a pattern that has not been elaborated yet. *)

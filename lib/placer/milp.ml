@@ -302,10 +302,8 @@ let solve_checked ?(max_nodes = 200_000) ?(warm = true) config inputs =
 let solve ?max_nodes ?warm config inputs =
   match solve_checked ?max_nodes ?warm config inputs with
   | Ok r -> r
-  | Error e ->
+  | Error _ ->
       let tm = Lemur_telemetry.Telemetry.current () in
       Lemur_telemetry.Counter.incr
         (Lemur_telemetry.Telemetry.counter tm "placer.milp.degraded");
-      Logs.debug (fun m ->
-          m "MILP degraded to heuristic: %s" (Lemur_lp.Lp.milp_error_to_string e));
       None

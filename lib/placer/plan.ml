@@ -468,8 +468,6 @@ let switch_projection plan =
     crosses_platform = crosses;
   }
 
-let min_cores plan = List.length plan.subgroups
-
 let pp_location ppf = function
   | Switch -> Format.pp_print_string ppf "P4"
   | Server -> Format.pp_print_string ppf "server"

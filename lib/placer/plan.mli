@@ -125,8 +125,5 @@ val switch_projection : plan -> Lemur_p4.Pipeline.chain_projection
 (** The chain's switch-resident NFs with projected order, for the stage
     checker and the P4 code generator. *)
 
-val min_cores : plan -> int
-(** Σ 1 per subgroup — the floor of any core allocation. *)
-
 val pp_location : Format.formatter -> location -> unit
 val pp : Format.formatter -> plan -> unit

@@ -947,19 +947,3 @@ let place strategy config inputs =
     | No_core_alloc ->
         lemur_placement ~policy:Alloc.No_extra No_core_alloc config inputs
   with Plan.Invalid_pattern msg -> Infeasible { reason = msg }
-
-let pp_outcome ppf = function
-  | Infeasible { reason } -> Format.fprintf ppf "infeasible: %s" reason
-  | Placed p ->
-      Format.fprintf ppf
-        "%s: rate %a (marginal %a), %d stages, %d cores, %.3fs@."
-        (name p.strategy) Lemur_util.Units.pp_rate p.total_rate
-        Lemur_util.Units.pp_rate p.total_marginal p.stages_used p.cores_used
-        p.elapsed;
-      List.iter
-        (fun r ->
-          Format.fprintf ppf "  %-8s rate %a cap %a bounces %d cores %d@."
-            r.plan.Plan.input.Plan.id Lemur_util.Units.pp_rate r.rate
-            Lemur_util.Units.pp_rate r.capacity r.bounces
-            (Array.fold_left ( + ) 0 r.cores))
-        p.chain_reports

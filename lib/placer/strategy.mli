@@ -111,5 +111,3 @@ val evaluate_plans :
     outcome by marginal (the first on ties), else [Slo_driven]'s reason. *)
 
 val is_feasible : outcome -> bool
-
-val pp_outcome : Format.formatter -> outcome -> unit

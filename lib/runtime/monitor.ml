@@ -41,14 +41,3 @@ let violated ep =
   List.filter (fun o -> not (Lemur_slo.Slo.met o.co_verdict)) ep.ep_obs
 
 let violation_seconds ep = float_of_int (List.length (violated ep)) *. ep.ep_len
-
-let pp_epoch ppf ep =
-  Format.fprintf ppf "epoch [%.3f, %.3f):" ep.ep_start (ep.ep_start +. ep.ep_len);
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "@ %s offered %a delivered %a%s%s" o.co_id
-        Lemur_util.Units.pp_rate o.co_offered Lemur_util.Units.pp_rate
-        o.co_delivered
-        (if o.co_verdict.throughput_met then "" else " THROUGHPUT-VIOLATED")
-        (if o.co_verdict.latency_met then "" else " LATENCY-VIOLATED"))
-    ep.ep_obs

@@ -39,8 +39,5 @@ val observe :
     chain offered its demand (chains absent from [demand] are offered
     their LP-allocated rate). Deterministic in [seed]. *)
 
-val violated : epoch -> chain_obs list
 val violation_seconds : epoch -> float
 (** Σ over violated chains of the epoch length (chain-seconds). *)
-
-val pp_epoch : Format.formatter -> epoch -> unit

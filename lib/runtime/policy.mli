@@ -15,7 +15,7 @@
       edits it can defer (SLO changes, recoveries, traffic) wait for
       the budget; only mandatory events (chain add/remove, a failure
       the deployment depends on) bypass it. The accumulator decays
-      with a {!violation_half_life_s} half-life, so only {e recent}
+      with a 0.2 s half-life, so only {e recent}
       violation counts against the budget.
     - [Scheduled] only reconfigures on window switches (installing the
       placements the engine precomputed for every window) and on
@@ -56,10 +56,6 @@ type trigger =
   | Structural  (** placement inputs changed, old deployment still valid *)
   | Traffic_shift  (** offered load moved; placement inputs unchanged *)
   | Forecast  (** a demand forecast predicts an SLO breach in-horizon *)
-
-val violation_half_life_s : float
-(** Half-life of the debounce accumulator (0.2 s): violation-seconds
-    noted at time [t] count half at [t + 0.2 s]. *)
 
 type state = {
   mutable violation_s : float;

@@ -84,9 +84,4 @@ val digest : t -> string
 val to_json : t -> Lemur_telemetry.Json.t
 (** Schema [lemur.runtime/2]; see [docs/RUNTIME.md]. *)
 
-val summary : t -> string
-(** One-paragraph human outcome (reconfigs, violation-seconds,
-    marginal integral, stop status). *)
-
 val pp : Format.formatter -> t -> unit
-val pp_entry : Format.formatter -> journal_entry -> unit

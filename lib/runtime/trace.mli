@@ -56,9 +56,6 @@ val config : t -> Lemur_placer.Plan.config
 val initial_inputs : t -> (Lemur_placer.Plan.chain_input list, string) result
 (** Parse the initial chain declarations. *)
 
-val parse_chain_decl : string -> (Lemur_placer.Plan.chain_input, string) result
-(** Parse one [Add_chain]-style declaration. *)
-
 val dynamics_event : action -> (Lemur.Dynamics.event, string) result option
 (** The {!Lemur.Dynamics.event} behind a structural action ([Set_slo],
     [Add_chain], [Remove_chain]); [None] for the rest. *)

@@ -1,5 +1,7 @@
 type t = { t_min : float; t_max : float; d_max : float; weight : float }
 
+(* A chain meets its [t_min] when it delivers at least this fraction of
+   it, which absorbs the sampling noise of a measured rate. *)
 let throughput_tolerance = 0.98
 
 exception Invalid of string

@@ -39,11 +39,6 @@ val marginal : t -> float -> float
 (** [marginal slo rate] = max 0 (rate - t_min): the usage-priced
     component of the chain's throughput. *)
 
-val throughput_tolerance : float
-(** [0.98]: a chain meets its [t_min] when it delivers at least this
-    fraction of it, which absorbs the sampling noise of a measured
-    rate. {!verdict} and {!throughput_floor} are its only readers. *)
-
 (** Whether one measured run of a chain met its SLO. *)
 type verdict = {
   throughput_met : bool;

@@ -65,23 +65,3 @@ and pp_pipeline ppf pipeline =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
     pp_element ppf pipeline
-
-let pp_statement ppf = function
-  | Decl (name, atom) -> Format.fprintf ppf "%s = %a" name pp_atom atom
-  | Macro (name, v) -> Format.fprintf ppf "%s = %a" name Lemur_nf.Params.pp_value v
-  | Subchain { name; pipeline } ->
-      Format.fprintf ppf "subchain %s = %a" name pp_pipeline pipeline
-  | Chain { name; aggregate; slo_args; pipeline } ->
-      Format.fprintf ppf "chain %s" name;
-      (match aggregate with
-      | Some args -> Format.fprintf ppf " aggregate(%a)" Lemur_nf.Params.pp args
-      | None -> ());
-      (match slo_args with
-      | Some args -> Format.fprintf ppf " slo(%a)" Lemur_nf.Params.pp args
-      | None -> ());
-      Format.fprintf ppf " = %a" pp_pipeline pipeline
-
-let pp ppf statements =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_newline ppf ())
-    pp_statement ppf statements

@@ -52,5 +52,3 @@ type statement =
 type t = statement list
 
 val pp_pipeline : Format.formatter -> pipeline -> unit
-val pp_statement : Format.formatter -> statement -> unit
-val pp : Format.formatter -> t -> unit

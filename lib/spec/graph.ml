@@ -180,8 +180,6 @@ let linearize t =
   in
   walk (entry t) 1.0 []
 
-let topological_order t = List.map (fun n -> n.id) (nodes t)
-
 let pp ppf t =
   Format.fprintf ppf "chain %s: %d NFs@." t.name (size t);
   List.iter

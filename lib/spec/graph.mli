@@ -60,6 +60,4 @@ val linearize : t -> path list
 (** All entry-to-exit paths. Fractions are products of edge weights and
     sum to 1 (within rounding). *)
 
-val topological_order : t -> node_id list
-
 val pp : Format.formatter -> t -> unit

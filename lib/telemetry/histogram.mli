@@ -20,9 +20,6 @@
 
 type t
 
-val default_bounds : float array
-(** [100 * 10^(i/4)] ns for [i = 0..32]: 100 ns up to 10 s. *)
-
 val make : ?bounds:float array -> string -> t
 (** An empty histogram. [bounds] must be strictly increasing and
     non-empty. @raise Invalid_argument otherwise. *)

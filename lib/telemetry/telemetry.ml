@@ -152,66 +152,6 @@ let to_json t =
       ("histograms", Json.List (List.map Histogram.to_json (histograms t)));
     ]
 
-let render t =
-  let buf = Buffer.create 1024 in
-  let section title table =
-    Buffer.add_string buf title;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (Lemur_util.Texttable.render table);
-    Buffer.add_char buf '\n'
-  in
-  (match spans t with
-  | [] -> ()
-  | roots ->
-      let table =
-        Lemur_util.Texttable.create ~headers:[ "span"; "start (s)"; "duration (ms)" ]
-      in
-      let rec add depth s =
-        Lemur_util.Texttable.add_row table
-          [
-            String.make (2 * depth) ' ' ^ s.span_name;
-            Printf.sprintf "%.6f" s.span_start;
-            Printf.sprintf "%.3f" (s.span_duration *. 1e3);
-          ];
-        List.iter (add (depth + 1)) s.span_children
-      in
-      List.iter (add 0) roots;
-      section "spans:" table);
-  (match counters t with
-  | [] -> ()
-  | cs ->
-      let table = Lemur_util.Texttable.create ~headers:[ "counter"; "value" ] in
-      List.iter
-        (fun c ->
-          Lemur_util.Texttable.add_row table
-            [ Counter.name c; string_of_int (Counter.value c) ])
-        cs;
-      section "counters:" table);
-  (match histograms t with
-  | [] -> ()
-  | hs ->
-      let table =
-        Lemur_util.Texttable.create
-          ~headers:[ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "p999"; "max" ]
-      in
-      List.iter
-        (fun h ->
-          let f x = Printf.sprintf "%.0f" x in
-          Lemur_util.Texttable.add_row table
-            [
-              Histogram.name h;
-              string_of_int (Histogram.count h);
-              f (Histogram.mean h);
-              f (Histogram.percentile h 50.0);
-              f (Histogram.percentile h 90.0);
-              f (Histogram.percentile h 99.0);
-              f (Histogram.percentile h 99.9);
-              f (Histogram.max_value h);
-            ])
-        hs;
-      section "histograms (ns):" table);
-  Buffer.contents buf
-
 let write_json t path =
   let oc = open_out path in
   Fun.protect

@@ -23,9 +23,8 @@
 
     {2 Output}
 
-    A populated registry renders two ways: {!render} pretty-prints
-    through [Lemur_util.Texttable] for terminals, and {!to_json} /
-    {!write_json} emit the machine-readable dump documented in
+    A populated registry renders through {!to_json} /
+    {!write_json} as the machine-readable dump documented in
     [docs/OBSERVABILITY.md] (schema [lemur.telemetry/1]), which the CLI
     exposes as [--telemetry FILE] and the bench harness as
     [--telemetry-dir DIR]. *)
@@ -74,7 +73,7 @@ val counter : t -> string -> Counter.t
 
 val histogram : t -> ?bounds:float array -> string -> Histogram.t
 (** The registry's histogram of that name, created on first use with
-    [bounds] (default {!Histogram.default_bounds}). On a disabled
+    [bounds] (default: {!Histogram}'s 100 ns to 10 s). On a disabled
     registry: a fresh unregistered histogram. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
@@ -104,9 +103,6 @@ val spans : t -> span list
 
 val to_json : t -> Json.t
 (** The [lemur.telemetry/1] document; see [docs/OBSERVABILITY.md]. *)
-
-val render : t -> string
-(** Spans, counters and histogram percentiles as ASCII tables. *)
 
 val write_json : t -> string -> unit
 (** [write_json t path] writes [to_json t] to [path] (pretty-printed,

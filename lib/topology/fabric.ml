@@ -196,23 +196,3 @@ let synthetic_tenants ?(seed = 1) ?(tenants = 8) ?(chains = 64) t =
         ~subscribers:subscribers_per_tenant
         ~rate_per_sub:(per_tenant /. float_of_int subscribers_per_tenant)
         spec)
-
-(* ------------------------------------------------------------------ *)
-
-let pp ppf t =
-  Format.fprintf ppf "fabric: %d rack(s), %d spine(s)@." (num_racks t)
-    t.spines;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%s (uplink %a up / %a down):@.  %a" r.rack_name
-        Lemur_util.Units.pp_rate r.uplink_up Lemur_util.Units.pp_rate
-        r.uplink_down Topology.pp r.rack)
-    t.racks
-
-let pp_demand ppf d =
-  Format.fprintf ppf "%s: t_min %a%s%s" d.d_id Lemur_util.Units.pp_rate
-    d.d_slo.Lemur_slo.Slo.t_min
-    (match d.d_home with
-    | Some h -> Printf.sprintf ", home %s" h
-    | None -> "")
-    (if d.d_pinned then " (pinned)" else "")

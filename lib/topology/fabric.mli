@@ -146,6 +146,3 @@ val synthetic_tenants :
     rates sized so that the fabric's compute pool is loaded but not
     hopeless. Same [seed] (default 1),
     fabric shape and counts give byte-identical tenants. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_demand : Format.formatter -> demand -> unit

@@ -4,15 +4,6 @@ let cartesian lists =
   in
   List.map List.rev (List.fold_left add_choices [ [] ] lists)
 
-let rec combinations k items =
-  if k = 0 then [ [] ]
-  else
-    match items with
-    | [] -> []
-    | x :: rest ->
-        let with_x = List.map (fun c -> x :: c) (combinations (k - 1) rest) in
-        with_x @ combinations k rest
-
 let rec compositions n k =
   if k = 0 then if n = 0 then [ [] ] else []
   else if n < k then []
@@ -52,11 +43,6 @@ let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
-
-let rec drop n = function
-  | rest when n <= 0 -> rest
-  | [] -> []
-  | _ :: rest -> drop (n - 1) rest
 
 let max_by score = function
   | [] -> None

@@ -5,9 +5,6 @@ val cartesian : 'a list list -> 'a list list
 (** Cartesian product. [cartesian [[1;2];[3]]] = [[1;3];[2;3]]. The
     product of an empty list of lists is [[[]]]. *)
 
-val combinations : int -> 'a list -> 'a list list
-(** All size-[k] subsets, preserving element order. *)
-
 val compositions : int -> int -> int list list
 (** [compositions n k] lists all ways to write [n] as an ordered sum of
     [k] positive integers. [compositions 3 2 = [[1;2];[2;1]]]. Empty if
@@ -20,7 +17,6 @@ val group_consecutive : ('a -> 'a -> bool) -> 'a list -> 'a list list
 (** Group maximal runs of consecutive elements related by the predicate. *)
 
 val take : int -> 'a list -> 'a list
-val drop : int -> 'a list -> 'a list
 
 val max_by : ('a -> float) -> 'a list -> 'a option
 (** Element maximizing the score; [None] on empty list. Ties keep the

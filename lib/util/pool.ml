@@ -87,7 +87,6 @@ type pool = {
   mu : Mutex.t;
   wake : Condition.t;
   mutable current : run option;
-  mutable stop : bool;
   mutable workers : unit Domain.t list;  (** newest first *)
 }
 
@@ -97,22 +96,17 @@ let worker_loop pool () =
   let rec loop () =
     Mutex.lock pool.mu;
     let rec wait () =
-      if pool.stop then None
-      else
-        match pool.current with
-        | Some run when run.run_id <> !last -> Some run
-        | _ ->
-            Condition.wait pool.wake pool.mu;
-            wait ()
+      match pool.current with
+      | Some run when run.run_id <> !last -> run
+      | _ ->
+          Condition.wait pool.wake pool.mu;
+          wait ()
     in
     let run = wait () in
     Mutex.unlock pool.mu;
-    match run with
-    | None -> ()
-    | Some run ->
-        last := run.run_id;
-        if Atomic.fetch_and_add run.tickets (-1) > 0 then participate run;
-        loop ()
+    last := run.run_id;
+    if Atomic.fetch_and_add run.tickets (-1) > 0 then participate run;
+    loop ()
   in
   loop ()
 
@@ -120,17 +114,6 @@ let global : pool option ref = ref None
 
 let pool_size () =
   match !global with None -> 0 | Some p -> List.length p.workers
-
-let shutdown () =
-  match !global with
-  | None -> ()
-  | Some p ->
-      global := None;
-      Mutex.lock p.mu;
-      p.stop <- true;
-      Condition.broadcast p.wake;
-      Mutex.unlock p.mu;
-      List.iter Domain.join p.workers
 
 (* Grow the resident pool to at least [want] workers. *)
 let ensure_pool want =
@@ -143,7 +126,6 @@ let ensure_pool want =
             mu = Mutex.create ();
             wake = Condition.create ();
             current = None;
-            stop = false;
             workers = [];
           }
         in

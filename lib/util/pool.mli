@@ -53,9 +53,5 @@ val all : ('b, job_error) result list -> ('b list, job_error) result
 
 val pool_size : unit -> int
 (** Resident worker domains (0 before the first parallel [map]). The
-    pool never shrinks short of {!shutdown}, so this is the high-water
+    pool never shrinks, so this is the high-water
     mark of [~domains - 1] across all calls. *)
-
-val shutdown : unit -> unit
-(** Join and discard the cached global pool (idempotent). Subsequent
-    [map] calls re-create it on demand. *)

@@ -83,10 +83,6 @@ let truncated_gaussian t ~mu ~sigma ~lo ~hi = truncated t mu sigma lo hi
 
 let sample t l = truncated t l.mu l.sigma l.lo l.hi
 
-let exponential t ~rate =
-  assert (rate > 0.0);
-  -.log (1.0 -. float53 t) /. rate
-
 let bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t a =

@@ -47,9 +47,6 @@ val sample : t -> law -> float
     float arguments unboxed, so a per-packet draw allocates only its
     result. *)
 
-val exponential : t -> rate:float -> float
-(** Exponential inter-arrival with given rate. Requires [rate > 0]. *)
-
 val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit

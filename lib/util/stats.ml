@@ -36,8 +36,6 @@ let summarize = function
         stddev = sqrt var;
       }
 
-let clamp ~lo ~hi x = Float.min hi (Float.max lo x)
-
 let linear_fit points =
   match points with
   | [] | [ _ ] -> invalid_arg "Stats.linear_fit: need >= 2 points"

@@ -16,8 +16,6 @@ val summarize : float list -> summary
 val mean : float list -> float
 (** Raises [Invalid_argument] on an empty list or any NaN element. *)
 
-val clamp : lo:float -> hi:float -> float -> float
-
 val linear_fit : (float * float) list -> float * float
 (** Least-squares line [(slope, intercept)] through the points. Requires
     at least two points with distinct x. *)

@@ -1,12 +1,8 @@
 let gbps x = x *. 1e9
-let mbps x = x *. 1e6
-let kbps x = x *. 1e3
 let to_gbps x = x /. 1e9
-let to_mbps x = x /. 1e6
 let ghz x = x *. 1e9
 let us x = x *. 1e3
 let ms x = x *. 1e6
-let s x = x *. 1e9
 let to_us x = x /. 1e3
 let bytes_to_bits b = float_of_int (8 * b)
 let pps_of_bps ~pkt_bytes r = r /. bytes_to_bits pkt_bytes

@@ -8,13 +8,8 @@
 val gbps : float -> float
 (** [gbps x] is [x] Gbit/s expressed in bit/s. *)
 
-val mbps : float -> float
-val kbps : float -> float
-
 val to_gbps : float -> float
 (** bit/s -> Gbit/s. *)
-
-val to_mbps : float -> float
 
 val ghz : float -> float
 (** [ghz x] is a clock rate in Hz. *)
@@ -24,9 +19,6 @@ val us : float -> float
 
 val ms : float -> float
 (** [ms x] is [x] milliseconds in nanoseconds. *)
-
-val s : float -> float
-(** [s x] is [x] seconds in nanoseconds. *)
 
 val to_us : float -> float
 (** nanoseconds -> microseconds. *)

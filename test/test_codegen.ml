@@ -528,8 +528,8 @@ let check_openflow_vids (p : Strategy.placement) (art : Codegen.artifact) =
           (fun (r : Lemur_openflow.Openflow.rule) ->
             match r.match_vid with
             | Some vid ->
-                let h = Lemur_nsh.Nsh.Vlan.decode vid in
-                (h.Lemur_nsh.Nsh.spi, h.Lemur_nsh.Nsh.si)
+                let h = Lemur_openflow.Openflow.Vlan.decode vid in
+                (h.spi, h.si)
             | None -> Alcotest.fail "steering rule without a vid")
           prog.Lemur_openflow.Openflow.rules
   in
@@ -589,7 +589,7 @@ let test_openflow_vid_aliasing () =
     | Error e ->
         Alcotest.(check bool) (name ^ ": " ^ e) true (String.starts_with ~prefix:"OpenFlow: " e)
   in
-  (match deploy_of_chains (List.init Lemur_nsh.Nsh.Vlan.max_spi (fun _ -> "ACL")) with
+  (match deploy_of_chains (List.init Lemur_openflow.Openflow.Vlan.max_spi (fun _ -> "ACL")) with
   | Error e -> Alcotest.failf "255 paths must deploy: %s" e
   | Ok d -> check_openflow_vids d.Lemur.Deployment.placement d.Lemur.Deployment.artifact);
   (* ACL and Monitor on the switch around a server hop: two runs, each

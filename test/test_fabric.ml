@@ -169,6 +169,33 @@ let test_repair_rehomes () =
       Alcotest.(check bool) "moved chain flagged cross-rack" true
         a.Shard.a_cross)
     fp.Shard.repairs;
+  check_clean fp;
+  (* With two racks able to take the shed chain, repair picks the one
+     with the lower projected load: rc (two pinned fillers) over rb
+     (six), although rb sorts first by name. The shed chain has the
+     largest floor on ra, so partitioning keeps it home; the rest of
+     ra is pinned. *)
+  let f = Fabric.make [ rack ~servers:1 "ra"; rack ~servers:4 "rb"; rack ~servers:4 "rc" ] in
+  let fillers home n =
+    List.init n (fun i ->
+        demand ~pinned:true ~home ~tmin:14e9 (Printf.sprintf "%s-f%d" home i) "ACL -> NAT")
+  in
+  let ra =
+    demand ~home:"ra" ~tmin:9e9 "shed" "Encrypt"
+    :: List.init 3 (fun i ->
+           demand ~pinned:true ~home:"ra" ~tmin:8e9 (Printf.sprintf "p%d" i) "Encrypt")
+  in
+  let fp =
+    placed
+      (Shard.place ~jobs:1 (Shard.default_config f)
+         (fillers "rb" 6 @ fillers "rc" 2 @ ra))
+  in
+  Alcotest.(check bool) "three-rack repair pass ran" true (fp.Shard.repairs <> []);
+  List.iter
+    (fun (r : Shard.repair) ->
+      Alcotest.(check string) "moves shed the small rack" "ra" r.Shard.rp_from;
+      Alcotest.(check string) "moves land on the less-loaded rack" "rc" r.Shard.rp_to)
+    fp.Shard.repairs;
   check_clean fp
 
 (* A rack of pinned chains that cannot fit and cannot move: the planner

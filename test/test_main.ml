@@ -9,7 +9,6 @@ let () =
       ("slo", Test_slo.suite);
       ("platform", Test_platform.suite);
       ("profiler", Test_profiler.suite);
-      ("nsh", Test_nsh.suite);
       ("p4", Test_p4.suite);
       ("ebpf", Test_ebpf.suite);
       ("bess", Test_bess.suite);
