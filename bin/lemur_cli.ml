@@ -96,12 +96,30 @@ let strategy =
           (Printf.sprintf "Placement strategy: %s."
              (String.concat ", " (List.map fst strategies))))
 
+(* A rack flag the chosen rack would ignore is rejected rather than
+   dropped: [flags] pairs each flag with whether it was set. *)
+let unused_rack_flags mode why flags =
+  match List.find_opt snd flags with
+  | Some (flag, _) ->
+      Error (Printf.sprintf "%s does not apply with %s: %s" flag mode why)
+  | None -> Ok ()
+
 let topology servers cores_per_socket smartnic ofswitch no_pisa =
   let num_servers = Option.value ~default:1 servers in
-  if no_pisa then Lemur_topology.Topology.no_pisa_testbed ~ofswitch ()
+  if no_pisa then
+    Result.map
+      (fun () -> Lemur_topology.Topology.no_pisa_testbed ~ofswitch ())
+      (unused_rack_flags "--no-pisa"
+         "the no-PISA testbed is one fixed 8-core server without a SmartNIC"
+         [
+           ("--servers", num_servers <> 1);
+           ("--cores-per-socket", cores_per_socket <> 8);
+           ("--smartnic", smartnic);
+         ])
   else
-    Lemur_topology.Topology.testbed ~num_servers ~cores_per_socket ~smartnic
-      ~ofswitch ()
+    Ok
+      (Lemur_topology.Topology.testbed ~num_servers ~cores_per_socket
+         ~smartnic ~ofswitch ())
 
 let acl_algo_arg =
   let algos =
@@ -121,8 +139,9 @@ let acl_algo_arg =
              (String.concat ", " (List.map fst algos))))
 
 let deploy ?(acl_algo = None) strategy topo metron file =
-  Lemur.Deployment.of_spec ~strategy ~topology:topo ~metron ~acl_algo
-    (read_file file)
+  Result.bind topo (fun topology ->
+      Lemur.Deployment.of_spec ~strategy ~topology ~metron ~acl_algo
+        (read_file file))
 
 (* ------------------------------------------------------------------ *)
 
@@ -281,9 +300,22 @@ let place_cmd =
   let run strategy servers cps smartnic ofswitch no_pisa metron tfile fabric
       num_racks spines uplink_gbps tenants chains replicas seed jobs file =
     with_telemetry tfile @@ fun () ->
-    if fabric then
-      place_fabric ~strategy ~servers ~cps ~num_racks ~spines ~uplink_gbps
-        ~seed ~tenants ~chains ~replicas ~jobs file
+    if fabric then (
+      match
+        unused_rack_flags "--fabric" "every fabric rack is a synthetic PISA rack"
+          [
+            ("--no-pisa", no_pisa);
+            ("--smartnic", smartnic);
+            ("--ofswitch", ofswitch);
+            ("--metron", metron);
+          ]
+      with
+      | Error e ->
+          Printf.eprintf "error: %s\n" e;
+          1
+      | Ok () ->
+          place_fabric ~strategy ~servers ~cps ~num_racks ~spines ~uplink_gbps
+            ~seed ~tenants ~chains ~replicas ~jobs file)
     else
       match file with
       | None ->
@@ -542,7 +574,21 @@ let run_cmd =
         Printf.eprintf "error: a SPEC file and a trace are mutually exclusive\n";
         1
     | (Some _, _, _ | _, Some _, _) -> (
-        match load_trace trace_file trace_seed trace_kind trace_events with
+        let rack_flags =
+          unused_rack_flags "a trace" "its topology line sets the rack"
+            [
+              ("--servers", servers <> None);
+              ("--cores-per-socket", cps <> 8);
+              ("--smartnic", smartnic);
+              ("--ofswitch", ofswitch);
+              ("--no-pisa", no_pisa);
+              ("--metron", metron);
+            ]
+        in
+        match
+          Result.bind rack_flags (fun () ->
+              load_trace trace_file trace_seed trace_kind trace_events)
+        with
         | Error e ->
             Printf.eprintf "error: %s\n" e;
             1
@@ -773,15 +819,17 @@ let failover_cmd =
     let topo = topology servers cps smartnic ofswitch no_pisa in
     (* An element the rack does not have is bad input, not a missing
        fallback. *)
-    let rec racks = function
+    let rec racks topo = function
       | [] -> Ok []
       | f :: rest -> (
           match Lemur.Failover.degrade topo f with
           | Error e ->
               Error (Printf.sprintf "--fail %s: %s" (Lemur.Failover.to_string f) e)
-          | Ok rack -> Result.map (fun l -> (f, rack) :: l) (racks rest))
+          | Ok rack -> Result.map (fun l -> (f, rack) :: l) (racks topo rest))
     in
-    match (deploy strategy topo metron file, racks failures) with
+    match
+      (deploy strategy topo metron file, Result.bind topo (fun t -> racks t failures))
+    with
     | Error e, _ | _, Error e ->
         Printf.eprintf "error: %s\n" e;
         1

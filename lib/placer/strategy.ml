@@ -808,11 +808,13 @@ let optimal_placement config inputs =
     in
     enum [] per_chain core_budget;
     (* Evaluate the LP for each combination, rank by objective. The
-       evaluations are independent and pure given [config], so they fan
-       out across the domain pool; results come back merged by index, so
-       the ranking below sees them in enumeration order and the chosen
-       placement is identical to a sequential run. A combination whose
-       evaluation raises is skipped and counted, never fatal. *)
+       evaluations are independent and pure given [config], so they go
+       through [Pool.map] at the session default; only a one-scenario
+       [lemur fuzz -j N] batch runs them on more than one domain. Results
+       come back merged by index, so the ranking below sees them in
+       enumeration order and the chosen placement is identical to a
+       sequential run. A combination whose evaluation raises is skipped
+       and counted, never fatal. *)
     let evaluated =
       Lemur_util.Pool.map
         (fun combo ->

@@ -240,6 +240,30 @@ let parse ?file source =
   let err_tok line lineno tok msg =
     err ~col:(match tok with Some t -> token_col line t | None -> 1) lineno msg
   in
+  (* The no-PISA testbed is one fixed server with [default_topo]'s
+     cores and no SmartNIC: an option that would change it is an error
+     at that option (or at [no-pisa] if it came on an earlier line). *)
+  let no_pisa_conflict line lineno opts =
+    let d = default_topo and t = !topo in
+    let changes opt =
+      match String.split_on_char '=' opt with
+      | [ "servers"; v ] -> int_of_string_opt v <> Some d.servers
+      | [ "cores"; v ] -> int_of_string_opt v <> Some d.cores_per_socket
+      | _ -> opt = "smartnic"
+    in
+    if
+      t.no_pisa
+      && (t.servers, t.cores_per_socket, t.smartnic)
+         <> (d.servers, d.cores_per_socket, d.smartnic)
+    then
+      let opt = Option.value (List.find_opt changes opts) ~default:"no-pisa" in
+      err_tok line lineno (Some opt)
+        (Printf.sprintf
+           "topology option %S does not apply with no-pisa: the no-PISA \
+            testbed is one fixed %d-core server without a SmartNIC"
+           opt d.cores_per_socket)
+    else Ok ()
+  in
   let parse_action lineno line tokens rest =
     match tokens with
     | "traffic" :: chain_id :: rate :: [] -> (
@@ -299,41 +323,43 @@ let parse ?file source =
               Ok ()
           | _ -> err lineno (Printf.sprintf "bad horizon %S" h))
       | "topology" :: opts ->
-          List.fold_left
-            (fun acc opt ->
-              Result.bind acc (fun () ->
-                  match String.index_opt opt '=' with
-                  | Some i -> (
-                      let key = String.sub opt 0 i in
-                      let v = String.sub opt (i + 1) (String.length opt - i - 1) in
-                      match (key, int_of_string_opt v) with
-                      | "servers", Some n when n > 0 ->
-                          topo := { !topo with servers = n };
-                          Ok ()
-                      | "cores", Some n when n > 0 ->
-                          topo := { !topo with cores_per_socket = n };
-                          Ok ()
-                      | _ ->
-                          err_tok line lineno (Some opt)
-                            (Printf.sprintf "bad topology option %S" opt))
-                  | None -> (
-                      match opt with
-                      | "smartnic" ->
-                          topo := { !topo with smartnic = true };
-                          Ok ()
-                      | "ofswitch" ->
-                          topo := { !topo with ofswitch = true };
-                          Ok ()
-                      | "no-pisa" ->
-                          topo := { !topo with no_pisa = true };
-                          Ok ()
-                      | "metron" ->
-                          topo := { !topo with metron = true };
-                          Ok ()
-                      | _ ->
-                          err_tok line lineno (Some opt)
-                            (Printf.sprintf "unknown topology flag %S" opt))))
-            (Ok ()) opts
+          Result.bind
+            (List.fold_left
+              (fun acc opt ->
+                Result.bind acc (fun () ->
+                    match String.index_opt opt '=' with
+                    | Some i -> (
+                        let key = String.sub opt 0 i in
+                        let v = String.sub opt (i + 1) (String.length opt - i - 1) in
+                        match (key, int_of_string_opt v) with
+                        | "servers", Some n when n > 0 ->
+                            topo := { !topo with servers = n };
+                            Ok ()
+                        | "cores", Some n when n > 0 ->
+                            topo := { !topo with cores_per_socket = n };
+                            Ok ()
+                        | _ ->
+                            err_tok line lineno (Some opt)
+                              (Printf.sprintf "bad topology option %S" opt))
+                    | None -> (
+                        match opt with
+                        | "smartnic" ->
+                            topo := { !topo with smartnic = true };
+                            Ok ()
+                        | "ofswitch" ->
+                            topo := { !topo with ofswitch = true };
+                            Ok ()
+                        | "no-pisa" ->
+                            topo := { !topo with no_pisa = true };
+                            Ok ()
+                        | "metron" ->
+                            topo := { !topo with metron = true };
+                            Ok ()
+                        | _ ->
+                            err_tok line lineno (Some opt)
+                              (Printf.sprintf "unknown topology flag %S" opt))))
+              (Ok ()) opts)
+            (fun () -> no_pisa_conflict line lineno opts)
       | "chain" :: _ :: _ ->
           chains := strip_head 1 trimmed :: !chains;
           Ok ()

@@ -76,7 +76,9 @@ val parse_error_to_string : parse_error -> string
 
 val parse : ?file:string -> string -> (t, parse_error) result
 (** Parse the text format; [Error] carries file/line/column. [file] is
-    only used for error reporting. *)
+    only used for error reporting. With [no-pisa], a [servers=],
+    [cores=] or [smartnic] option that would change the fixed no-PISA
+    testbed is an error pointing at that option. *)
 
 val to_string : t -> string
 (** Render to the text format. [parse (to_string t)] re-reads an equal

@@ -508,6 +508,24 @@ let test_trace_parse_positions () =
       Alcotest.(check int) "line 1" 1 e.Trace.pe_line;
       Alcotest.(check bool) "column past start" true (e.Trace.pe_col >= 1)
   | Ok _ -> ());
+  (* a rack option the no-PISA testbed would ignore points at that
+     option; the testbed's own values (what [to_string] prints) parse *)
+  (match Trace.parse "chain c0 = NAT\ntopology servers=3 cores=4 smartnic no-pisa\n" with
+  | Error e ->
+      Alcotest.(check int) "no-pisa conflict line" 2 e.Trace.pe_line;
+      Alcotest.(check int) "column of servers=3" 10 e.Trace.pe_col;
+      Alcotest.(check bool) "message names the option" true
+        (contains ~needle:"\"servers=3\" does not apply with no-pisa"
+           e.Trace.pe_message)
+  | Ok _ -> Alcotest.fail "servers=3 with no-pisa must not parse");
+  (match Trace.parse "chain c0 = NAT\ntopology no-pisa\ntopology smartnic\n" with
+  | Error e ->
+      Alcotest.(check (pair int int)) "smartnic after no-pisa" (3, 10)
+        (e.Trace.pe_line, e.Trace.pe_col)
+  | Ok _ -> Alcotest.fail "smartnic with no-pisa must not parse");
+  (match Trace.parse "chain c0 = NAT\ntopology servers=1 cores=8 no-pisa\n" with
+  | Ok t -> Alcotest.(check bool) "no-pisa defaults parse" true t.Trace.topo.no_pisa
+  | Error e -> Alcotest.fail (Trace.parse_error_to_string e));
   (* default file placeholder when none was given *)
   match Trace.parse "@0.5 frobnicate x\n" with
   | Error e ->

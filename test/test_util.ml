@@ -216,7 +216,7 @@ let test_pool_basic () =
   | _ -> Alcotest.fail "nested map must run inline and preserve order"
 
 let test_pool_skewed_deterministic () =
-  (* Chunked work-stealing must keep results slotted by index even when
+  (* Per-item claiming must keep results slotted by index even when
      one item costs ~100x its neighbours, so the parallel order matches
      the sequential one byte-for-byte. *)
   let spin iters x =
@@ -238,15 +238,6 @@ let test_pool_skewed_deterministic () =
   in
   Alcotest.(check (list int)) "skewed corpus agrees -j 1 vs -j 4" (run 1)
     (run 4)
-
-let test_pool_reuse () =
-  (* The pool grows monotonically and a smaller -j reuses it with fewer
-     active workers instead of tearing domains down. *)
-  ignore (Pool.map ~domains:4 (fun x -> x + 1) [ 1; 2; 3; 4; 5 ]);
-  let grown = Pool.pool_size () in
-  Alcotest.(check bool) "pool spawned workers for -j 4" true (grown >= 3);
-  ignore (Pool.map ~domains:2 (fun x -> x + 1) [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check int) "smaller -j keeps the pool" grown (Pool.pool_size ())
 
 let test_timing_clamp () =
   Alcotest.(check (float 0.0)) "forward duration" 1.5
@@ -325,18 +316,28 @@ let selection_input =
       (Array.of_list xs, max 0 n))
     values (int_range 0 8)
 
+(* [Pool.map] at each of [domains] returns what the sequential map does,
+   the job indices of planned failures included. *)
+let pool_agrees domains (xs, fail_mod) =
+  let f x =
+    if fail_mod > 0 && x mod fail_mod = 0 then failwith "planned"
+    else (x * 7) - 3
+  in
+  let strip = List.map (Result.map_error (fun e -> e.Pool.job_index)) in
+  let seq = strip (Pool.map ~domains:1 f xs) in
+  List.for_all (fun d -> strip (Pool.map ~domains:d f xs) = seq) domains
+
 let qcheck_cases =
   let open QCheck in
   [
+    (* Lists shorter than the domain count: the helper count is capped at
+       [n - 1], so every item still lands in its own slot. *)
+    Test.make ~name:"pool map: short lists agree at every domain count" ~count:30
+      (pair (list_of_size (Gen.int_range 0 4) small_int) (int_range 0 3))
+      (pool_agrees [ 2; 3; 4; 8 ]);
     Test.make ~name:"pool map: domains 1 and 4 agree" ~count:30
       (pair (list_of_size (Gen.int_range 0 40) small_int) (int_range 0 5))
-      (fun (xs, fail_mod) ->
-        let f x =
-          if fail_mod > 0 && x mod fail_mod = 0 then failwith "planned"
-          else (x * 7) - 3
-        in
-        let strip = List.map (Result.map_error (fun e -> e.Pool.job_index)) in
-        strip (Pool.map ~domains:1 f xs) = strip (Pool.map ~domains:4 f xs));
+      (pool_agrees [ 2; 3; 4 ]);
     Test.make ~name:"compositions sum to n" ~count:100
       (pair (int_range 1 8) (int_range 1 4))
       (fun (n, k) ->
@@ -424,7 +425,6 @@ let suite =
     Alcotest.test_case "texttable" `Quick test_texttable;
     Alcotest.test_case "pool map" `Quick test_pool_basic;
     Alcotest.test_case "pool skewed determinism" `Quick test_pool_skewed_deterministic;
-    Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     Alcotest.test_case "timing clamp" `Quick test_timing_clamp;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_cases
